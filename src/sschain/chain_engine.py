@@ -3,8 +3,9 @@
 Single trajectories are sampled row-by-row with inverse CDF on the
 memoized row and one uniform per step, so a path is a pure function of
 its (seed, stream) pair.  The batch helpers advance one whole column of
-per-replicate streams per step; for the barrier family they sample the
-step law directly instead of the conditioned row (same law, same
+per-replicate streams per step through the kernel's vectorized
+``step`` and ``absorbing_mask`` (the barrier family samples its step
+law directly instead of the conditioned row: same law, same
 determinism guarantee, much faster).
 
 Time changes on step paths are exact piecewise algebra: between jumps the
@@ -21,8 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import (BarrierKernel, IgnoredJumpKernel, Kernel,
-                      StepDistribution, _BarrierFamily, barrier_kernel,
-                      ignored_jump_kernel, truncated_kernel)
+                      StepDistribution, TruncatedKernel)
 from .streams import BlockUniforms, philox_rng
 
 DEFAULT_STEP_CAP = 10 ** 9
@@ -101,35 +101,6 @@ def sample_path(kernel: Kernel, n: int, seed: int, stream: int = 0,
     return ChainPath(kernel, np.asarray(states, dtype=np.int64), seed, stream)
 
 
-def _absorbing_mask(kernel: Kernel, states: np.ndarray) -> np.ndarray:
-    if isinstance(kernel, _BarrierFamily):
-        q = kernel.q
-        q._ensure(int(states.max(initial=0)))
-        qbar = q._qbar[states]
-        if isinstance(kernel, BarrierKernel):
-            return qbar >= 1.0
-        if isinstance(kernel, IgnoredJumpKernel):
-            return qbar + q._q[0] >= 1.0 - 1e-12
-        return states == 0
-    mask = np.zeros(states.shape, dtype=bool)
-    for m in np.unique(states):
-        if kernel.absorbing(int(m)):
-            mask |= states == m
-    return mask
-
-
-def _step_batch(kernel: Kernel, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Advance every state one step using the matching uniforms."""
-    if isinstance(kernel, _BarrierFamily):
-        return kernel.step_states(states, u)
-    out = states.copy()
-    for m in np.unique(states):
-        sel = states == m
-        c = kernel.row_cumsum(int(m))
-        out[sel] = np.searchsorted(c, u[sel], side="right")
-    return out
-
-
 def sample_absorption_times(kernel: Kernel, n: int, replicates: int, seed: int,
                             stream0: int = 0,
                             max_steps: int = DEFAULT_STEP_CAP) -> np.ndarray:
@@ -137,16 +108,16 @@ def sample_absorption_times(kernel: Kernel, n: int, replicates: int, seed: int,
     uniforms = BlockUniforms(seed, stream0, replicates)
     states = np.full(replicates, n, dtype=np.int64)
     steps = np.zeros(replicates, dtype=np.int64)
-    alive = ~_absorbing_mask(kernel, states)
+    alive = ~kernel.absorbing_mask(states)
     taken = 0
     while alive.any():
         if taken >= max_steps:
             raise RunawayChainError(f"{kernel.name}: step cap hit in batch sampling")
         u = uniforms.next_column(alive)
-        states[alive] = _step_batch(kernel, states[alive], u[alive])
+        states[alive] = kernel.step(states[alive], u[alive])
         steps[alive] += 1
         taken += 1
-        alive[alive] = ~_absorbing_mask(kernel, states[alive])
+        alive[alive] = ~kernel.absorbing_mask(states[alive])
     return steps
 
 
@@ -164,12 +135,12 @@ def sample_marginal_states(kernel: Kernel, n: int, step_points: Sequence[int],
     col = {p: i for i, p in enumerate(points)}
     if 0 in col:
         out[:, col[0]] = states
-    alive = ~_absorbing_mask(kernel, states)
+    alive = ~kernel.absorbing_mask(states)
     for k in range(1, max(points) + 1):
         u = uniforms.next_column(alive)
         if alive.any():
-            states[alive] = _step_batch(kernel, states[alive], u[alive])
-            alive[alive] = ~_absorbing_mask(kernel, states[alive])
+            states[alive] = kernel.step(states[alive], u[alive])
+            alive[alive] = ~kernel.absorbing_mask(states[alive])
         if k in col:
             out[:, col[k]] = states
     return out
@@ -356,11 +327,11 @@ def coupled_barrier_triple(q: StepDistribution, n: int, seed: int, stream: int =
                            max_draws: int = DEFAULT_STEP_CAP) -> CoupledTriple:
     """Couple the three barrier-family walks on one i.i.d. step stream."""
     if kernels is None:
-        kernels = (truncated_kernel(q), barrier_kernel(q), ignored_jump_kernel(q))
+        kernels = (TruncatedKernel(q), BarrierKernel(q), IgnoredJumpKernel(q))
     k_tilde, k_x, k_hat = kernels
     rng = philox_rng(seed, stream)
-    q._ensure(max(n, 1))
-    cum = np.cumsum(q._q[:max(len(q._q), n + 2)])
+    # every step longer than n overflows all three walks alike
+    cum = q.cdf_upto(n)
     hat = [n]
     tilde = [n]
     accept = [0]

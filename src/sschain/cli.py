@@ -24,9 +24,10 @@ from . import exact_dp as dp
 from . import kernels as kz
 from . import limit_process as lp
 from . import measures as ms
+from . import suites
 from .config import ConfigError, ExperimentConfig
-from .stats import empirical_moment, trend_verdict
-from .streams import parallel_blocks
+from .stats import empirical_moment
+from .streams import STREAM_BLOCK, parallel_blocks
 from .suites import CriterionResult, _check, run_acceptance
 
 SUBCOMMANDS = ("simulate-chain", "exact-moments", "simulate-limit", "diagnose-h",
@@ -41,7 +42,7 @@ def _suite_simulate_chain(cfg: ExperimentConfig):
     for j, n in enumerate(cfg.n_grid):
         times = parallel_blocks(
             lambda off, cnt, _n=n: ce.sample_absorption_times(
-                kernel, _n, cnt, cfg.seed, stream0=j * 10_000_000 + off),
+                kernel, _n, cnt, cfg.seed, stream0=j * STREAM_BLOCK + off),
             cfg.replicates, cfg.threads)
         a_n = kernel.scaling(n)
         m = empirical_moment(np.asarray(times, float) / a_n, 1.0)
@@ -50,11 +51,11 @@ def _suite_simulate_chain(cfg: ExperimentConfig):
         for i, t in enumerate(times):
             replicate_records.append({
                 "type": "replicate", "kernel": kernel.name, "n": int(n),
-                "seed": cfg.seed, "stream": j * 10_000_000 + i,
+                "seed": cfg.seed, "stream": j * STREAM_BLOCK + i,
                 "absorption_time": int(t),
             })
         for i in range(min(cfg.dump_paths, cfg.replicates)):
-            path = ce.sample_path(kernel, n, cfg.seed, stream=j * 10_000_000 + i)
+            path = ce.sample_path(kernel, n, cfg.seed, stream=j * STREAM_BLOCK + i)
             tables[f"path_n{n}_r{i}.csv"] = path.to_csv()
     res = CriterionResult("simulate-chain", ok, tuple(lines), est, tables)
     res.estimates["_records"] = replicate_records
@@ -95,7 +96,7 @@ def _suite_simulate_limit(cfg: ExperimentConfig):
             est[f"z_t{t}_lam{lam:g}"] = (m.value, m.se, target)
     samples = parallel_blocks(
         lambda off, cnt: lp.sample_exponential_functional(
-            triple, kernel.gamma, cnt, cfg.seed, stream0=50_000_000 + off),
+            triple, kernel.gamma, cnt, cfg.seed, stream0=5 * STREAM_BLOCK + off),
         cfg.replicates, cfg.threads)
     analytic = lp.analytic_moments(kernel.mu, kernel.gamma, 2)
     for p in (1, 2):
@@ -108,12 +109,12 @@ def _suite_simulate_limit(cfg: ExperimentConfig):
     records = []
     for i in range(min(cfg.replicates, 200)):
         path = lp.sample_subordinator(triple, horizon, seed=cfg.seed,
-                                      stream=90_000_000 + i)
+                                      stream=9 * STREAM_BLOCK + i)
         sample = lp.lamperti(path, kernel.gamma)
         records.append({"type": "limit_sample",
                         **lp.limit_record(kernel.name, kernel.gamma, path, sample)})
     first_path = lp.sample_subordinator(triple, horizon, seed=cfg.seed,
-                                        stream=90_000_000)
+                                        stream=9 * STREAM_BLOCK)
     res = CriterionResult("simulate-limit", ok, tuple(lines), est,
                           tables={"subordinator_path.csv": first_path.to_csv()})
     res.estimates["_records"] = records
@@ -136,78 +137,31 @@ def _suite_coalescent(cfg: ExperimentConfig):
     kernel = cfg.kernel()
     if not isinstance(kernel, kz.CoalescentKernel):
         raise ConfigError("kernel.type", "the coalescent suite needs a coalescent kernel")
-    lines, est = [], {}
-    gam = math.gamma(2.0 - kernel.beta) if kernel.beta is not None else 1.0
-    ratios = [kernel.total_rate(n) / (gam * kernel.h(1.0 / n)) for n in cfg.n_grid]
-    verdict = trend_verdict([abs(r - 1.0) for r in ratios], threshold=0.02,
-                            slack=1.10, floor=0.002)
-    ok = _check(lines, verdict.passed, f"total-rate ratios {ratios} | {verdict}")
-    est["rate_ratios"] = ratios
-    n_mc = max(cfg.n_grid)
-    times = parallel_blocks(
-        lambda off, cnt: ce.sample_absorption_times(kernel, n_mc, cnt, cfg.seed,
-                                                    stream0=off),
-        cfg.replicates, cfg.threads)
-    h = kernel.h(1.0 / n_mc)
-    m = empirical_moment(np.asarray(times, float) / h, 1.0)
-    target = 1.0 / kernel.psi(kernel.gamma)
-    ok &= _check(lines, m.within(target, 4.0),
-                 f"MC E[A/h] at n={n_mc}: {m} vs {target:.6f}")
-    est["mc"] = (m.value, m.se, target)
-    return CriterionResult("coalescent", ok, tuple(lines), est)
+    if kernel.beta is None:
+        raise ConfigError("kernel.Lambda", "the coalescent suite needs a tail index beta; "
+                          "a purely atomic Lambda has none (add a beta_density term)")
+    return suites.criterion_3(cfg.seed, cfg.threads, kernel=kernel, n_grid=cfg.n_grid,
+                              n_mc=max(cfg.n_grid), replicates=cfg.replicates)
 
 
 def _suite_composition(cfg: ExperimentConfig):
     kernel = cfg.kernel()
     if not isinstance(kernel, kz.CompositionKernel):
         raise ConfigError("kernel.type", "the composition suite needs a composition kernel")
-    triple = ms.LevyTriple(0.0, 0.0, kernel.omega)
-    lines, est = [], {}
-    ok = True
-    for j, n in enumerate(cfg.n_grid):
-        if n > 64:
-            raise ConfigError("grids.n", "composition cross-checks need small n (<= 64)")
-        comps = parallel_blocks(
-            lambda off, cnt, _n=n: lp.sample_gap_compositions(
-                triple, _n, cnt, cfg.seed, stream0=j * 10_000_000 + off),
-            cfg.replicates, cfg.threads,
-            concat=lambda parts: [c for p in parts for c in p])
-        pmf, _ = dp.absorption_distribution(kernel, n, k_max=n)
-        k_counts = np.bincount([c.length for c in comps], minlength=n + 1)
-        for k in range(1, n + 1):
-            p, phat = pmf[k], k_counts[k] / cfg.replicates
-            band = 4.0 * math.sqrt(max(p * (1 - p), 1e-12) / cfg.replicates)
-            ok &= _check(lines, abs(phat - p) <= band,
-                         f"n={n}: P(K={k}) = {phat:.4f} vs exact {p:.4f}")
-            est[f"n{n}_K{k}"] = (phat, p)
-    return CriterionResult("composition", ok, tuple(lines), est)
+    if max(cfg.n_grid) > 64:
+        raise ConfigError("grids.n", "composition cross-checks need small n (<= 64)")
+    if max(cfg.n_grid) < 2:
+        raise ConfigError("grids.n", "the regenerative chi-square needs a largest n >= 2")
+    return suites.criterion_8(cfg.seed, cfg.threads, kernel=kernel, n_grid=cfg.n_grid,
+                              replicates=cfg.replicates)
 
 
 def _suite_barrier_triple(cfg: ExperimentConfig):
     kernel = cfg.kernel()
     if not isinstance(kernel, kz._BarrierFamily):
         raise ConfigError("kernel.type", "the coupling suite needs a barrier-family kernel")
-    q = kernel.q
-    n = max(cfg.n_grid)
-    kernels = (kz.truncated_kernel(q), kz.barrier_kernel(q), kz.ignored_jump_kernel(q))
-
-    def block(off, cnt):
-        bad = 0
-        for i in range(cnt):
-            trip = ce.coupled_barrier_triple(q, n, cfg.seed, stream=off + i,
-                                             kernels=kernels)
-            tl, x, ht = (p.states for p in trip)
-            kk = min(len(tl), len(x), len(ht))
-            if np.any(tl[:kk] > x[:kk]) or np.any(x[:kk] > ht[:kk]):
-                bad += 1
-            if not np.array_equal(ht[trip.acceptance_times], x):
-                bad += 1
-        return np.array([bad])
-
-    bad = int(np.sum(parallel_blocks(block, cfg.replicates, cfg.threads)))
-    lines = []
-    ok = _check(lines, bad == 0, f"coupling violations at n={n}: {bad}")
-    return CriterionResult("barrier-triple", ok, tuple(lines), {"violations": bad})
+    return suites.criterion_7(cfg.seed, cfg.threads, q=kernel.q, n=max(cfg.n_grid),
+                              replicates=cfg.replicates)
 
 
 def _suite_acceptance(cfg: ExperimentConfig):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from . import kernels as _k
 from . import measures as _m
+from .streams import STREAM_BLOCK
 
 
 class ConfigError(ValueError):
@@ -187,7 +188,10 @@ def build_kernel(tree: dict, path: str = "kernel") -> _k.Kernel:
         return _k.canonical_kernel(mu, gamma, scale)
     if kind == "coalescent":
         lam = parse_measure(_get(tree, "Lambda", required=True), f"{path}.Lambda")
-        return _k.coalescent_kernel(lam)
+        try:
+            return _k.coalescent_kernel(lam)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.Lambda", str(exc)) from None
     if kind == "composition":
         omega = parse_levy_measure(_get(tree, "omega", required=True), f"{path}.omega")
         return _k.composition_kernel(omega)
@@ -206,7 +210,6 @@ class ExperimentConfig:
     n_grid: tuple[int, ...]
     lambda_grid: tuple[float, ...]
     t_grid: tuple[float, ...]
-    gamma: float | None
     kernel_tree: dict | None
     text: str
     digest: str
@@ -228,6 +231,9 @@ class ExperimentConfig:
         replicates = _as_int("replicates", pick("replicates", 1))
         if replicates < 1:
             raise ConfigError("replicates", "must be >= 1")
+        if replicates >= STREAM_BLOCK:
+            raise ConfigError("replicates", f"must be < {STREAM_BLOCK}, the stream "
+                              "block of one grid point (larger counts reuse streams)")
         threads = _as_int("threads", pick("threads", 1))
         if threads < 1:
             raise ConfigError("threads", "must be >= 1")
@@ -242,19 +248,12 @@ class ExperimentConfig:
         t_grid = _as_list("grids.t", _get(tree, "grids.t", "0.5 1"), float)
         if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
             raise ConfigError("grids.t", "grid must be strictly increasing")
-        gamma = _get(tree, "gamma", None)
-        gamma = None if gamma is None else _as_float("gamma", gamma)
         dump_paths = _as_int("dump_paths", _get(tree, "dump_paths", 0))
         kernel_tree = _get(tree, "kernel", None)
         return cls(suite=suite, seed=seed, replicates=replicates, threads=threads,
                    out_dir=out_dir, n_grid=n_grid, lambda_grid=lambda_grid,
-                   t_grid=t_grid, gamma=gamma, kernel_tree=kernel_tree,
+                   t_grid=t_grid, kernel_tree=kernel_tree,
                    text=text, digest=config_digest(text), dump_paths=dump_paths)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
 
     def kernel(self) -> _k.Kernel:
         if self.kernel_tree is None:

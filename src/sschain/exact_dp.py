@@ -14,17 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .kernels import BarrierKernel, Kernel
-
-
-class DPError(RuntimeError):
-    pass
-
-
-class CostGuardError(DPError):
-    """Requested computation exceeds the configured operation budget."""
+# CostGuardError and DPError are raised through kernels; this module re-exports them
+from .kernels import ABSORB_TOL, CostGuardError, DPError, Kernel
 
 
 @dataclass(frozen=True)
@@ -54,11 +46,9 @@ class MomentTable:
         return "\n".join(lines) + "\n"
 
 
-def _check_not_stuck(row: np.ndarray, n: int):
-    if n >= 1 and row[n] >= 1.0 - 1e-12:
-        raise DPError(
-            f"state {n} is absorbing; collapse the kernel (collapse_absorbing) "
-            "so 0 is the only absorbing state")
+def _stuck(n: int) -> DPError:
+    return DPError(f"state {n} is absorbing; collapse the kernel (collapse_absorbing) "
+                   "so 0 is the only absorbing state")
 
 
 def absorption_moments(kernel: Kernel, n_max: int, p_max: int = 1) -> MomentTable:
@@ -77,8 +67,9 @@ def absorption_moments(kernel: Kernel, n_max: int, p_max: int = 1) -> MomentTabl
     choose = [[math.comb(p, r) for r in range(p + 1)] for p in range(p_max + 1)]
     for n in range(1, n_max + 1):
         row = kernel.build_row(n)
-        _check_not_stuck(row, n)
         pnn = float(row[n])
+        if pnn >= 1.0 - ABSORB_TOL:
+            raise _stuck(n)
         for p in range(1, p_max + 1):
             s = float(np.dot(row[:n], W[:n, p]))
             lower = math.fsum(choose[p][r] * values[n, r] for r in range(p))
@@ -90,53 +81,8 @@ def absorption_moments(kernel: Kernel, n_max: int, p_max: int = 1) -> MomentTabl
 
 
 # ---------------------------------------------------------------------------
-# pmf evolution
+# pmf evolution (one step is the kernel's pushforward)
 # ---------------------------------------------------------------------------
-
-class _PmfStepper:
-    """One-step pushforward pi -> pi P with the rows of a kernel."""
-
-    def __init__(self, kernel: Kernel, n: int, budget_ops: float):
-        self.kernel = kernel
-        self.n = n
-        self._matrix = None
-        self._barrier = isinstance(kernel, BarrierKernel)
-        if self._barrier:
-            kernel.q._ensure(n)
-            self._q = kernel.q._q[:n + 1].copy()
-            self._qbar = kernel.q._qbar[:n + 1].copy()
-            if np.any(self._qbar[1:] >= 1.0):
-                raise DPError("states above 0 are absorbing; collapse the kernel")
-            nz = np.nonzero(self._q)[0]
-            self._support = int(nz[-1]) if nz.size else 0
-        else:
-            if (n + 1) ** 2 > budget_ops:
-                raise CostGuardError(
-                    f"dense pushforward at n={n} exceeds the operation budget")
-            m = np.zeros((n + 1, n + 1))
-            for j in range(n + 1):
-                m[j, :j + 1] = kernel.build_row(j)
-            self._matrix = m
-
-    def step(self, pi: np.ndarray) -> np.ndarray:
-        if not self._barrier:
-            return pi @ self._matrix
-        n = self.n
-        live = self._qbar < 1.0
-        rho = np.where(live, pi / np.where(live, 1.0 - self._qbar, 1.0), 0.0)
-        w = self._support
-        if w <= 256:
-            out = np.zeros_like(pi)
-            for z in range(min(w, n) + 1):
-                if self._q[z] != 0.0:
-                    out[:n + 1 - z] += self._q[z] * rho[z:]
-        else:
-            conv = fftconvolve(rho[::-1], self._q)[:n + 1]
-            out = conv[::-1].copy()
-            np.clip(out, 0.0, None, out=out)
-        out[~live] += pi[~live]
-        return out
-
 
 def absorption_distribution(kernel: Kernel, n: int, k_max: int | None = None,
                             budget_ops: float = 4e9):
@@ -152,16 +98,16 @@ def absorption_distribution(kernel: Kernel, n: int, k_max: int | None = None,
     if n == 0:
         pmf[0] = 1.0
         return pmf, 0.0
+    step = kernel.pushforward(n, budget_ops / max(1, k_max))
+    stuck = np.nonzero(kernel.absorbing_mask(np.arange(1, n + 1)))[0]
+    if stuck.size:
+        raise _stuck(int(stuck[0]) + 1)
     pi = np.zeros(n + 1)
     pi[n] = 1.0
-    stepper = _PmfStepper(kernel, n, budget_ops / max(1, k_max))
-    if stepper._matrix is not None:
-        for j in range(1, n + 1):
-            _check_not_stuck(stepper._matrix[j, :j + 1], j)
     absorbed = 0.0
     prev_total = 1.0
     for k in range(1, k_max + 1):
-        pi = stepper.step(pi)
+        pi = step(pi)
         total = float(math.fsum(pi))
         if abs(total - prev_total) > 1e-12:
             raise DPError(f"pmf mass drifted by {total - prev_total!r} at step {k}")
@@ -182,11 +128,11 @@ def marginal_moment(kernel: Kernel, n: int, t: float, lam: float,
         return 0.0 if lam > 0 else 1.0
     if steps == 0:
         return 1.0
-    stepper = _PmfStepper(kernel, n, budget_ops / steps)
+    step = kernel.pushforward(n, budget_ops / steps)
     pi = np.zeros(n + 1)
     pi[n] = 1.0
     for _ in range(steps):
-        pi = stepper.step(pi)
+        pi = step(pi)
     grid = (np.arange(n + 1) / n) ** lam if lam > 0 else np.ones(n + 1)
     if lam > 0:
         grid[0] = 0.0

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import betainc, betaln
+from scipy.signal import fftconvolve
+from scipy.special import betainc, betaln, zeta
 
 from . import measures
 from .measures import (BetaTerm, FiniteMeasure, LevyMeasure, atom,
@@ -24,11 +25,20 @@ from .special import log_binom
 from .stats import TrendReport, trend_verdict
 
 ROW_SUM_TOL = 1e-12
+ABSORB_TOL = 1e-12
 _NEG_CLIP = -1e-13
 
 
 class KernelConstructionError(ValueError):
     """A constructed row is not a probability vector."""
+
+
+class DPError(RuntimeError):
+    """An exact (no-sampling) computation cannot proceed on this kernel."""
+
+
+class CostGuardError(DPError):
+    """Requested computation exceeds the configured operation budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +72,8 @@ class StepDistribution:
             if q[0] >= 1.0:
                 raise ValueError("q_0 < 1 is required")
             self._q = q.copy()
-            self._qbar = 1.0 - np.cumsum(q)
+            self._cdf = np.cumsum(q)
+            self._qbar = 1.0 - self._cdf
             self._qbar[-1] = 0.0
             np.clip(self._qbar, 0.0, None, out=self._qbar)
             self.mean = float(np.dot(np.arange(q.size), q))
@@ -88,6 +99,7 @@ class StepDistribution:
                 pad = n + 1 - self._q.size
                 self._q = np.concatenate([self._q, np.zeros(pad)])
                 self._qbar = np.concatenate([self._qbar, np.zeros(pad)])
+                self._cdf = np.cumsum(self._q)
             return
         if n <= self._cache_n:
             return
@@ -98,6 +110,7 @@ class StepDistribution:
         q[1:] = qbar[:-1] - qbar[1:]
         np.clip(q, 0.0, None, out=q)
         self._q, self._qbar, self._cache_n = q, qbar, m
+        self._cdf = np.cumsum(q)
 
     def pmf_upto(self, n: int) -> np.ndarray:
         """q_0, ..., q_n."""
@@ -110,8 +123,14 @@ class StepDistribution:
         return float(self._qbar[n])
 
     def tail_upto(self, n: int) -> np.ndarray:
+        """qbar_0, ..., qbar_n."""
         self._ensure(n)
         return self._qbar[:n + 1]
+
+    def cdf_upto(self, n: int) -> np.ndarray:
+        """q_0, q_0 + q_1, ..., q_0 + ... + q_n (running sums, cached)."""
+        self._ensure(n)
+        return self._cdf[:n + 1]
 
 
 def power_tail(gamma: float) -> StepDistribution:
@@ -123,10 +142,8 @@ def power_tail(gamma: float) -> StepDistribution:
         return (np.asarray(n, dtype=float) + 1.0) ** -gamma
 
     g = gamma if gamma < 1.0 else None
-    mean = None
-    if gamma > 1.0:
-        k = np.arange(0, 4_000_000)
-        mean = float(np.sum((k + 1.0) ** -gamma))
+    # the mean is the sum of qbar_n = (n+1)**-gamma, i.e. zeta(gamma)
+    mean = float(zeta(gamma)) if gamma > 1.0 else None
     return StepDistribution(tail=tail, gamma=g, mean=mean,
                             name=f"power_tail({gamma:g})")
 
@@ -143,10 +160,11 @@ def finite_step(probs: Sequence[float], name: str | None = None) -> StepDistribu
 class Kernel:
     """A non-increasing transition law with scaling sequence and limit measure.
 
-    Subclasses implement ``build_row``; everything else (validation,
-    memoization, generating function, absorbing-state detection) is
-    shared.  Kernels are immutable once built; the caches are
-    deterministic so first-writer-wins is safe under concurrent use.
+    Subclasses implement ``build_row`` and ``scaling``; everything else is
+    shared.  Samplers and the DP oracle use ``absorbing_mask``, ``step``
+    and ``pushforward``, generic here and overridable by faster equivalents.
+    Kernels are immutable once built; the caches are deterministic so
+    first-writer-wins is safe under concurrent use.
     """
 
     name = "kernel"
@@ -216,12 +234,39 @@ class Kernel:
                     pnn = c[n] - c[n - 1]
                 else:
                     pnn = self._validated_row(n)[n]
-            v = bool(pnn >= 1.0 - 1e-12)
+            v = bool(pnn >= 1.0 - ABSORB_TOL)
             self._absorbing_cache[n] = v
         return v
 
     def absorbing_states(self, up_to: int) -> list[int]:
         return [k for k in range(up_to + 1) if self.absorbing(k)]
+
+    # -- the sampler and DP protocol -------------------------------------------
+    def absorbing_mask(self, states: np.ndarray) -> np.ndarray:
+        """``absorbing`` of every entry of an integer state array."""
+        mask = np.zeros(states.shape, dtype=bool)
+        for m in np.unique(states):
+            if self.absorbing(int(m)):
+                mask |= states == m
+        return mask
+
+    def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """One transition of every state by inverse CDF on its row, one uniform each."""
+        out = states.copy()
+        for m in np.unique(states):
+            sel = states == m
+            out[sel] = np.searchsorted(self.row_cumsum(int(m)), u[sel], side="right")
+        return out
+
+    def pushforward(self, n: int, budget_ops: float = math.inf):
+        """The map pi -> pi P on states 0..n, as a dense (n+1)^2 row matrix."""
+        if (n + 1) ** 2 > budget_ops:
+            raise CostGuardError(
+                f"dense pushforward at n={n} exceeds the operation budget")
+        m = np.zeros((n + 1, n + 1))
+        for j in range(n + 1):
+            m[j, :j + 1] = self.build_row(j)
+        return lambda pi: pi @ m
 
     # -- scaling and targets --------------------------------------------------
     def scaling(self, n: int) -> float:
@@ -255,6 +300,17 @@ class Kernel:
 # ---------------------------------------------------------------------------
 
 class _BarrierFamily(Kernel):
+    """Walks of i.i.d. steps drawn from q, kept above the barrier at 0.
+
+    The walks differ only in what a step that would cross 0 does.  Each
+    subclass states that rule in ``build_row``, in ``_diagonal(qbar)``
+    (p_{n,n} from qbar_n, as build_row computes it) and in
+    ``_land(states, landing)`` (next states from states - step).  The
+    truncated and ignored walks keep the dense generic ``pushforward``:
+    a correlation moves their tails at n = 3000 by 4e-14, past the
+    oracle values pinned in ``bench/pinned.json``.
+    """
+
     def __init__(self, q: StepDistribution):
         super().__init__()
         self.q = q
@@ -276,6 +332,15 @@ class _BarrierFamily(Kernel):
         if self._heavy:
             return 1.0 / self.q.tail_at(n)
         return float(n)
+
+    def absorbing_mask(self, states: np.ndarray) -> np.ndarray:
+        qbar = self.q.tail_upto(int(states.max(initial=0)))[states]
+        return (states == 0) | (self._diagonal(qbar) >= 1.0 - ABSORB_TOL)
+
+    def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Inverse CDF on the cached step law, then the overflow rule."""
+        jump = np.searchsorted(self.q.cdf_upto(int(states.max())), u, side="right")
+        return self._land(states, states - jump)
 
 
 class BarrierKernel(_BarrierFamily):
@@ -299,14 +364,40 @@ class BarrierKernel(_BarrierFamily):
             return row
         return self.q.pmf_upto(n)[::-1] / (1.0 - qb)
 
-    def step_states(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Vectorized one-step transition by inverse CDF on the step law."""
-        m = int(states.max())
-        self.q._ensure(m)
-        cum = np.cumsum(self.q._q[:m + 1])
-        cdf_at_state = 1.0 - self.q._qbar[states]
-        jump = np.searchsorted(cum, u * cdf_at_state, side="right")
-        return states - jump
+    def _diagonal(self, qbar):
+        live = qbar < 1.0
+        return np.where(live, self.q.pmf_upto(0)[0] / np.where(live, 1.0 - qbar, 1.0), 1.0)
+
+    def _land(self, states, landing):
+        return landing
+
+    def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # conditioning on no overflow: invert the step CDF below P(step <= state)
+        qbar = self.q.tail_upto(int(states.max()))[states]
+        return super().step(states, u * (1.0 - qbar))
+
+    def pushforward(self, n: int, budget_ops: float = math.inf):
+        """pi -> pi P as a correlation with q (direct up to 257 support points, else FFT)."""
+        q = self.q.pmf_upto(n)
+        qbar = self.q.tail_upto(n)
+        live = qbar < 1.0
+        norm = np.where(live, 1.0 - qbar, 1.0)
+        nz = np.nonzero(q)[0]
+        support = int(nz[-1]) if nz.size else 0
+
+        def step(pi: np.ndarray) -> np.ndarray:
+            rho = np.where(live, pi / norm, 0.0)
+            if support <= 256:
+                out = np.zeros_like(pi)
+                for z in range(support + 1):
+                    if q[z] != 0.0:
+                        out[:n + 1 - z] += q[z] * rho[z:]
+            else:
+                out = fftconvolve(rho[::-1], q)[:n + 1][::-1].copy()
+                np.clip(out, 0.0, None, out=out)
+            out[~live] += pi[~live]
+            return out
+        return step
 
 
 class TruncatedKernel(_BarrierFamily):
@@ -331,13 +422,11 @@ class TruncatedKernel(_BarrierFamily):
         row[0] += self.q.tail_at(n)
         return row
 
-    def step_states(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        m = int(states.max())
-        self.q._ensure(m)
-        cum = np.cumsum(self.q._q[:m + 1])
-        jump = np.searchsorted(cum, u, side="right")
-        nxt = states - jump
-        return np.where(nxt < 0, 0, nxt)
+    def _diagonal(self, qbar):
+        return np.full(qbar.shape, self.q.pmf_upto(0)[0])
+
+    def _land(self, states, landing):
+        return np.where(landing < 0, 0, landing)
 
 
 class IgnoredJumpKernel(_BarrierFamily):
@@ -355,13 +444,11 @@ class IgnoredJumpKernel(_BarrierFamily):
         row[n] += self.q.tail_at(n)
         return row
 
-    def step_states(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        m = int(states.max())
-        self.q._ensure(m)
-        cum = np.cumsum(self.q._q[:m + 1])
-        jump = np.searchsorted(cum, u, side="right")
-        nxt = states - jump
-        return np.where(nxt < 0, states, nxt)
+    def _diagonal(self, qbar):
+        return self.q.pmf_upto(0)[0] + qbar
+
+    def _land(self, states, landing):
+        return np.where(landing < 0, states, landing)
 
 
 def barrier_kernel(q: StepDistribution) -> BarrierKernel:
@@ -765,7 +852,7 @@ class CollapsedKernel(Kernel):
         row = self.base._row_cache.get(n)
         if row is None:
             row = self.base._validated_row(n)
-        if row[n] >= 1.0 - 1e-12:
+        if row[n] >= 1.0 - ABSORB_TOL:
             out = np.zeros(n + 1)
             out[0] = 1.0
             return out

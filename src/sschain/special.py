@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import betaln, gammaln, gammasgn
+from scipy.special import gammaln, gammasgn
 
 
 def log_binom(n, k):
@@ -19,8 +19,3 @@ def gamma_ratio(u, v):
     v = np.asarray(v, dtype=float)
     sign = gammasgn(u) * gammasgn(v)
     return sign * np.exp(gammaln(u) - gammaln(v))
-
-
-def log_beta(a, b):
-    """log of the Beta function B(a, b) for positive arguments."""
-    return betaln(a, b)

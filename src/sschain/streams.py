@@ -13,6 +13,11 @@ import numpy as np
 
 _U64 = (1 << 64) - 1
 
+# Experiments separate their legs (grid points, estimators) by giving each
+# leg the streams from j * STREAM_BLOCK on; a leg must use fewer streams
+# than this, or it would reuse the streams of the next leg.
+STREAM_BLOCK = 10_000_000
+
 
 def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for the given (seed, stream) pair."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from scipy.stats import chi2
@@ -22,7 +23,7 @@ from . import kernels as kz
 from . import limit_process as lp
 from . import measures as ms
 from .stats import empirical_moment, ks_distance, trend_verdict
-from .streams import parallel_blocks
+from .streams import STREAM_BLOCK, parallel_blocks
 
 ACCEPTANCE_SEED = 20260809
 
@@ -95,13 +96,18 @@ def criterion_2(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResul
 # criterion 3: coalescent scaling (rate asymptotics + collision count)
 # ---------------------------------------------------------------------------
 
-def criterion_3(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResult:
-    kernel = kz.beta_coalescent_kernel(1.5, 1.0)
+def criterion_3(seed: int = ACCEPTANCE_SEED, threads: int = 1, *,
+                kernel: kz.CoalescentKernel | None = None,
+                n_grid=(100, 1000, 10_000), n_mc: int = 5000,
+                replicates: int = 20_000) -> CriterionResult:
+    """Rate ratios over n_grid and E[A/h] at n_mc; kernel needs a tail index beta."""
+    if kernel is None:
+        kernel = kz.beta_coalescent_kernel(1.5, 1.0)
     lines: list[str] = []
     est = {}
     ratios = []
-    for n in (100, 1000, 10_000):
-        r = kernel.total_rate(n) / (math.gamma(1.5) * kernel.h(1.0 / n))
+    for n in n_grid:
+        r = kernel.total_rate(n) / (math.gamma(2.0 - kernel.beta) * kernel.h(1.0 / n))
         ratios.append(r)
     errs = [abs(r - 1.0) for r in ratios]
     verdict = trend_verdict(errs, threshold=0.02, slack=1.10, floor=0.002)
@@ -109,15 +115,15 @@ def criterion_3(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResul
                 f"total-rate ratio -> 1: {['%.5f' % r for r in ratios]} | {verdict}")
     est["rate_ratios"] = ratios
 
-    n_mc, reps = 5000, 20_000
     h = kernel.h(1.0 / n_mc)
     times = parallel_blocks(
         lambda off, cnt: ce.sample_absorption_times(kernel, n_mc, cnt, seed, stream0=off),
-        reps, threads)
+        replicates, threads)
     moment = empirical_moment(np.asarray(times, dtype=float) / h, 1.0)
-    target = 1.0 / kernel.psi(0.5)
+    target = 1.0 / kernel.psi(kernel.beta)
+    beta = Fraction(kernel.beta).limit_denominator(1000)
     ok &= _check(lines, moment.within(target, 4.0),
-                 f"MC E[A/h] = {moment} vs 1/psi(1/2) = {target:.6f} "
+                 f"MC E[A/h] = {moment} vs 1/psi({beta}) = {target:.6f} "
                  f"(|diff| = {abs(moment.value - target):.5f}, 4se = {4 * moment.se:.5f})")
     est["mc_mean"] = moment.value
     est["mc_se"] = moment.se
@@ -142,7 +148,7 @@ def criterion_4(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResul
     for idx, (name, triple) in enumerate(cases.items()):
         z = parallel_blocks(
             lambda off, cnt, _t=triple: lp.sample_z_marginals(
-                _t, t_grid, cnt, seed, stream0=idx * 10_000_000 + off),
+                _t, t_grid, cnt, seed, stream0=idx * STREAM_BLOCK + off),
             reps, threads)
         for j, t in enumerate(t_grid):
             for lam in (0.5, 1.0, 2.0):
@@ -228,10 +234,12 @@ def criterion_6(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResul
 # criterion 7: pathwise coupling of the three barrier-family walks
 # ---------------------------------------------------------------------------
 
-def criterion_7(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResult:
-    q = kz.power_tail(0.5)
+def criterion_7(seed: int = ACCEPTANCE_SEED, threads: int = 1, *,
+                q: kz.StepDistribution | None = None, n: int = 500,
+                replicates: int = 10_000) -> CriterionResult:
+    if q is None:
+        q = kz.power_tail(0.5)
     kernels = (kz.truncated_kernel(q), kz.barrier_kernel(q), kz.ignored_jump_kernel(q))
-    n, reps = 500, 10_000
 
     def block(off, cnt):
         v = np.zeros(3, dtype=np.int64)
@@ -250,7 +258,7 @@ def criterion_7(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResul
                 v[2] += 1
         return v
 
-    viol = np.sum(parallel_blocks(block, reps, threads).reshape(-1, 3), axis=0)
+    viol = np.sum(parallel_blocks(block, replicates, threads).reshape(-1, 3), axis=0)
     lines: list[str] = []
     ok = _check(lines, viol[0] == 0, f"sandwich ordering violations: {viol[0]}")
     ok &= _check(lines, viol[1] == 0, f"pre-absorption equality violations: {viol[1]}")
@@ -263,30 +271,31 @@ def criterion_7(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResul
 # criterion 8: balls-in-gaps compositions match the chain kernel
 # ---------------------------------------------------------------------------
 
-def criterion_8(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResult:
-    omega = ms.levy_atom(1.0, math.log(2.0))
-    triple = ms.LevyTriple(0.0, 0.0, omega)
-    kernel = kz.composition_kernel(omega)
-    reps = 10_000
+def criterion_8(seed: int = ACCEPTANCE_SEED, threads: int = 1, *,
+                kernel: kz.CompositionKernel | None = None, n_grid=(2, 3, 4),
+                replicates: int = 10_000) -> CriterionResult:
+    if kernel is None:
+        kernel = kz.composition_kernel(ms.levy_atom(1.0, math.log(2.0)))
+    triple = ms.LevyTriple(0.0, 0.0, kernel.omega)
     lines: list[str] = []
     est = {}
     ok = True
     comp_by_n = {}
-    for j, n in enumerate((2, 3, 4)):
+    for j, n in enumerate(n_grid):
         comps = parallel_blocks(
             lambda off, cnt, _n=n: lp.sample_gap_compositions(
-                triple, _n, cnt, seed, stream0=j * 10_000_000 + off),
-            reps, threads, concat=lambda parts: [c for p in parts for c in p])
+                triple, _n, cnt, seed, stream0=j * STREAM_BLOCK + off),
+            replicates, threads, concat=lambda parts: [c for p in parts for c in p])
         comp_by_n[n] = comps
         ok &= _check(lines, all(c.total == n for c in comps),
                      f"n={n}: all block sizes sum to n")
-        collapsed = kernel  # absorbing set is already {0}
-        pmf, _tail = dp.absorption_distribution(collapsed, n, k_max=n)
+        # the composition kernel's only absorbing state is already 0
+        pmf, _tail = dp.absorption_distribution(kernel, n, k_max=n)
         k_counts = np.bincount([c.length for c in comps], minlength=n + 1)
         for k in range(1, n + 1):
             p = pmf[k]
-            phat = k_counts[k] / reps
-            band = 4.0 * math.sqrt(max(p * (1 - p), 1e-12) / reps)
+            phat = k_counts[k] / replicates
+            band = 4.0 * math.sqrt(max(p * (1 - p), 1e-12) / replicates)
             ok &= _check(lines, abs(phat - p) <= band,
                          f"n={n}: P(K={k}) = {phat:.4f} vs exact {p:.4f} (band {band:.4f})")
             est[f"n{n}_K{k}"] = (phat, p)
@@ -294,27 +303,27 @@ def criterion_8(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResul
         c1_counts = np.bincount([c.parts[0] for c in comps], minlength=n + 1)
         for c in range(1, n + 1):
             p = row[n - c]
-            phat = c1_counts[c] / reps
-            band = 4.0 * math.sqrt(max(p * (1 - p), 1e-12) / reps)
+            phat = c1_counts[c] / replicates
+            band = 4.0 * math.sqrt(max(p * (1 - p), 1e-12) / replicates)
             ok &= _check(lines, abs(phat - p) <= band,
                          f"n={n}: P(C1={c}) = {phat:.4f} vs exact {p:.4f} (band {band:.4f})")
-    # regenerative two-step law at n=4, chi-square at the 1% level
-    n = 4
+    # regenerative two-step law at the largest n, chi-square at the 1% level
+    n = n_grid[-1]
     cells = {}
-    for c1 in range(1, 4):
+    for c1 in range(1, n):
         row1 = kernel.row(n)
         for c2 in range(1, n - c1 + 1):
             cells[(c1, c2)] = row1[n - c1] * kernel.row(n - c1)[n - c1 - c2]
-    cells[(4, 0)] = kernel.row(n)[0]
+    cells[(n, 0)] = kernel.row(n)[0]
     counts = {key: 0 for key in cells}
-    for comp in comp_by_n[4]:
+    for comp in comp_by_n[n]:
         key = (comp.parts[0], comp.parts[1] if comp.length > 1 else 0)
         counts[key] += 1
-    chi = sum((counts[k] - reps * p) ** 2 / (reps * p) for k, p in cells.items())
+    chi = sum((counts[k] - replicates * p) ** 2 / (replicates * p) for k, p in cells.items())
     dof = len(cells) - 1
     bound = chi2.ppf(0.99, dof)
     ok &= _check(lines, chi <= bound,
-                 f"regenerative chi-square at n=4: {chi:.2f} <= {bound:.2f} (df={dof})")
+                 f"regenerative chi-square at n={n}: {chi:.2f} <= {bound:.2f} (df={dof})")
     est["chi2"] = (chi, bound)
     return CriterionResult("8 composition cross-check", ok, tuple(lines), est)
 
@@ -359,8 +368,9 @@ def criterion_10(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResu
     reps = 10_000
     n_grid = (250, 1000, 4000)
     limit = parallel_blocks(
+        # the limit leg sits inside block 7, clear of the chain legs' blocks
         lambda off, cnt: lp.sample_y_marginals(triple, 0.5, t_grid, cnt, seed,
-                                               stream0=77_000_000 + off),
+                                               stream0=77 * STREAM_BLOCK // 10 + off),
         reps, threads)
     lines: list[str] = []
     est = {}
@@ -371,7 +381,7 @@ def criterion_10(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResu
         steps = [int(math.floor(a_n * t)) for t in t_grid]
         states = parallel_blocks(
             lambda off, cnt, _n=n, _s=steps: ce.sample_marginal_states(
-                kernel, _n, _s, cnt, seed, stream0=j * 10_000_000 + off),
+                kernel, _n, _s, cnt, seed, stream0=j * STREAM_BLOCK + off),
             reps, threads)
         for col, t in enumerate(t_grid):
             dists[t].append(ks_distance(states[:, col] / n, limit[:, col]))

@@ -83,6 +83,19 @@ def test_runaway_guard():
         CE.sample_path(loop, 10 ** 6, SEED, max_steps=100)
 
 
+def test_batch_sampler_stops_at_inner_absorbing_state():
+    # q = (1/2, 0, 1/2): from 3 the walk moves to 1 or stays; row(1) = [0, 1]
+    gap = K.barrier_kernel(K.finite_step([0.5, 0.0, 0.5]))
+    assert gap.absorbing(1)
+    singles = [CE.sample_path(gap, 3, SEED, stream=i) for i in range(200)]
+    assert {int(p.states[-1]) for p in singles} == {1}
+    # the batch sampler draws the step law, not the row: same law, other paths
+    times = CE.sample_absorption_times(gap, 3, 200, SEED, max_steps=200)
+    assert times.min() >= 1
+    late = CE.sample_marginal_states(gap, 3, [200], 200, SEED)
+    assert np.all(late == 1)
+
+
 def test_record_schema(bk):
     p = CE.sample_path(bk, 32, SEED, stream=7)
     rec = p.record()

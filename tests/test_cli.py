@@ -7,6 +7,7 @@ import pytest
 from sschain import cli
 from sschain import config as C
 from sschain import kernels as K
+from sschain.streams import STREAM_BLOCK
 
 BASE = """\
 seed = 7
@@ -68,6 +69,11 @@ def test_validation_errors_name_fields():
     with pytest.raises(C.ConfigError) as err:
         C.ExperimentConfig.from_text("seed = x\n")
     assert "seed" in str(err.value)
+    # grid point j uses streams j * STREAM_BLOCK + i, i < replicates
+    C.ExperimentConfig.from_text(f"seed = 1\nreplicates = {STREAM_BLOCK - 1}\n")
+    with pytest.raises(C.ConfigError) as err:
+        C.ExperimentConfig.from_text(f"seed = 1\nreplicates = {STREAM_BLOCK}\n")
+    assert "replicates" in str(err.value)
 
 
 def test_measure_expression_parser():
@@ -226,6 +232,24 @@ t = 1
     digest = C.config_digest(text + "\n[overrides]\n"
                              f"out = {tmp_path}\n")
     assert (tmp_path / "runs" / f"coalescent-{digest[:12]}.jsonl").exists()
+
+
+@pytest.mark.parametrize("lam", ["atom(1, 0.5)", "lebesgue(1)"])
+def test_cli_coalescent_bad_lambda_is_config_error(tmp_path, capsys, lam):
+    # an atomic Lambda has no tail index; lebesgue(1) has beta = 1, outside (0, 1)
+    text = f"""\
+seed = 5
+replicates = 10
+
+[kernel]
+type = coalescent
+Lambda = {lam}
+
+[grids]
+n = 8 16
+"""
+    assert _run(tmp_path, "coalescent", text) == 2
+    assert "kernel.Lambda" in capsys.readouterr().err
 
 
 def test_cli_simulate_limit_subcommand(tmp_path):

@@ -133,16 +133,41 @@ def test_marginal_moment_matches_simulation():
     assert m.within(exact, 4.0)
 
 
-def test_marginal_moment_dense_path_matches_barrier_fast_path():
-    q = K.finite_step([0.2, 0.3, 0.5])
-    bk = K.barrier_kernel(q)
-    ik = K.ignored_jump_kernel(q)  # generic dense path
-    # at states far from the floor the two kernels share rows, and both
-    # steppers must agree with themselves over repeated runs
-    v1 = DP.marginal_moment(bk, 50, 0.3, 2.0)
-    v2 = DP.marginal_moment(bk, 50, 0.3, 2.0)
-    assert v1 == v2
-    assert DP.marginal_moment(ik, 50, 0.0, 2.0) == 1.0
+def _dense_reference(kernel, n):
+    m = np.zeros((n + 1, n + 1))
+    for j in range(n + 1):
+        m[j, :j + 1] = kernel.row(j)
+    return m
+
+
+@pytest.mark.parametrize("make", [K.barrier_kernel, K.truncated_kernel,
+                                  K.ignored_jump_kernel],
+                         ids=["barrier", "truncated", "ignored"])
+@pytest.mark.parametrize("q", [K.finite_step([0.2, 0.3, 0.5]), K.power_tail(0.5)],
+                         ids=["finite", "power"])
+def test_pushforward_matches_dense_rows(make, q):
+    kernel = make(q)
+    n = 300  # the power-tail barrier row has support > 256: the FFT branch
+    ref = _dense_reference(kernel, n)
+    step = kernel.pushforward(n)
+    pi = np.zeros(n + 1)
+    pi[n] = 1.0
+    expect = pi.copy()
+    for _ in range(20):
+        pi = step(pi)
+        expect = expect @ ref
+        assert np.max(np.abs(pi - expect)) <= 1e-12
+
+
+def test_inner_absorbing_state_is_refused_by_distribution():
+    gap = K.barrier_kernel(K.finite_step([0.5, 0.0, 0.5]))
+    with pytest.raises(DP.DPError, match="state 1 is absorbing"):
+        DP.absorption_distribution(gap, 3, k_max=10)
+    # marginals evolve through absorbing states for every kernel
+    for kernel in (gap, K.collapse_absorbing(gap), K.ignored_jump_kernel(gap.q),
+                   K.beta_coalescent_kernel(1.5, 1.0)):
+        assert 0.0 <= DP.marginal_moment(kernel, 3, 5.0 / kernel.scaling(3), 1.0) <= 1.0
+    assert DP.marginal_moment(gap, 3, 50.0 / gap.scaling(3), 1.0) == pytest.approx(1 / 3)
 
 
 def test_cost_guard():

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sciint
+from scipy.special import zeta
 
 from sschain import kernels as K
 from sschain import measures as M
@@ -36,6 +39,12 @@ def test_power_tail_values(pt):
     assert pt.mean == math.inf
 
 
+@pytest.mark.parametrize("gamma", [1.1, 1.5, 2.0])
+def test_power_tail_mean_is_zeta(gamma):
+    # E[step] = sum of qbar_n = (n+1)^-gamma over n >= 0
+    assert K.power_tail(gamma).mean == pytest.approx(float(zeta(gamma)), rel=1e-12)
+
+
 def test_finite_step_validation():
     with pytest.raises(ValueError):
         K.finite_step([0.5, 0.4])           # does not sum to 1
@@ -50,6 +59,22 @@ def test_finite_step_validation():
 # ---------------------------------------------------------------------------
 # barrier family rows
 # ---------------------------------------------------------------------------
+
+# step laws with gaps: small integer weights, zeros allowed, q_0 < 1
+gapped_weights = st.lists(st.integers(0, 3), min_size=2, max_size=7).filter(
+    lambda w: any(w[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gapped_weights)
+def test_absorbing_mask_matches_absorbing(weights):
+    q = K.finite_step(np.asarray(weights, dtype=float) / sum(weights))
+    states = np.arange(2 * len(weights) + 3)
+    for make in (K.barrier_kernel, K.truncated_kernel, K.ignored_jump_kernel):
+        expect = [make(q).absorbing(int(s)) for s in states]
+        assert list(make(q).absorbing_mask(states)) == expect, make.__name__
+        assert list(K.Kernel.absorbing_mask(make(q), states)) == expect, make.__name__
+
 
 def test_barrier_rows_finite_q():
     bk = K.barrier_kernel(K.finite_step([0.0, 0.5, 0.5]))
