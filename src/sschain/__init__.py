@@ -32,4 +32,4 @@ from .limit_process import (InsufficientHorizonError, LimitSample, StepFunction,
                             sample_z_marginals, time_change)
 from .stats import (EstimateWithError, TrendReport, empirical_moment, ks_distance,
                     trend_verdict)
-from .streams import parallel_blocks, philox_rng
+from .streams import philox_rng

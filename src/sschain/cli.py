@@ -10,6 +10,7 @@ different config digest.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import pathlib
@@ -27,11 +28,8 @@ from . import measures as ms
 from . import suites
 from .config import ConfigError, ExperimentConfig
 from .stats import empirical_moment
-from .streams import STREAM_BLOCK, parallel_blocks
-from .suites import CriterionResult, _check, run_acceptance
-
-SUBCOMMANDS = ("simulate-chain", "exact-moments", "simulate-limit", "diagnose-h",
-               "coalescent", "composition", "barrier-triple", "suite")
+from .streams import STREAM_BLOCK
+from .suites import ACCEPTANCE, CriterionResult, _check
 
 
 def _suite_simulate_chain(cfg: ExperimentConfig):
@@ -40,10 +38,8 @@ def _suite_simulate_chain(cfg: ExperimentConfig):
     tables = {}
     ok = True
     for j, n in enumerate(cfg.n_grid):
-        times = parallel_blocks(
-            lambda off, cnt, _n=n: ce.sample_absorption_times(
-                kernel, _n, cnt, cfg.seed, stream0=j * STREAM_BLOCK + off),
-            cfg.replicates, cfg.threads)
+        times = ce.sample_absorption_times(kernel, n, cfg.replicates, cfg.seed,
+                                           stream0=j * STREAM_BLOCK)
         a_n = kernel.scaling(n)
         m = empirical_moment(np.asarray(times, float) / a_n, 1.0)
         lines.append(f"ok   n={n}: E[A/a] = {m}")
@@ -83,10 +79,7 @@ def _suite_simulate_limit(cfg: ExperimentConfig):
     triple = ms.levy_triple(kernel.mu)
     lines, est = [], {}
     ok = True
-    z = parallel_blocks(
-        lambda off, cnt: lp.sample_z_marginals(triple, cfg.t_grid, cnt,
-                                               cfg.seed, stream0=off),
-        cfg.replicates, cfg.threads)
+    z = lp.sample_z_marginals(triple, cfg.t_grid, cfg.replicates, cfg.seed)
     for j, t in enumerate(cfg.t_grid):
         for lam in cfg.lambda_grid:
             m = empirical_moment(z[:, j], lam)
@@ -94,10 +87,8 @@ def _suite_simulate_limit(cfg: ExperimentConfig):
             ok &= _check(lines, m.within(target, 4.0),
                          f"E[Z({t})^{lam:g}] = {m} vs {target:.6f}")
             est[f"z_t{t}_lam{lam:g}"] = (m.value, m.se, target)
-    samples = parallel_blocks(
-        lambda off, cnt: lp.sample_exponential_functional(
-            triple, kernel.gamma, cnt, cfg.seed, stream0=5 * STREAM_BLOCK + off),
-        cfg.replicates, cfg.threads)
+    samples = lp.sample_exponential_functional(triple, kernel.gamma, cfg.replicates,
+                                               cfg.seed, stream0=5 * STREAM_BLOCK)
     analytic = lp.analytic_moments(kernel.mu, kernel.gamma, 2)
     for p in (1, 2):
         m = empirical_moment(samples, float(p))
@@ -110,11 +101,11 @@ def _suite_simulate_limit(cfg: ExperimentConfig):
     for i in range(min(cfg.replicates, 200)):
         path = lp.sample_subordinator(triple, horizon, seed=cfg.seed,
                                       stream=9 * STREAM_BLOCK + i)
+        if i == 0:
+            first_path = path
         sample = lp.lamperti(path, kernel.gamma)
         records.append({"type": "limit_sample",
                         **lp.limit_record(kernel.name, kernel.gamma, path, sample)})
-    first_path = lp.sample_subordinator(triple, horizon, seed=cfg.seed,
-                                        stream=9 * STREAM_BLOCK)
     res = CriterionResult("simulate-limit", ok, tuple(lines), est,
                           tables={"subordinator_path.csv": first_path.to_csv()})
     res.estimates["_records"] = records
@@ -140,7 +131,7 @@ def _suite_coalescent(cfg: ExperimentConfig):
     if kernel.beta is None:
         raise ConfigError("kernel.Lambda", "the coalescent suite needs a tail index beta; "
                           "a purely atomic Lambda has none (add a beta_density term)")
-    return suites.criterion_3(cfg.seed, cfg.threads, kernel=kernel, n_grid=cfg.n_grid,
+    return suites.criterion_3(cfg.seed, kernel=kernel, n_grid=cfg.n_grid,
                               n_mc=max(cfg.n_grid), replicates=cfg.replicates)
 
 
@@ -152,7 +143,7 @@ def _suite_composition(cfg: ExperimentConfig):
         raise ConfigError("grids.n", "composition cross-checks need small n (<= 64)")
     if max(cfg.n_grid) < 2:
         raise ConfigError("grids.n", "the regenerative chi-square needs a largest n >= 2")
-    return suites.criterion_8(cfg.seed, cfg.threads, kernel=kernel, n_grid=cfg.n_grid,
+    return suites.criterion_8(cfg.seed, kernel=kernel, n_grid=cfg.n_grid,
                               replicates=cfg.replicates)
 
 
@@ -160,17 +151,17 @@ def _suite_barrier_triple(cfg: ExperimentConfig):
     kernel = cfg.kernel()
     if not isinstance(kernel, kz._BarrierFamily):
         raise ConfigError("kernel.type", "the coupling suite needs a barrier-family kernel")
-    return suites.criterion_7(cfg.seed, cfg.threads, q=kernel.q, n=max(cfg.n_grid),
+    return suites.criterion_7(cfg.seed, q=kernel.q, n=max(cfg.n_grid),
                               replicates=cfg.replicates)
 
 
 def _suite_acceptance(cfg: ExperimentConfig):
-    results = run_acceptance(cfg.seed, threads=cfg.threads)
     lines = []
     tables = {}
     est = {}
     ok = True
-    for r in results:
+    for criterion in ACCEPTANCE.values():
+        r = criterion(cfg.seed)
         ok &= r.passed
         lines.append(r.report())
         tables.update(r.tables)
@@ -188,14 +179,10 @@ _RUNNERS = {
     "barrier-triple": _suite_barrier_triple,
     "suite": _suite_acceptance,
 }
-_RUNNERS["h-diagnostic"] = _suite_diagnose_h  # accepted alias in configs
 
 
-def run(cfg: ExperimentConfig, suite_name: str | None = None) -> CriterionResult:
+def run(cfg: ExperimentConfig, name: str) -> CriterionResult:
     """Execute one suite and persist its record and tables."""
-    name = suite_name or cfg.suite
-    if name not in _RUNNERS:
-        raise ConfigError("suite", f"unknown suite {name!r}; choose from {SUBCOMMANDS}")
     t0 = time.monotonic()
     result = _RUNNERS[name](cfg)
     wallclock = time.monotonic() - t0
@@ -247,7 +234,6 @@ def _persist(cfg: ExperimentConfig, name: str, result: CriterionResult,
 _DEFAULT_CONFIG = """\
 seed = 20260809
 replicates = 2000
-threads = 1
 
 [kernel]
 type = barrier
@@ -267,13 +253,12 @@ def main(argv=None) -> int:
         prog="sschain",
         description="Scaling-limit laboratory for non-increasing integer Markov chains")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="experiment config file (key = value text)")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", help="output directory for runs/ and tables/")
         p.add_argument("--replicates", type=int, help="replicate count override")
-        p.add_argument("--threads", type=int, help="worker thread count override")
     args = parser.parse_args(argv)
 
     if args.config:
@@ -281,7 +266,7 @@ def main(argv=None) -> int:
     else:
         text = _DEFAULT_CONFIG
     overrides = []
-    for key in ("seed", "out", "replicates", "threads"):
+    for key in ("seed", "replicates"):
         val = getattr(args, key)
         if val is not None:
             overrides.append(f"{key} = {val}")
@@ -289,6 +274,10 @@ def main(argv=None) -> int:
         text = text + "\n[overrides]\n" + "\n".join(overrides) + "\n"
     try:
         cfg = ExperimentConfig.from_text(text)
+        if args.out is not None:
+            # the output directory is where a run goes, not what it is: keep it
+            # out of the digest so one experiment has one record name
+            cfg = dataclasses.replace(cfg, out_dir=args.out)
         result = run(cfg, args.command)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

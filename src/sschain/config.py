@@ -174,27 +174,33 @@ def parse_step_distribution(tree: dict, path: str = "kernel.q") -> _k.StepDistri
 
 
 def build_kernel(tree: dict, path: str = "kernel") -> _k.Kernel:
-    """Kernel from its config block."""
+    """Kernel from its config block; a value a constructor refuses is a ConfigError."""
     kind = _get(tree, "type", required=True)
-    if kind in ("barrier", "truncated", "ignored"):
-        q = parse_step_distribution(_get(tree, "q", required=True), f"{path}.q")
-        factory = {"barrier": _k.barrier_kernel, "truncated": _k.truncated_kernel,
-                   "ignored": _k.ignored_jump_kernel}[kind]
-        return factory(q)
-    if kind == "canonical":
-        mu = parse_measure(_get(tree, "measure", required=True), f"{path}.measure")
-        gamma = _as_float(f"{path}.gamma", _get(tree, "gamma", required=True))
-        scale = _as_float(f"{path}.ell", _get(tree, "ell", 1.0))
-        return _k.canonical_kernel(mu, gamma, scale)
-    if kind == "coalescent":
-        lam = parse_measure(_get(tree, "Lambda", required=True), f"{path}.Lambda")
-        try:
-            return _k.coalescent_kernel(lam)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.Lambda", str(exc)) from None
-    if kind == "composition":
-        omega = parse_levy_measure(_get(tree, "omega", required=True), f"{path}.omega")
-        return _k.composition_kernel(omega)
+    field = path
+    try:
+        if kind in ("barrier", "truncated", "ignored"):
+            field = f"{path}.q"
+            q = parse_step_distribution(_get(tree, "q", required=True), field)
+            factory = {"barrier": _k.barrier_kernel, "truncated": _k.truncated_kernel,
+                       "ignored": _k.ignored_jump_kernel}[kind]
+            return factory(q)
+        if kind == "canonical":
+            mu = parse_measure(_get(tree, "measure", required=True), f"{path}.measure")
+            gamma = _as_float(f"{path}.gamma", _get(tree, "gamma", required=True))
+            scale = _as_float(f"{path}.ell", _get(tree, "ell", 1.0))
+            return _k.canonical_kernel(mu, gamma, scale)
+        if kind == "coalescent":
+            field = f"{path}.Lambda"
+            return _k.coalescent_kernel(parse_measure(_get(tree, "Lambda", required=True),
+                                                      field))
+        if kind == "composition":
+            field = f"{path}.omega"
+            return _k.composition_kernel(
+                parse_levy_measure(_get(tree, "omega", required=True), field))
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from None
     raise ConfigError(f"{path}.type", f"unknown kernel type {kind!r}")
 
 
@@ -202,10 +208,8 @@ def build_kernel(tree: dict, path: str = "kernel") -> _k.Kernel:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    suite: str
     seed: int
     replicates: int
-    threads: int
     out_dir: str | None
     n_grid: tuple[int, ...]
     lambda_grid: tuple[float, ...]
@@ -234,10 +238,6 @@ class ExperimentConfig:
         if replicates >= STREAM_BLOCK:
             raise ConfigError("replicates", f"must be < {STREAM_BLOCK}, the stream "
                               "block of one grid point (larger counts reuse streams)")
-        threads = _as_int("threads", pick("threads", 1))
-        if threads < 1:
-            raise ConfigError("threads", "must be >= 1")
-        suite = str(pick("suite", "suite"))
         out_dir = pick("out", None)
         n_grid = _as_list("grids.n", _get(tree, "grids.n", "128 256 512 1024"), int)
         if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -250,9 +250,8 @@ class ExperimentConfig:
             raise ConfigError("grids.t", "grid must be strictly increasing")
         dump_paths = _as_int("dump_paths", _get(tree, "dump_paths", 0))
         kernel_tree = _get(tree, "kernel", None)
-        return cls(suite=suite, seed=seed, replicates=replicates, threads=threads,
-                   out_dir=out_dir, n_grid=n_grid, lambda_grid=lambda_grid,
-                   t_grid=t_grid, kernel_tree=kernel_tree,
+        return cls(seed=seed, replicates=replicates, out_dir=out_dir, n_grid=n_grid,
+                   lambda_grid=lambda_grid, t_grid=t_grid, kernel_tree=kernel_tree,
                    text=text, digest=config_digest(text), dump_paths=dump_paths)
 
     def kernel(self) -> _k.Kernel:

@@ -163,8 +163,7 @@ class Kernel:
     Subclasses implement ``build_row`` and ``scaling``; everything else is
     shared.  Samplers and the DP oracle use ``absorbing_mask``, ``step``
     and ``pushforward``, generic here and overridable by faster equivalents.
-    Kernels are immutable once built; the caches are deterministic so
-    first-writer-wins is safe under concurrent use.
+    Kernels are immutable once built; the caches are deterministic.
     """
 
     name = "kernel"

@@ -1,13 +1,10 @@
 """Reproducible random streams keyed by (master seed, stream index).
 
-Each replicate gets its own counter-based Philox stream, so results are
-independent of scheduling and identical across thread counts; a path is a
+Each replicate gets its own counter-based Philox stream, so a path is a
 pure function of its own stream.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,23 +46,3 @@ class BlockUniforms:
         self._used += 1
         return col
 
-
-def parallel_blocks(fn, total: int, threads: int = 1, block: int | None = None,
-                    concat=None):
-    """Run fn(offset, count) over a partition of range(total), in fixed order.
-
-    Work items are independent because every replicate owns its stream,
-    so the reduction is a plain ordered concatenation: results are
-    bit-identical for any thread count.
-    """
-    if concat is None:
-        concat = lambda parts: np.concatenate(parts, axis=0)
-    if threads <= 1:
-        return fn(0, total)
-    if block is None:
-        block = max(64, -(-total // (4 * threads)))
-    offsets = [(o, min(block, total - o)) for o in range(0, total, block)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = [ex.submit(fn, o, c) for o, c in offsets]
-        parts = [f.result() for f in futures]
-    return concat(parts)

@@ -23,7 +23,7 @@ from . import kernels as kz
 from . import limit_process as lp
 from . import measures as ms
 from .stats import empirical_moment, ks_distance, trend_verdict
-from .streams import STREAM_BLOCK, parallel_blocks
+from .streams import STREAM_BLOCK, philox_rng
 
 ACCEPTANCE_SEED = 20260809
 
@@ -51,7 +51,7 @@ def _check(lines, ok, text):
 # criterion 1: absorption-moment limit of the heavy-tailed barrier walk
 # ---------------------------------------------------------------------------
 
-def criterion_1(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResult:
+def criterion_1(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     kernel = kz.barrier_kernel(kz.power_tail(0.5))
     grid = [2 ** k for k in range(7, 14)]
     table = dp.absorption_moments(kernel, grid[-1], 2)
@@ -75,7 +75,7 @@ def criterion_1(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResul
 # criterion 2: finite-mean regime (drift-only limit)
 # ---------------------------------------------------------------------------
 
-def criterion_2(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResult:
+def criterion_2(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     kernel = kz.barrier_kernel(kz.finite_step([1 / 3, 1 / 3, 1 / 3]))
     n = 10_000
     lines: list[str] = []
@@ -96,7 +96,7 @@ def criterion_2(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResul
 # criterion 3: coalescent scaling (rate asymptotics + collision count)
 # ---------------------------------------------------------------------------
 
-def criterion_3(seed: int = ACCEPTANCE_SEED, threads: int = 1, *,
+def criterion_3(seed: int = ACCEPTANCE_SEED, *,
                 kernel: kz.CoalescentKernel | None = None,
                 n_grid=(100, 1000, 10_000), n_mc: int = 5000,
                 replicates: int = 20_000) -> CriterionResult:
@@ -116,9 +116,7 @@ def criterion_3(seed: int = ACCEPTANCE_SEED, threads: int = 1, *,
     est["rate_ratios"] = ratios
 
     h = kernel.h(1.0 / n_mc)
-    times = parallel_blocks(
-        lambda off, cnt: ce.sample_absorption_times(kernel, n_mc, cnt, seed, stream0=off),
-        replicates, threads)
+    times = ce.sample_absorption_times(kernel, n_mc, replicates, seed)
     moment = empirical_moment(np.asarray(times, dtype=float) / h, 1.0)
     target = 1.0 / kernel.psi(kernel.beta)
     beta = Fraction(kernel.beta).limit_denominator(1000)
@@ -135,7 +133,7 @@ def criterion_3(seed: int = ACCEPTANCE_SEED, threads: int = 1, *,
 # criterion 4: marginal law of the limit subordinator
 # ---------------------------------------------------------------------------
 
-def criterion_4(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResult:
+def criterion_4(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     cases = {
         "barrier": ms.levy_triple(ms.barrier_measure(0.5)),
         "killing": ms.levy_triple(ms.atom(1.0, 0.0)),
@@ -146,10 +144,7 @@ def criterion_4(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResul
     est = {}
     ok = True
     for idx, (name, triple) in enumerate(cases.items()):
-        z = parallel_blocks(
-            lambda off, cnt, _t=triple: lp.sample_z_marginals(
-                _t, t_grid, cnt, seed, stream0=idx * STREAM_BLOCK + off),
-            reps, threads)
+        z = lp.sample_z_marginals(triple, t_grid, reps, seed, stream0=idx * STREAM_BLOCK)
         for j, t in enumerate(t_grid):
             for lam in (0.5, 1.0, 2.0):
                 m = empirical_moment(z[:, j], lam)
@@ -164,14 +159,11 @@ def criterion_4(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResul
 # criterion 5: exponential functional vs analytic moments vs absorption DP
 # ---------------------------------------------------------------------------
 
-def criterion_5(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResult:
+def criterion_5(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     mu = ms.barrier_measure(0.5)
     triple = ms.levy_triple(mu)
     reps = 20_000
-    samples = parallel_blocks(
-        lambda off, cnt: lp.sample_exponential_functional(
-            triple, 0.5, cnt, seed, stream0=off),
-        reps, threads)
+    samples = lp.sample_exponential_functional(triple, 0.5, reps, seed)
     analytic = lp.analytic_moments(mu, 0.5, 2)
     lines: list[str] = []
     m1 = empirical_moment(samples, 1.0)
@@ -196,27 +188,23 @@ def criterion_5(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResul
 # criterion 6: the three martingales have unit mean
 # ---------------------------------------------------------------------------
 
-def criterion_6(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResult:
+def criterion_6(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     kernel = kz.barrier_kernel(kz.power_tail(0.5))
     n, lam, eps, reps = 1000, 1.0, 0.1, 10_000
     a_n = kernel.scaling(n)
     t_grid = (0.5, 1.0)
 
-    def block(off, cnt):
-        rows = np.empty((cnt, 3 * len(t_grid)))
-        for i in range(cnt):
-            path = ce.sample_path(kernel, n, seed, stream=off + i)
-            resc = ce.rescale(path)
-            vals = []
-            for t in t_grid:
-                k = int(math.floor(a_n * t))
-                vals.append(ce.martingale_additive(path, lam, k))
-                vals.append(ce.martingale_upsilon(path, lam, k))
-                vals.append(ce.martingale_M(resc, lam, t, eps))
-            rows[i] = vals
-        return rows
-
-    data = parallel_blocks(block, reps, threads)
+    data = np.empty((reps, 3 * len(t_grid)))
+    for i in range(reps):
+        path = ce.sample_path(kernel, n, seed, stream=i)
+        resc = ce.rescale(path)
+        vals = []
+        for t in t_grid:
+            k = int(math.floor(a_n * t))
+            vals.append(ce.martingale_additive(path, lam, k))
+            vals.append(ce.martingale_upsilon(path, lam, k))
+            vals.append(ce.martingale_M(resc, lam, t, eps))
+        data[i] = vals
     names = [f"{kind}(t={t})" for t in t_grid
              for kind in ("additive", "upsilon", "stopped M")]
     cols = [data[:, 3 * j + i] for j, t in enumerate(t_grid) for i in range(3)]
@@ -234,31 +222,26 @@ def criterion_6(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResul
 # criterion 7: pathwise coupling of the three barrier-family walks
 # ---------------------------------------------------------------------------
 
-def criterion_7(seed: int = ACCEPTANCE_SEED, threads: int = 1, *,
+def criterion_7(seed: int = ACCEPTANCE_SEED, *,
                 q: kz.StepDistribution | None = None, n: int = 500,
                 replicates: int = 10_000) -> CriterionResult:
     if q is None:
         q = kz.power_tail(0.5)
     kernels = (kz.truncated_kernel(q), kz.barrier_kernel(q), kz.ignored_jump_kernel(q))
 
-    def block(off, cnt):
-        v = np.zeros(3, dtype=np.int64)
-        for i in range(cnt):
-            trip = ce.coupled_barrier_triple(q, n, seed, stream=off + i,
-                                             kernels=kernels)
-            tl, x, ht = (p.states for p in trip)
-            kk = min(len(tl), len(x), len(ht))
-            if np.any(tl[:kk] > x[:kk]) or np.any(x[:kk] > ht[:kk]):
-                v[0] += 1
-            a_t = len(tl) - 1
-            m = min(a_t, len(x) - 1, len(ht) - 1)
-            if not (np.array_equal(tl[:m], x[:m]) and np.array_equal(x[:m], ht[:m])):
-                v[1] += 1
-            if not np.array_equal(ht[trip.acceptance_times], x):
-                v[2] += 1
-        return v
-
-    viol = np.sum(parallel_blocks(block, replicates, threads).reshape(-1, 3), axis=0)
+    viol = np.zeros(3, dtype=np.int64)
+    for i in range(replicates):
+        trip = ce.coupled_barrier_triple(q, n, seed, stream=i, kernels=kernels)
+        tl, x, ht = (p.states for p in trip)
+        kk = min(len(tl), len(x), len(ht))
+        if np.any(tl[:kk] > x[:kk]) or np.any(x[:kk] > ht[:kk]):
+            viol[0] += 1
+        a_t = len(tl) - 1
+        m = min(a_t, len(x) - 1, len(ht) - 1)
+        if not (np.array_equal(tl[:m], x[:m]) and np.array_equal(x[:m], ht[:m])):
+            viol[1] += 1
+        if not np.array_equal(ht[trip.acceptance_times], x):
+            viol[2] += 1
     lines: list[str] = []
     ok = _check(lines, viol[0] == 0, f"sandwich ordering violations: {viol[0]}")
     ok &= _check(lines, viol[1] == 0, f"pre-absorption equality violations: {viol[1]}")
@@ -271,7 +254,7 @@ def criterion_7(seed: int = ACCEPTANCE_SEED, threads: int = 1, *,
 # criterion 8: balls-in-gaps compositions match the chain kernel
 # ---------------------------------------------------------------------------
 
-def criterion_8(seed: int = ACCEPTANCE_SEED, threads: int = 1, *,
+def criterion_8(seed: int = ACCEPTANCE_SEED, *,
                 kernel: kz.CompositionKernel | None = None, n_grid=(2, 3, 4),
                 replicates: int = 10_000) -> CriterionResult:
     if kernel is None:
@@ -282,10 +265,8 @@ def criterion_8(seed: int = ACCEPTANCE_SEED, threads: int = 1, *,
     ok = True
     comp_by_n = {}
     for j, n in enumerate(n_grid):
-        comps = parallel_blocks(
-            lambda off, cnt, _n=n: lp.sample_gap_compositions(
-                triple, _n, cnt, seed, stream0=j * STREAM_BLOCK + off),
-            replicates, threads, concat=lambda parts: [c for p in parts for c in p])
+        comps = lp.sample_gap_compositions(triple, n, replicates, seed,
+                                           stream0=j * STREAM_BLOCK)
         comp_by_n[n] = comps
         ok &= _check(lines, all(c.total == n for c in comps),
                      f"n={n}: all block sizes sum to n")
@@ -332,7 +313,7 @@ def criterion_8(seed: int = ACCEPTANCE_SEED, threads: int = 1, *,
 # criterion 9: the convergence diagnostic across the whole zoo
 # ---------------------------------------------------------------------------
 
-def criterion_9(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResult:
+def criterion_9(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     pt = kz.power_tail(0.5)
     zoo = {
         "barrier": (kz.barrier_kernel(pt), 0.05),
@@ -361,17 +342,15 @@ def criterion_9(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResul
 # criterion 10: distributional convergence of the rescaled marginals
 # ---------------------------------------------------------------------------
 
-def criterion_10(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResult:
+def criterion_10(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     kernel = kz.barrier_kernel(kz.power_tail(0.5))
     triple = ms.levy_triple(kernel.mu)
     t_grid = (0.5, 1.0)
     reps = 10_000
     n_grid = (250, 1000, 4000)
-    limit = parallel_blocks(
-        # the limit leg sits inside block 7, clear of the chain legs' blocks
-        lambda off, cnt: lp.sample_y_marginals(triple, 0.5, t_grid, cnt, seed,
-                                               stream0=77 * STREAM_BLOCK // 10 + off),
-        reps, threads)
+    # the limit leg sits inside block 7, clear of the chain legs' blocks
+    limit = lp.sample_y_marginals(triple, 0.5, t_grid, reps, seed,
+                                  stream0=77 * STREAM_BLOCK // 10)
     lines: list[str] = []
     est = {}
     ok = True
@@ -379,10 +358,8 @@ def criterion_10(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResu
     for j, n in enumerate(n_grid):
         a_n = kernel.scaling(n)
         steps = [int(math.floor(a_n * t)) for t in t_grid]
-        states = parallel_blocks(
-            lambda off, cnt, _n=n, _s=steps: ce.sample_marginal_states(
-                kernel, _n, _s, cnt, seed, stream0=j * STREAM_BLOCK + off),
-            reps, threads)
+        states = ce.sample_marginal_states(kernel, n, steps, reps, seed,
+                                           stream0=j * STREAM_BLOCK)
         for col, t in enumerate(t_grid):
             dists[t].append(ks_distance(states[:, col] / n, limit[:, col]))
     for t in t_grid:
@@ -397,8 +374,7 @@ def criterion_10(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResu
 # criterion 11: exact clock-change calculus on random staircases
 # ---------------------------------------------------------------------------
 
-def criterion_11(seed: int = ACCEPTANCE_SEED, threads: int = 1) -> CriterionResult:
-    from .streams import philox_rng
+def criterion_11(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     rng = philox_rng(seed, 11)
     lines: list[str] = []
     ok = True
@@ -448,9 +424,3 @@ ACCEPTANCE = {
     "5": criterion_5, "6": criterion_6, "7": criterion_7, "8": criterion_8,
     "9": criterion_9, "10": criterion_10, "11": criterion_11,
 }
-
-
-def run_acceptance(seed: int = ACCEPTANCE_SEED, names=None,
-                   threads: int = 1) -> list[CriterionResult]:
-    names = list(ACCEPTANCE) if names is None else [str(n) for n in names]
-    return [ACCEPTANCE[n](seed, threads) for n in names]

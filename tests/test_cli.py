@@ -1,5 +1,6 @@
 """Config grammar, determinism contracts, and the command-line surface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -12,7 +13,6 @@ from sschain.streams import STREAM_BLOCK
 BASE = """\
 seed = 7
 replicates = 200
-threads = 1
 
 [kernel]
 type = barrier
@@ -117,8 +117,7 @@ def test_cli_simulate_chain_and_determinism(tmp_path, capsys):
     text = BASE
     rc = _run(tmp_path, "simulate-chain", text)
     assert rc == 0
-    digest = C.config_digest(text + "\n[overrides]\n"
-                             f"out = {tmp_path}\n")
+    digest = C.config_digest(text)
     record = tmp_path / "runs" / f"simulate-chain-{digest[:12]}.jsonl"
     assert record.exists()
     lines1 = record.read_text().splitlines()
@@ -135,34 +134,27 @@ def test_cli_simulate_chain_and_determinism(tmp_path, capsys):
     assert lines1[1:] == lines2[1:]
 
 
-def test_cli_thread_count_does_not_change_results(tmp_path):
-    t1 = BASE.replace("threads = 1", "threads = 1")
-    t8 = BASE.replace("threads = 1", "threads = 8")
-    r1 = _run(tmp_path, "simulate-chain", t1)
-    r8 = _run(tmp_path, "simulate-chain", t8)
-    assert (r1, r8) == (0, 0)
-    d1 = C.config_digest(t1 + "\n[overrides]\n" f"out = {tmp_path}\n")
-    d8 = C.config_digest(t8 + "\n[overrides]\n" f"out = {tmp_path}\n")
-    f1 = (tmp_path / "runs" / f"simulate-chain-{d1[:12]}.jsonl").read_text().splitlines()
-    f8 = (tmp_path / "runs" / f"simulate-chain-{d8[:12]}.jsonl").read_text().splitlines()
-    e1 = json.loads(f1[1])
-    e8 = json.loads(f8[1])
-    assert e1["estimates"] == e8["estimates"]  # identical across thread counts
-    assert f1[2:] == f8[2:]                    # replicate records too
+def test_cli_out_dir_does_not_change_record(tmp_path):
+    # the output directory is not part of the experiment: same digest, same record
+    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+    dir_a.mkdir()
+    dir_b.mkdir()
+    assert (_run(dir_a, "simulate-chain", BASE), _run(dir_b, "simulate-chain", BASE)) == (0, 0)
+    [rec_a] = (dir_a / "runs").iterdir()
+    [rec_b] = (dir_b / "runs").iterdir()
+    assert rec_a.name == rec_b.name == f"simulate-chain-{C.config_digest(BASE)[:12]}.jsonl"
+    assert rec_a.read_text().splitlines()[1:] == rec_b.read_text().splitlines()[1:]
 
 
 def test_cli_refuses_mismatched_digest(tmp_path):
     rc = _run(tmp_path, "exact-moments", BASE)
     assert rc == 0
-    digest = C.config_digest(BASE + "\n[overrides]\n"
-                             f"out = {tmp_path}\n")
+    digest = C.config_digest(BASE)
     record = tmp_path / "runs" / f"exact-moments-{digest[:12]}.jsonl"
     record.write_text(json.dumps({"type": "run", "config_digest": "zzz"}) + "\n")
+    cfg = dataclasses.replace(C.ExperimentConfig.from_text(BASE), out_dir=str(tmp_path))
     with pytest.raises(RuntimeError):
-        cfg_path = tmp_path / "exp.cfg"
-        cli.run(C.ExperimentConfig.from_text(
-            BASE + "\n[overrides]\n" f"out = {tmp_path}\n"),
-            "exact-moments")
+        cli.run(cfg, "exact-moments")
 
 
 def test_cli_exact_moments_emits_table(tmp_path):
@@ -229,8 +221,7 @@ t = 1
     # but the machinery must run end to end and leave a record
     rc = _run(tmp_path, "coalescent", text)
     assert rc in (0, 1)
-    digest = C.config_digest(text + "\n[overrides]\n"
-                             f"out = {tmp_path}\n")
+    digest = C.config_digest(text)
     assert (tmp_path / "runs" / f"coalescent-{digest[:12]}.jsonl").exists()
 
 
@@ -250,6 +241,28 @@ n = 8 16
 """
     assert _run(tmp_path, "coalescent", text) == 2
     assert "kernel.Lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, field", [
+    ("type = barrier\n[kernel.q]\ntype = power_tail\ngamma = 1", "kernel.q"),
+    ("type = barrier\n[kernel.q]\ntype = power_tail\ngamma = -1", "kernel.q"),
+    ("type = barrier\n[kernel.q]\ntype = finite\nprobs = 0.5 0.4", "kernel.q"),
+    ("type = canonical\nmeasure = lebesgue(1)\ngamma = 0", "kernel"),
+    ("type = composition\nomega = atom(0, 1)", "kernel.omega"),
+], ids=["barrier-gamma1", "power-tail-gamma-neg", "finite-mass", "canonical-gamma0",
+        "composition-zero-atom"])
+def test_cli_kernel_constructor_error_is_config_error(tmp_path, capsys, block, field):
+    # values a step-law, measure or kernel constructor refuses exit 2, naming the field
+    assert _run(tmp_path, "simulate-chain", f"seed = 5\n[kernel]\n{block}\n") == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_cli_out_config_key(tmp_path):
+    text = f"out = {tmp_path / 'o'}\n" + BASE
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    assert cli.main(["exact-moments", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "o" / "runs" / f"exact-moments-{C.config_digest(text)[:12]}.jsonl").exists()
 
 
 def test_cli_simulate_limit_subcommand(tmp_path):
