@@ -113,7 +113,7 @@ def sample_absorption_times(kernel: Kernel, n: int, replicates: int, seed: int,
     while alive.any():
         if taken >= max_steps:
             raise RunawayChainError(f"{kernel.name}: step cap hit in batch sampling")
-        u = uniforms.next_column(alive)
+        u = uniforms.next_column()
         states[alive] = kernel.step(states[alive], u[alive])
         steps[alive] += 1
         taken += 1
@@ -137,7 +137,7 @@ def sample_marginal_states(kernel: Kernel, n: int, step_points: Sequence[int],
         out[:, col[0]] = states
     alive = ~kernel.absorbing_mask(states)
     for k in range(1, max(points) + 1):
-        u = uniforms.next_column(alive)
+        u = uniforms.next_column()
         if alive.any():
             states[alive] = kernel.step(states[alive], u[alive])
             alive[alive] = ~kernel.absorbing_mask(states[alive])

@@ -61,12 +61,13 @@ def config_digest(text: str) -> str:
 
 # -- typed readers -----------------------------------------------------------
 
-def _get(tree: dict, path: str, default=None, required=False):
+def _get(tree: dict, path: str, default=None, required=False, under: str = ""):
+    # ``under`` is the path of ``tree`` from the root, so errors name the full path
     node = tree
     for part in path.split("."):
         if not isinstance(node, dict) or part not in node:
             if required:
-                raise ConfigError(path, "missing required field")
+                raise ConfigError(f"{under}.{path}".lstrip("."), "missing required field")
             return default
         node = node[part]
     return node
@@ -163,40 +164,41 @@ def parse_levy_measure(expr: str, path: str = "omega") -> _m.LevyMeasure:
 
 
 def parse_step_distribution(tree: dict, path: str = "kernel.q") -> _k.StepDistribution:
-    kind = _get(tree, "type", required=True)
+    kind = _get(tree, "type", required=True, under=path)
     if kind == "power_tail":
-        gamma = _as_float(f"{path}.gamma", _get(tree, "gamma", required=True))
+        gamma = _as_float(f"{path}.gamma", _get(tree, "gamma", required=True, under=path))
         return _k.power_tail(gamma)
     if kind == "finite":
-        probs = _as_list(f"{path}.probs", _get(tree, "probs", required=True), float)
+        probs = _as_list(f"{path}.probs", _get(tree, "probs", required=True, under=path), float)
         return _k.finite_step(probs)
     raise ConfigError(f"{path}.type", f"unknown step law {kind!r}")
 
 
 def build_kernel(tree: dict, path: str = "kernel") -> _k.Kernel:
     """Kernel from its config block; a value a constructor refuses is a ConfigError."""
-    kind = _get(tree, "type", required=True)
+    def get(key, default=None, required=False):
+        return _get(tree, key, default, required, under=path)
+
+    kind = get("type", required=True)
     field = path
     try:
         if kind in ("barrier", "truncated", "ignored"):
             field = f"{path}.q"
-            q = parse_step_distribution(_get(tree, "q", required=True), field)
+            q = parse_step_distribution(get("q", required=True), field)
             factory = {"barrier": _k.barrier_kernel, "truncated": _k.truncated_kernel,
                        "ignored": _k.ignored_jump_kernel}[kind]
             return factory(q)
         if kind == "canonical":
-            mu = parse_measure(_get(tree, "measure", required=True), f"{path}.measure")
-            gamma = _as_float(f"{path}.gamma", _get(tree, "gamma", required=True))
-            scale = _as_float(f"{path}.ell", _get(tree, "ell", 1.0))
+            mu = parse_measure(get("measure", required=True), f"{path}.measure")
+            gamma = _as_float(f"{path}.gamma", get("gamma", required=True))
+            scale = _as_float(f"{path}.ell", get("ell", 1.0))
             return _k.canonical_kernel(mu, gamma, scale)
         if kind == "coalescent":
             field = f"{path}.Lambda"
-            return _k.coalescent_kernel(parse_measure(_get(tree, "Lambda", required=True),
-                                                      field))
+            return _k.coalescent_kernel(parse_measure(get("Lambda", required=True), field))
         if kind == "composition":
             field = f"{path}.omega"
-            return _k.composition_kernel(
-                parse_levy_measure(_get(tree, "omega", required=True), field))
+            return _k.composition_kernel(parse_levy_measure(get("omega", required=True), field))
     except ConfigError:
         raise
     except ValueError as exc:

@@ -161,8 +161,10 @@ class Kernel:
     """A non-increasing transition law with scaling sequence and limit measure.
 
     Subclasses implement ``build_row`` and ``scaling``; everything else is
-    shared.  Samplers and the DP oracle use ``absorbing_mask``, ``step``
-    and ``pushforward``, generic here and overridable by faster equivalents.
+    shared.  Validating row n records whether n is absorbing, and
+    ``absorbing(n)`` reads that record: it builds no row of its own.
+    Samplers and the DP oracle use ``absorbing_mask``, ``step`` and
+    ``pushforward``, generic here and overridable by faster equivalents.
     Kernels are immutable once built; the caches are deterministic.
     """
 
@@ -196,6 +198,7 @@ class Kernel:
         if abs(s - 1.0) > ROW_SUM_TOL * max(1, n):
             raise KernelConstructionError(
                 f"{self.name}: row {n} sums to {s!r}, not 1")
+        self._absorbing_cache[n] = bool(row[n] >= 1.0 - ABSORB_TOL)
         return row
 
     def row(self, n: int) -> np.ndarray:
@@ -207,7 +210,10 @@ class Kernel:
         return r
 
     def row_cumsum(self, n: int) -> np.ndarray:
-        """Cumulative row, memoized separately so samplers need not pin raw rows."""
+        """Cumulative row, memoized separately so samplers need not pin raw rows.
+
+        ``absorbing(n)`` and ``row_cumsum(n)`` share one build of row n.
+        """
         c = self._cumsum_cache.get(n)
         if c is None:
             row = self._row_cache.get(n)
@@ -219,26 +225,12 @@ class Kernel:
         return c
 
     def absorbing(self, n: int) -> bool:
-        """Whether p_{n,n} = 1 (up to 1e-12)."""
+        """Whether p_{n,n} = 1 (up to 1e-12), as recorded when row n was validated."""
         if n == 0:
             return True
-        v = self._absorbing_cache.get(n)
-        if v is None:
-            row = self._row_cache.get(n)
-            if row is not None:
-                pnn = row[n]
-            else:
-                c = self._cumsum_cache.get(n)
-                if c is not None:
-                    pnn = c[n] - c[n - 1]
-                else:
-                    pnn = self._validated_row(n)[n]
-            v = bool(pnn >= 1.0 - ABSORB_TOL)
-            self._absorbing_cache[n] = v
-        return v
-
-    def absorbing_states(self, up_to: int) -> list[int]:
-        return [k for k in range(up_to + 1) if self.absorbing(k)]
+        if n not in self._absorbing_cache:
+            self.row_cumsum(n)
+        return self._absorbing_cache[n]
 
     # -- the sampler and DP protocol -------------------------------------------
     def absorbing_mask(self, states: np.ndarray) -> np.ndarray:
@@ -851,7 +843,7 @@ class CollapsedKernel(Kernel):
         row = self.base._row_cache.get(n)
         if row is None:
             row = self.base._validated_row(n)
-        if row[n] >= 1.0 - ABSORB_TOL:
+        if self.base.absorbing(n):  # recorded by the validation above: no second build
             out = np.zeros(n + 1)
             out[0] = 1.0
             return out

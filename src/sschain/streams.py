@@ -25,22 +25,23 @@ def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
 class BlockUniforms:
     """Per-replicate uniforms, drawn in blocks, in a fixed per-stream order."""
 
-    def __init__(self, seed: int, stream0: int, count: int, block: int = 64):
+    BLOCK = 64  # uniforms drawn from each replicate's stream at a time
+
+    def __init__(self, seed: int, stream0: int, count: int):
         self.gens = [philox_rng(seed, stream0 + i) for i in range(count)]
-        self.block = block
         self._buf = np.empty((count, 0))
         self._used = 0
 
-    def next_column(self, active: np.ndarray) -> np.ndarray:
-        """One fresh uniform per active replicate (inactive entries unspecified).
+    def next_column(self) -> np.ndarray:
+        """One fresh uniform per replicate.
 
         Every replicate's stream advances in lockstep, so which replicates
-        are active never affects the numbers another replicate sees.
+        are still running never affects the numbers another replicate sees.
         """
         if self._used >= self._buf.shape[1]:
-            self._buf = np.empty((len(self.gens), self.block))
+            self._buf = np.empty((len(self.gens), self.BLOCK))
             for i, g in enumerate(self.gens):
-                self._buf[i] = g.random(self.block)
+                self._buf[i] = g.random(self.BLOCK)
             self._used = 0
         col = self._buf[:, self._used]
         self._used += 1

@@ -96,6 +96,19 @@ def test_batch_sampler_stops_at_inner_absorbing_state():
     assert np.all(late == 1)
 
 
+def test_batch_sampler_builds_each_row_once():
+    # "is n absorbing?" and "where does n jump?" share one build of row n
+    kernel = K.beta_coalescent_kernel(1.5, 1.0)
+    build, calls = kernel.build_row, []
+
+    def counting(n):
+        calls.append(n)
+        return build(n)
+    kernel.build_row = counting
+    CE.sample_absorption_times(kernel, 300, 200, SEED)
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_record_schema(bk):
     p = CE.sample_path(bk, 32, SEED, stream=7)
     rec = p.record()

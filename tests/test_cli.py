@@ -257,6 +257,17 @@ def test_cli_kernel_constructor_error_is_config_error(tmp_path, capsys, block, f
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, field", [
+    ("gamma = 0.5", "kernel.type"),
+    ("type = barrier", "kernel.q"),
+    ("type = barrier\n[kernel.q]\ngamma = 0.5", "kernel.q.type"),
+    ("type = canonical\nmeasure = lebesgue(1)", "kernel.gamma"),
+], ids=["kernel-type", "barrier-q", "q-type", "canonical-gamma"])
+def test_cli_missing_kernel_field_is_named_from_root(tmp_path, capsys, block, field):
+    assert _run(tmp_path, "exact-moments", f"seed = 5\n[kernel]\n{block}\n") == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
 def test_cli_out_config_key(tmp_path):
     text = f"out = {tmp_path / 'o'}\n" + BASE
     cfg_path = tmp_path / "exp.cfg"
