@@ -12,15 +12,15 @@ import math
 import numpy as np
 
 from sschain import (analytic_moments, barrier_measure, empirical_moment, lamperti,
-                     levy_triple, sample_exponential_functional, sample_subordinator,
-                     sample_z_marginals)
+                     levy_triple, philox_rng, sample_exponential_functional,
+                     sample_subordinator, sample_z_marginals)
 
 GAMMA = 0.5
 triple = levy_triple(barrier_measure(GAMMA))
 print("triple: killing =", triple.killing, " drift =", triple.drift,
       " jump tail at 1 =", round(triple.levy.tail(1.0), 5))
 
-path = sample_subordinator(triple, horizon=4.0, seed=11)
+path = sample_subordinator(triple, 4.0, philox_rng(11))
 print(f"\none path: {len(path.jump_times)} jumps above eps = {path.eps_cut:.2e}, "
       f"compensating drift {path.drift:.4f}")
 print(f"neglected small-jump variance certificate: {path.neglected_variance:.2e}")

@@ -289,8 +289,7 @@ def martingale_additive(path: ChainPath, lam: float, k: int) -> float:
     return val + math.fsum(comp)
 
 
-def martingale_M(rescaled: RescaledPath, lam: float, t: float, eps: float,
-                 log_bound: float = 700.0) -> float:
+def martingale_M(rescaled: RescaledPath, lam: float, t: float, eps: float) -> float:
     """The stopped continuous-time martingale evaluated at t ^ (first time Z <= eps)."""
     if not 0.0 < eps < 1.0:
         raise ValueError("needs eps in (0, 1)")
@@ -298,7 +297,7 @@ def martingale_M(rescaled: RescaledPath, lam: float, t: float, eps: float,
         raise ValueError("needs t >= 0")
     s = min(t, rescaled.first_below(eps))
     j = rescaled.step_index_at(s)
-    return martingale_upsilon(rescaled.path, lam, j, log_bound)
+    return martingale_upsilon(rescaled.path, lam, j)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +322,7 @@ class CoupledTriple:
 
 
 def coupled_barrier_triple(q: StepDistribution, n: int, seed: int, stream: int = 0,
-                           kernels: tuple[Kernel, Kernel, Kernel] | None = None,
-                           max_draws: int = DEFAULT_STEP_CAP) -> CoupledTriple:
+                           kernels: tuple[Kernel, Kernel, Kernel] | None = None) -> CoupledTriple:
     """Couple the three barrier-family walks on one i.i.d. step stream."""
     if kernels is None:
         kernels = (TruncatedKernel(q), BarrierKernel(q), IgnoredJumpKernel(q))
@@ -341,7 +339,7 @@ def coupled_barrier_triple(q: StepDistribution, n: int, seed: int, stream: int =
     buf = np.empty(0)
     used = 0
     while hat[-1] != 0:
-        if draws >= max_draws:
+        if draws >= DEFAULT_STEP_CAP:
             raise RunawayChainError("coupled triple: draw cap exceeded")
         if used >= buf.size:
             buf = rng.random(64)

@@ -28,7 +28,7 @@ from . import measures as ms
 from . import suites
 from .config import ConfigError, ExperimentConfig
 from .stats import empirical_moment
-from .streams import STREAM_BLOCK
+from .streams import STREAM_BLOCK, philox_rng
 from .suites import ACCEPTANCE, CriterionResult, _check
 
 
@@ -50,9 +50,16 @@ def _suite_simulate_chain(cfg: ExperimentConfig):
                 "seed": cfg.seed, "stream": j * STREAM_BLOCK + i,
                 "absorption_time": int(t),
             })
-        for i in range(min(cfg.dump_paths, cfg.replicates)):
-            path = ce.sample_path(kernel, n, cfg.seed, stream=j * STREAM_BLOCK + i)
-            tables[f"path_n{n}_r{i}.csv"] = path.to_csv()
+        # replay the first replicates with the batch sampler that timed them,
+        # so each dumped path ends at its record's absorption time
+        k = min(cfg.dump_paths, cfg.replicates)
+        if k:
+            states = ce.sample_marginal_states(kernel, n, range(int(times[:k].max()) + 1),
+                                               k, cfg.seed, stream0=j * STREAM_BLOCK)
+            for i in range(k):
+                path = ce.ChainPath(kernel, states[i, :times[i] + 1], cfg.seed,
+                                    j * STREAM_BLOCK + i)
+                tables[f"path_n{n}_r{i}.csv"] = path.to_csv()
     res = CriterionResult("simulate-chain", ok, tuple(lines), est, tables)
     res.estimates["_records"] = replicate_records
     return res
@@ -97,10 +104,11 @@ def _suite_simulate_limit(cfg: ExperimentConfig):
         est[f"I_p{p}"] = (m.value, m.se, analytic[p])
     # per-sample records and one event-time path dump for inspection
     horizon = 16.0
+    eps_cut = lp.default_cutoff(triple.levy, horizon)
     records = []
     for i in range(min(cfg.replicates, 200)):
-        path = lp.sample_subordinator(triple, horizon, seed=cfg.seed,
-                                      stream=9 * STREAM_BLOCK + i)
+        path = lp.sample_subordinator(triple, horizon,
+                                      philox_rng(cfg.seed, 9 * STREAM_BLOCK + i), eps_cut)
         if i == 0:
             first_path = path
         sample = lp.lamperti(path, kernel.gamma)

@@ -36,10 +36,10 @@ class MomentTable:
     def moment(self, n: int, p: int) -> float:
         return float(self.values[n, p])
 
-    def to_csv(self, kernel: Kernel | None = None) -> str:
+    def to_csv(self, kernel: Kernel) -> str:
         lines = ["n,p,moment,normalized"]
         for n in range(self.n_max + 1):
-            a = kernel.scaling(n) if kernel is not None else math.nan
+            a = kernel.scaling(n)
             for p in range(self.p_max + 1):
                 v = float(self.values[n, p])
                 lines.append(f"{n},{p},{v!r},{float(v / a ** p)!r}")
@@ -84,12 +84,12 @@ def absorption_moments(kernel: Kernel, n_max: int, p_max: int = 1) -> MomentTabl
 # pmf evolution (one step is the kernel's pushforward)
 # ---------------------------------------------------------------------------
 
-def absorption_distribution(kernel: Kernel, n: int, k_max: int | None = None,
-                            budget_ops: float = 4e9):
+def absorption_distribution(kernel: Kernel, n: int, k_max: int | None = None):
     """pmf of A_n truncated at k_max, plus the unaccounted tail mass.
 
     The state pmf is pushed forward step by step; the newly absorbed mass
-    at 0 after each step is recorded.  Requires a collapsed kernel.
+    at 0 after each step is recorded.  Requires a collapsed kernel.  A
+    dense pushforward may cost at most 4e9 operations over the k_max steps.
     Returns (pmf, tail_mass) with pmf[k] = P(A_n = k) for k <= k_max.
     """
     if k_max is None:
@@ -98,7 +98,7 @@ def absorption_distribution(kernel: Kernel, n: int, k_max: int | None = None,
     if n == 0:
         pmf[0] = 1.0
         return pmf, 0.0
-    step = kernel.pushforward(n, budget_ops / max(1, k_max))
+    step = kernel.pushforward(n, 4e9 / max(1, k_max))
     stuck = np.nonzero(kernel.absorbing_mask(np.arange(1, n + 1)))[0]
     if stuck.size:
         raise _stuck(int(stuck[0]) + 1)

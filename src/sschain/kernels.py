@@ -148,9 +148,9 @@ def power_tail(gamma: float) -> StepDistribution:
                             name=f"power_tail({gamma:g})")
 
 
-def finite_step(probs: Sequence[float], name: str | None = None) -> StepDistribution:
+def finite_step(probs: Sequence[float]) -> StepDistribution:
     probs = tuple(probs)
-    return StepDistribution(pmf=probs, name=name or f"finite{list(probs)}")
+    return StepDistribution(pmf=probs, name=f"finite{list(probs)}")
 
 
 # ---------------------------------------------------------------------------
@@ -467,25 +467,21 @@ class CanonicalKernel(Kernel):
     small for the construction.
     """
 
-    def __init__(self, mu: FiniteMeasure, gamma: float, scale: float = 1.0,
-                 a_fn: Callable[[int], float] | None = None, name: str | None = None):
+    def __init__(self, mu: FiniteMeasure, gamma: float, scale: float = 1.0):
         super().__init__()
         if gamma <= 0.0:
             raise ValueError("canonical kernel needs gamma > 0")
         self.mu = mu
         self.gamma = gamma
         self._scale = float(scale)
-        self._a_fn = a_fn
         self._mass = mu.total_mass
         self._mu_p = mu if abs(self._mass - 1.0) < 1e-14 else mu.scaled(1.0 / self._mass)
         self.gamma_prime = (max(1.0, gamma) + gamma + 1.0) / 2.0
-        self.name = name or f"canonical(gamma={gamma:g})"
+        self.name = f"canonical(gamma={gamma:g})"
 
     def scaling(self, n: int) -> float:
         if n == 0:
             return 1.0
-        if self._a_fn is not None:
-            return float(self._a_fn(n))
         return self._scale * n ** self.gamma
 
     def build_row(self, n: int) -> np.ndarray:
@@ -530,9 +526,8 @@ class CanonicalKernel(Kernel):
         return entries
 
 
-def canonical_kernel(mu: FiniteMeasure, gamma: float, scale: float = 1.0,
-                     a_fn: Callable[[int], float] | None = None) -> CanonicalKernel:
-    return CanonicalKernel(mu, gamma, scale, a_fn)
+def canonical_kernel(mu: FiniteMeasure, gamma: float, scale: float = 1.0) -> CanonicalKernel:
+    return CanonicalKernel(mu, gamma, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +691,8 @@ def _incomplete_power_integral(coef, a, b, u):
     return val + v
 
 
-def coalescent_kernel(lam_measure: FiniteMeasure, beta: float | None = None) -> CoalescentKernel:
-    return CoalescentKernel(lam_measure, beta)
+def coalescent_kernel(lam_measure: FiniteMeasure) -> CoalescentKernel:
+    return CoalescentKernel(lam_measure)
 
 
 def beta_coalescent_kernel(a: float, b: float) -> CoalescentKernel:
@@ -719,7 +714,9 @@ class CompositionKernel(Kernel):
     cancel at first order).  The chain is strictly decreasing: p_{n,n}=0.
     """
 
-    def __init__(self, omega: LevyMeasure, name: str | None = None):
+    name = "composition"
+
+    def __init__(self, omega: LevyMeasure):
         super().__init__()
         if omega.is_zero:
             raise ValueError("composition kernel needs a non-zero jump measure")
@@ -731,7 +728,6 @@ class CompositionKernel(Kernel):
         self._generic = omega.density is not None and not self._unit_terms
         self.mu = self._limit_measure()
         self._z_cache: dict[int, float] = {}
-        self.name = name or "composition"
 
     def _limit_measure(self) -> FiniteMeasure:
         terms = tuple(BetaTerm(t.coef, t.a, t.b + 1.0) for t in self._unit_terms)
@@ -918,7 +914,7 @@ class DiagnosticTable:
 
 def hypothesis_h_diagnostic(kernel: Kernel, lambda_grid: Sequence[float],
                             n_grid: Sequence[int], threshold: float = math.inf,
-                            slack: float = 1.10, floor: float = 0.0) -> DiagnosticTable:
+                            floor: float = 0.0) -> DiagnosticTable:
     """Tabulate a_n (1 - G_n(lam)) against the target exponent psi(lam).
 
     For each lambda the relative errors along the (increasing) n grid get
@@ -936,5 +932,5 @@ def hypothesis_h_diagnostic(kernel: Kernel, lambda_grid: Sequence[float],
             e = DiagnosticEntry(n, lam, value, target)
             entries.append(e)
             errs.append(e.rel_error)
-        verdicts[lam] = trend_verdict(errs, threshold, slack, floor)
+        verdicts[lam] = trend_verdict(errs, threshold, floor=floor)
     return DiagnosticTable(tuple(entries), verdicts)

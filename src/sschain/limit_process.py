@@ -6,6 +6,9 @@ are replaced by their mean drift, and the neglected variance is reported
 on the path as a certificate.  Everything downstream of a sampled path
 (clock change, exponential functional, gap structure) is closed-form
 segment algebra, never numerical integration.
+
+Every sampler draws from a generator made by ``philox_rng(seed, stream)``,
+so a path is a function of that generator's (seed, stream) pair.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .measures import FiniteMeasure, LevyMeasure, LevyTriple, laplace_exponent
 from .streams import philox_rng
 
 SMALL_JUMP_VARIANCE_BUDGET = 1e-6
+RESTART_BLOCK = 4.0  # ξ-time per Markov-restart block of the I and Y samplers
 
 
 class InsufficientHorizonError(RuntimeError):
@@ -63,8 +67,7 @@ class _JumpSampler:
         return out
 
 
-def _spline_tail_inverse(levy: LevyMeasure, eps: float, rate: float,
-                         tol: float = 1e-8) -> Callable:
+def _spline_tail_inverse(levy: LevyMeasure, eps: float, rate: float) -> Callable:
     """Monotone log-grid interpolant of the density tail, Newton-polished."""
     y_hi = max(2.0 * eps, 1.0)
     def dens_tail(y):
@@ -89,19 +92,18 @@ def _spline_tail_inverse(levy: LevyMeasure, eps: float, rate: float,
             resid = np.array([dens_tail(v) for v in np.atleast_1d(y)]) - r
             y = np.clip(y + resid / np.maximum(dens(y), 1e-300), eps, None)
         bad = np.abs(np.array([dens_tail(v) for v in np.atleast_1d(y)]) - r)
-        if np.any(bad > tol * rate):
+        if np.any(bad > 1e-8 * rate):
             raise InsufficientHorizonError("tail inversion missed its tolerance")
         return y
 
     return inverse
 
 
-def default_cutoff(levy: LevyMeasure, horizon: float,
-                   budget: float = SMALL_JUMP_VARIANCE_BUDGET) -> float:
+def default_cutoff(levy: LevyMeasure, horizon: float) -> float:
     """Largest cutoff whose neglected-variance certificate stays in budget."""
     if levy.is_zero:
         return 1.0
-    target = budget / max(horizon, 1e-12)
+    target = SMALL_JUMP_VARIANCE_BUDGET / max(horizon, 1e-12)
     lo, hi = 1e-14, 1.0
     if levy.density is not None:
         if levy.variance_below(hi) <= target:
@@ -145,6 +147,15 @@ class SubordinatorPath:
         out = np.where(t < self.killing_time, val, math.inf)
         return float(out) if out.ndim == 0 else out
 
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(xi0, dt): start value and length of each affine piece up to
+        min(horizon, killing_time); coincident jumps give pieces of length 0."""
+        t_end = min(self.horizon, self.killing_time)
+        keep = self.jump_times < t_end
+        dt = np.diff(np.concatenate([[0.0], self.jump_times[keep], [t_end]]))
+        xi0 = np.concatenate([[0.0], np.cumsum(self.drift * dt[:-1] + self.jump_sizes[keep])])
+        return xi0, dt
+
     def to_csv(self) -> str:
         """Event-time dump: (t, value just after t) at 0, each jump, and the end."""
         t_end = min(self.horizon, self.killing_time)
@@ -157,19 +168,15 @@ class SubordinatorPath:
         return "\n".join(lines) + "\n"
 
 
-def sample_subordinator(triple: LevyTriple, horizon: float,
-                        eps_cut: float | None = None, *,
-                        seed: int | None = None, stream: int = 0,
-                        rng: np.random.Generator | None = None) -> SubordinatorPath:
+def sample_subordinator(triple: LevyTriple, horizon: float, rng: np.random.Generator,
+                        eps_cut: float | None = None) -> SubordinatorPath:
     """Sample jumps above the cutoff exactly; compensate the rest by drift.
 
-    Stream consumption order is fixed (killing clock, jump count, jump
-    times, jump sizes), so a path is reproducible from its (seed, stream).
+    ``rng`` comes from ``philox_rng(seed, stream)``.  Stream consumption
+    order is fixed (killing clock, jump count, jump times, jump sizes), so
+    a path is a function of its generator's (seed, stream).  The cutoff
+    defaults to ``default_cutoff(triple.levy, horizon)``.
     """
-    if rng is None:
-        if seed is None:
-            raise ValueError("pass either rng or a seed")
-        rng = philox_rng(seed, stream)
     levy = triple.levy
     if eps_cut is None:
         eps_cut = default_cutoff(levy, horizon)
@@ -298,18 +305,11 @@ def lamperti(path: SubordinatorPath, gamma: float) -> LimitSample:
     """
     if gamma <= 0.0:
         raise ValueError("needs gamma > 0")
-    t_end = min(path.horizon, path.killing_time)
-    killed = path.killing_time <= path.horizon
-    keep = path.jump_times < t_end
-    jt = path.jump_times[keep]
-    js = path.jump_sizes[keep]
-    bounds = np.concatenate([[0.0], jt, [t_end]])
-    dt = np.diff(bounds)
+    xi0, dt = path.segments()
     pos = dt > 0.0
-    xi0 = np.concatenate([[0.0], np.cumsum(path.drift * dt[:-1] + js[:len(dt) - 1])]) \
-        if len(dt) else np.zeros(0)
     # drop zero-length segments (coincident jumps)
-    return LimitSample(xi0[pos], dt[pos], path.drift, gamma, killed)
+    return LimitSample(xi0[pos], dt[pos], path.drift, gamma,
+                       path.killing_time <= path.horizon)
 
 
 def analytic_moments(psi, gamma: float, p_max: int) -> list[float]:
@@ -343,64 +343,58 @@ def analytic_moments(psi, gamma: float, p_max: int) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def sample_z_marginals(triple: LevyTriple, t_grid: Sequence[float], replicates: int,
-                       seed: int, stream0: int = 0,
-                       eps_cut: float | None = None) -> np.ndarray:
+                       seed: int, stream0: int = 0) -> np.ndarray:
     """Matrix of Z(t) = exp(-ξ_t) samples, killed paths contributing 0."""
     t = np.asarray(sorted(t_grid), dtype=float)
     horizon = float(t[-1])
-    if eps_cut is None:
-        eps_cut = default_cutoff(triple.levy, horizon)
+    eps_cut = default_cutoff(triple.levy, horizon)
     out = np.empty((replicates, t.size))
     for i in range(replicates):
-        path = sample_subordinator(triple, horizon, eps_cut,
-                                   seed=seed, stream=stream0 + i)
+        path = sample_subordinator(triple, horizon, philox_rng(seed, stream0 + i), eps_cut)
         out[i] = np.exp(-path.xi_at(t))
     return out
 
 
 def sample_exponential_functional(triple: LevyTriple, gamma: float,
-                                  replicates: int, seed: int, stream0: int = 0,
-                                  tol: float = 1e-4,
-                                  block_horizon: float = 4.0) -> np.ndarray:
-    """I = integral of exp(-γ ξ): restart by the Markov property until the
-    certified tail weight drops below tol relative to the running value."""
+                                  replicates: int, seed: int, stream0: int = 0) -> np.ndarray:
+    """I = integral of exp(-γ ξ): restart by the Markov property every
+    RESTART_BLOCK units of ξ-time until the certified tail weight drops
+    below 1e-4 of the running value."""
     psi_g = triple.laplace_exponent(gamma)
     if psi_g <= 0.0:
         raise ValueError("degenerate exponent: psi(gamma) <= 0")
     expected_I = 1.0 / psi_g
-    eps = default_cutoff(triple.levy, block_horizon)
+    eps = default_cutoff(triple.levy, RESTART_BLOCK)
     out = np.empty(replicates)
     for i in range(replicates):
         gen = philox_rng(seed, stream0 + i)
         total = 0.0
         weight = 1.0
         while True:
-            path = sample_subordinator(triple, block_horizon, eps, rng=gen)
+            path = sample_subordinator(triple, RESTART_BLOCK, gen, eps)
             block = lamperti(path, gamma)
             total += weight * block.I
             if block.killed:
                 weight = 0.0
                 break
             weight *= block.tail_weight
-            if weight * expected_I <= tol * max(total, 1e-300):
+            if weight * expected_I <= 1e-4 * max(total, 1e-300):
                 break
         out[i] = total
     return out
 
 
 def sample_y_marginals(triple: LevyTriple, gamma: float, t_grid: Sequence[float],
-                       replicates: int, seed: int, stream0: int = 0,
-                       tail_tol: float = 1e-9,
-                       block_horizon: float = 4.0) -> np.ndarray:
+                       replicates: int, seed: int, stream0: int = 0) -> np.ndarray:
     """Matrix of Y(t) samples of the clock-changed limit path.
 
     Paths are extended block by block (Markov restarts on one stream)
-    until the requested Y-times are covered or the leftover weight cannot
-    matter; Y is 0 beyond the first zero.
+    until the requested Y-times are covered or the leftover weight
+    exp(-γ ξ) is at most 1e-9; Y is 0 beyond the first zero.
     """
     t = np.asarray(sorted(t_grid), dtype=float)
     t_max = float(t[-1])
-    eps = default_cutoff(triple.levy, block_horizon)
+    eps = default_cutoff(triple.levy, RESTART_BLOCK)
     out = np.empty((replicates, t.size))
     for i in range(replicates):
         gen = philox_rng(seed, stream0 + i)
@@ -409,7 +403,7 @@ def sample_y_marginals(triple: LevyTriple, gamma: float, t_grid: Sequence[float]
         covered = 0.0
         killed = False
         while True:
-            path = sample_subordinator(triple, block_horizon, eps, rng=gen)
+            path = sample_subordinator(triple, RESTART_BLOCK, gen, eps)
             block = lamperti(path, gamma)
             xi0_parts.append(block.seg_xi0 + offset)
             dt_parts.append(block.seg_dt)
@@ -418,7 +412,7 @@ def sample_y_marginals(triple: LevyTriple, gamma: float, t_grid: Sequence[float]
             if block.killed:
                 killed = True
                 break
-            if covered >= t_max or math.exp(-gamma * offset) <= tail_tol:
+            if covered >= t_max or math.exp(-gamma * offset) <= 1e-9:
                 break
         sample = LimitSample(np.concatenate(xi0_parts), np.concatenate(dt_parts),
                              path.drift, gamma, killed)
@@ -450,9 +444,8 @@ def limit_record(psi_id: str, gamma: float, path: SubordinatorPath,
 # compositions from the gap structure of the range
 # ---------------------------------------------------------------------------
 
-def balls_in_gaps(path: SubordinatorPath, n: int, *, seed: int | None = None,
-                  stream: int = 0, rng: np.random.Generator | None = None):
-    """Throw n uniforms into the gaps of the closed range of 1 - exp(-ξ).
+def balls_in_gaps(path: SubordinatorPath, n: int, rng: np.random.Generator):
+    """Throw n uniforms from ``rng`` into the gaps of the closed range of 1 - exp(-ξ).
 
     Balls sharing an open gap form one block; balls landing on a covered
     stretch (positive drift) are singletons.  Blocks are returned in
@@ -465,16 +458,9 @@ def balls_in_gaps(path: SubordinatorPath, n: int, *, seed: int | None = None,
         raise ValueError("needs n >= 1")
     if path.killing_time <= path.horizon:
         raise ValueError("balls_in_gaps needs an unkilled path")
-    if rng is None:
-        if seed is None:
-            raise ValueError("pass either rng or a seed")
-        rng = philox_rng(seed, stream)
     u = np.sort(rng.random(n))
     # covered stretches of 1 - e^-xi, one per affine segment
-    jt, js = path.jump_times, path.jump_sizes
-    bounds = np.concatenate([[0.0], jt, [path.horizon]])
-    dt = np.diff(bounds)
-    xi0 = np.concatenate([[0.0], np.cumsum(path.drift * dt[:-1] + js[:max(len(dt) - 1, 0)])])
+    xi0, dt = path.segments()
     lo = 1.0 - np.exp(-xi0)
     hi = 1.0 - np.exp(-(xi0 + path.drift * dt))
     if u[-1] >= hi[-1]:
@@ -509,21 +495,24 @@ def balls_in_gaps(path: SubordinatorPath, n: int, *, seed: int | None = None,
 
 
 def sample_gap_compositions(triple: LevyTriple, n: int, replicates: int,
-                            seed: int, stream0: int = 0,
-                            horizon: float = 64.0) -> list:
+                            seed: int, stream0: int = 0) -> list:
     """Independent balls-in-gaps compositions, one per replicate stream.
 
-    The path horizon doubles (on the same stream) in the rare event that a
-    ball falls beyond the resolved range, so results stay deterministic.
+    Paths run to horizon 64.  The horizon doubles (on the same stream, up
+    to 2**20) in the rare event that a ball falls beyond the resolved
+    range, so results stay deterministic.
     """
     out = []
+    cutoffs = {}  # one default_cutoff bisection per horizon, not per path
     for i in range(replicates):
         gen = philox_rng(seed, stream0 + i)
-        T = horizon
+        T = 64.0
         while True:
-            path = sample_subordinator(triple, T, rng=gen)
+            if T not in cutoffs:
+                cutoffs[T] = default_cutoff(triple.levy, T)
+            path = sample_subordinator(triple, T, gen, cutoffs[T])
             try:
-                out.append(balls_in_gaps(path, n, rng=gen))
+                out.append(balls_in_gaps(path, n, gen))
                 break
             except InsufficientHorizonError:
                 T *= 2.0

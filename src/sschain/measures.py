@@ -49,8 +49,7 @@ class MeasureError(ValueError):
 # quadrature on (0, 1) with endpoint-singularity substitutions
 # ---------------------------------------------------------------------------
 
-def quad_unit(fn, sing0: float = 0.0, sing1: float = 0.0, upper: float = 1.0,
-              abs_tol: float = QUAD_ABS_TOL, rel_tol: float = QUAD_REL_TOL):
+def quad_unit(fn, sing0: float = 0.0, sing1: float = 0.0, upper: float = 1.0):
     """Integrate ``fn`` over (0, upper) <= (0, 1).
 
     ``sing0`` and ``sing1`` declare integrable algebraic blow-ups:
@@ -77,7 +76,7 @@ def quad_unit(fn, sing0: float = 0.0, sing1: float = 0.0, upper: float = 1.0,
         return fn(x) * p0 * u ** (p0 - 1.0) if p0 != 1.0 else fn(u)
 
     v, e = _sciint.quad(left, 0.0, split ** (1.0 / p0),
-                        epsabs=abs_tol, epsrel=rel_tol, limit=200)
+                        epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=200)
     total += v
     err += e
 
@@ -91,11 +90,11 @@ def quad_unit(fn, sing0: float = 0.0, sing1: float = 0.0, upper: float = 1.0,
 
         lo = (1.0 - upper) ** (1.0 / p1)
         v, e = _sciint.quad(right, lo, split ** (1.0 / p1),
-                            epsabs=abs_tol, epsrel=rel_tol, limit=200)
+                            epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=200)
         total += v
         err += e
 
-    if err > 10.0 * max(abs_tol, rel_tol * abs(total)):
+    if err > 10.0 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total)):
         raise QuadratureError("quadrature did not converge", total, err)
     return total, err
 
@@ -230,16 +229,12 @@ class FiniteMeasure:
             mass += val
         return mass
 
-    def density_integral(self, fn, upper: float = 1.0, extra_sing1: float = 0.0) -> float:
-        """Integral of fn(x) * density(x) over (0, upper).
-
-        ``extra_sing1`` declares an additional (1-x) blow-up carried by
-        ``fn`` itself, so the substitution order stays correct.
-        """
+    def density_integral(self, fn) -> float:
+        """Integral of fn(x) * density(x) over (0, 1); ``fn`` must be bounded near 1."""
         if self.density is None:
             return 0.0
         val, _ = quad_unit(lambda x: fn(x) * self.density(x),
-                           self.sing0, min(0.999, self.sing1 + extra_sing1), upper)
+                           self.sing0, min(0.999, self.sing1))
         return val
 
     def scaled(self, c: float) -> "FiniteMeasure":
@@ -363,7 +358,7 @@ def laplace_exponent(mu: FiniteMeasure, lam: float) -> float:
         for t in mu.beta_terms:
             val += t.coef * bracket_beta_integral(lam, t.a, t.b)
     elif mu.density is not None:
-        val += mu.density_integral(lambda x: bracket(lam, x), extra_sing1=0.0)
+        val += mu.density_integral(lambda x: bracket(lam, x))
     return val
 
 

@@ -134,6 +134,22 @@ def test_cli_simulate_chain_and_determinism(tmp_path, capsys):
     assert lines1[1:] == lines2[1:]
 
 
+def test_cli_path_dumps_match_replicate_records(tmp_path):
+    # the barrier family's batch step maps uniforms to jumps differently from
+    # single-path inverse CDF, so a dump must replay the batch sampler
+    text = BASE.replace("[kernel]", "dump_paths = 2\n\n[kernel]")
+    assert _run(tmp_path, "simulate-chain", text) == 0
+    [record] = (tmp_path / "runs").iterdir()
+    times = {(r["n"], r["stream"] % STREAM_BLOCK): r["absorption_time"]
+             for r in map(json.loads, record.read_text().splitlines()[2:])}
+    for n in (16, 32, 64):
+        for i in range(2):
+            rows = (tmp_path / "tables" / f"path_n{n}_r{i}.csv").read_text().splitlines()
+            last_step, last_state = map(int, rows[-1].split(","))
+            assert last_step == times[n, i]
+            assert last_state == 0
+
+
 def test_cli_out_dir_does_not_change_record(tmp_path):
     # the output directory is not part of the experiment: same digest, same record
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"

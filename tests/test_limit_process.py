@@ -27,7 +27,7 @@ def test_pure_killing_path():
     tr = M.levy_triple(M.atom(1.0, 0.0))
     kills = []
     for i in range(4000):
-        p = LP.sample_subordinator(tr, horizon=50.0, seed=SEED, stream=i)
+        p = LP.sample_subordinator(tr, 50.0, philox_rng(SEED, i))
         assert p.jump_times.size == 0 and p.drift == 0.0
         assert p.xi_at(min(p.killing_time * 0.9, 50.0)) == 0.0
         kills.append(min(p.killing_time, 50.0))
@@ -37,7 +37,7 @@ def test_pure_killing_path():
 
 def test_pure_drift_path():
     tr = M.levy_triple(M.atom(1.0, 1.0))
-    p = LP.sample_subordinator(tr, horizon=10.0, seed=SEED)
+    p = LP.sample_subordinator(tr, 10.0, philox_rng(SEED, 0))
     t = np.linspace(0.0, 10.0, 7)
     assert np.allclose(p.xi_at(t), t)
     assert p.killing_time == math.inf
@@ -48,7 +48,7 @@ def test_compound_poisson_moments():
     tr = M.LevyTriple(0.0, 0.0, M.levy_atom(rho, y0))
     counts, ends = [], []
     for i in range(4000):
-        p = LP.sample_subordinator(tr, horizon=T, seed=SEED, stream=i)
+        p = LP.sample_subordinator(tr, T, philox_rng(SEED, i))
         counts.append(len(p.jump_times))
         ends.append(p.xi_at(T))
         assert np.all(p.jump_sizes == y0)
@@ -57,8 +57,8 @@ def test_compound_poisson_moments():
 
 
 def test_path_determinism(barrier_triple):
-    p1 = LP.sample_subordinator(barrier_triple, 2.0, seed=9, stream=5)
-    p2 = LP.sample_subordinator(barrier_triple, 2.0, seed=9, stream=5)
+    p1 = LP.sample_subordinator(barrier_triple, 2.0, philox_rng(9, 5))
+    p2 = LP.sample_subordinator(barrier_triple, 2.0, philox_rng(9, 5))
     assert np.array_equal(p1.jump_times, p2.jump_times)
     assert np.array_equal(p1.jump_sizes, p2.jump_sizes)
 
@@ -68,10 +68,58 @@ def test_cutoff_certificate(barrier_triple):
     for horizon in (1.0, 8.0):
         eps = LP.default_cutoff(levy, horizon)
         assert levy.variance_below(eps) <= LP.SMALL_JUMP_VARIANCE_BUDGET / horizon
-        p = LP.sample_subordinator(barrier_triple, horizon, seed=1)
+        p = LP.sample_subordinator(barrier_triple, horizon, philox_rng(1, 0))
         assert p.neglected_variance <= LP.SMALL_JUMP_VARIANCE_BUDGET / horizon
         # compensation keeps the mean exact: drift equals the cut-jump mean
         assert p.drift == pytest.approx(levy.mean_below(p.eps_cut), rel=1e-12)
+
+
+@pytest.mark.parametrize("tr", [M.LevyTriple(0.2, 0.3, M.levy_atom(1.0, 0.7)),
+                                M.LevyTriple(0.0, 0.1, M.barrier_levy_measure(GAMMA))],
+                         ids=["killed", "unkilled"])
+def test_segments_tile_the_path(tr):
+    horizon = 20.0
+    p = LP.sample_subordinator(tr, horizon, philox_rng(SEED, 4))
+    assert (p.killing_time < horizon) == (tr.killing > 0.0)
+    t_end = min(horizon, p.killing_time)
+    xi0, dt = p.segments()
+    assert np.sum(dt) == pytest.approx(t_end, rel=1e-12)
+    starts = np.concatenate([[0.0], p.jump_times[p.jump_times < t_end]])
+    assert xi0.size == starts.size > 1
+    assert np.allclose(xi0, p.xi_at(starts), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("tr", [M.levy_triple(M.barrier_measure(GAMMA)),
+                                M.levy_triple(M.atom(1.0, 0.0))], ids=["barrier", "killing"])
+def test_z_marginals_rows_are_subordinator_paths(tr):
+    t = np.array([0.25, 0.5, 1.0])
+    z = LP.sample_z_marginals(tr, t, 30, SEED, stream0=17)
+    eps = LP.default_cutoff(tr.levy, t[-1])
+    for i in range(30):
+        p = LP.sample_subordinator(tr, t[-1], philox_rng(SEED, 17 + i), eps)
+        assert np.array_equal(z[i], np.exp(-p.xi_at(t)))
+
+
+def test_gap_compositions_compute_the_cutoff_once_per_horizon(monkeypatch):
+    calls = {"cutoff": 0, "paths": 0}
+    cutoff, subordinator = LP.default_cutoff, LP.sample_subordinator
+
+    def counted_cutoff(*args, **kwargs):
+        calls["cutoff"] += 1
+        return cutoff(*args, **kwargs)
+
+    def counted_subordinator(*args, **kwargs):
+        calls["paths"] += 1
+        return subordinator(*args, **kwargs)
+
+    monkeypatch.setattr(LP, "default_cutoff", counted_cutoff)
+    monkeypatch.setattr(LP, "sample_subordinator", counted_subordinator)
+    reps = 20
+    comps = LP.sample_gap_compositions(
+        M.LevyTriple(0.0, 0.1, M.barrier_levy_measure(GAMMA)), 3, reps, SEED)
+    assert all(c.total == 3 for c in comps)
+    doublings = calls["paths"] - reps
+    assert 1 <= calls["cutoff"] <= 1 + doublings
 
 
 def test_spline_inverse_matches_exact_inverse():
@@ -92,7 +140,7 @@ def test_spline_inverse_matches_exact_inverse():
 
 def test_lamperti_pure_killing():
     tr = M.levy_triple(M.atom(1.0, 0.0))
-    p = LP.sample_subordinator(tr, horizon=100.0, seed=SEED, stream=3)
+    p = LP.sample_subordinator(tr, 100.0, philox_rng(SEED, 3))
     ls = LP.lamperti(p, GAMMA)
     e = p.killing_time
     assert ls.killed and ls.I == pytest.approx(e, rel=1e-14)
@@ -104,7 +152,7 @@ def test_lamperti_pure_killing():
 def test_lamperti_deterministic_drift_closed_form():
     # unit drift with gamma = 1: the changed-clock path is the tent 1 - t
     tr = M.levy_triple(M.atom(1.0, 1.0))
-    p = LP.sample_subordinator(tr, horizon=80.0, seed=SEED)
+    p = LP.sample_subordinator(tr, 80.0, philox_rng(SEED, 0))
     ls = LP.lamperti(p, 1.0)
     assert ls.I == pytest.approx(1.0, rel=1e-12)
     for t in (0.0, 0.25, 0.77, 0.999):
@@ -115,7 +163,7 @@ def test_lamperti_deterministic_drift_closed_form():
 def test_sigma_equals_I_pathwise():
     tr = M.LevyTriple(0.7, 0.2, M.levy_atom(0.5, 0.9))
     for i in range(20):
-        p = LP.sample_subordinator(tr, horizon=300.0, seed=SEED, stream=i)
+        p = LP.sample_subordinator(tr, 300.0, philox_rng(SEED, i))
         ls = LP.lamperti(p, 0.7)
         assert ls.killed
         assert abs(ls.sigma - ls.I) <= 1e-12
@@ -124,7 +172,7 @@ def test_sigma_equals_I_pathwise():
 def test_lamperti_markov_restart_consistency(barrier_triple):
     # pathwise self-similarity: after Y-time t0 the path restarts as a
     # rescaled fresh copy driven by the shifted increments
-    p = LP.sample_subordinator(barrier_triple, 6.0, seed=SEED, stream=2)
+    p = LP.sample_subordinator(barrier_triple, 6.0, philox_rng(SEED, 2))
     ls = LP.lamperti(p, GAMMA)
     t0 = 0.3 * ls.I
     s0 = float(ls.xi_of_own_time(_invert_clock(ls, t0)))
@@ -206,11 +254,11 @@ def test_balls_in_gaps_requires_unkilled_path():
     tr = M.LevyTriple(5.0, 0.0, M.levy_atom(1.0, 1.0))
     rng = philox_rng(SEED, 0)
     while True:
-        p = LP.sample_subordinator(tr, horizon=10.0, rng=rng)
+        p = LP.sample_subordinator(tr, 10.0, rng)
         if p.killing_time <= 10.0:
             break
     with pytest.raises(ValueError):
-        LP.balls_in_gaps(p, 2, rng=rng)
+        LP.balls_in_gaps(p, 2, rng)
 
 
 def test_balls_in_gaps_insufficient_horizon_flag():
@@ -218,15 +266,15 @@ def test_balls_in_gaps_insufficient_horizon_flag():
     # a near-1 ball must eventually fall beyond a tiny path's resolution
     with pytest.raises(LP.InsufficientHorizonError):
         for i in range(2000):
-            p = LP.sample_subordinator(tr, horizon=0.5, seed=SEED, stream=i)
-            LP.balls_in_gaps(p, 4, seed=SEED, stream=10_000 + i)
+            p = LP.sample_subordinator(tr, 0.5, philox_rng(SEED, i))
+            LP.balls_in_gaps(p, 4, philox_rng(SEED, 10_000 + i))
 
 
 def test_balls_in_gaps_drift_singletons():
     # pure drift covers the whole range: every ball is its own block
     tr = M.levy_triple(M.atom(1.0, 1.0))
-    p = LP.sample_subordinator(tr, horizon=60.0, seed=SEED)
-    c = LP.balls_in_gaps(p, 6, seed=SEED, stream=1)
+    p = LP.sample_subordinator(tr, 60.0, philox_rng(SEED, 0))
+    c = LP.balls_in_gaps(p, 6, philox_rng(SEED, 1))
     assert c.parts == (1,) * 6
 
 
