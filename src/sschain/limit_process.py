@@ -315,16 +315,14 @@ def lamperti(path: SubordinatorPath, gamma: float) -> LimitSample:
 def analytic_moments(psi, gamma: float, p_max: int) -> list[float]:
     """Moments p!/(psi(gamma) psi(2 gamma) ... psi(p gamma)) of the limit time.
 
-    ``psi`` may be a FiniteMeasure, a LevyTriple, a kernel with a .psi
-    method, or a plain callable.
+    ``psi`` may be a FiniteMeasure, a LevyTriple, or a plain callable
+    lam -> psi(lam).
     """
     if isinstance(psi, FiniteMeasure):
         mu = psi
         fn = lambda lam: laplace_exponent(mu, lam)
     elif isinstance(psi, LevyTriple):
         fn = psi.laplace_exponent
-    elif hasattr(psi, "psi"):
-        fn = psi.psi
     else:
         fn = psi
     out = [1.0]

@@ -11,6 +11,11 @@ Densities built through the named constructors (``barrier_measure``,
 beta-mixture form ``sum_i c_i x^(a_i-1) (1-x)^(b_i-1)`` which downstream
 code uses for closed-form Gamma-function evaluation; a plain callable
 density falls back to adaptive quadrature with endpoint substitutions.
+
+Every integral in the package goes through ``quad``, the one call into
+scipy's adaptive routine: it owns the tolerances, the subdivision limit
+and the substitution y = u**p at a declared endpoint order.  Only
+``quad_unit`` raises on a poor error estimate.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from scipy.special import betaln, digamma
 
 from .special import gamma_ratio
 
-#: absolute / relative quadrature targets used throughout the package
+#: absolute / relative targets of ``quad``
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-9
 
@@ -46,17 +51,36 @@ class MeasureError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# quadrature on (0, 1) with endpoint-singularity substitutions
+# quadrature: the one call into scipy.integrate
 # ---------------------------------------------------------------------------
+
+def quad(fn, lo: float, hi: float, order: float = 0.0, limit: int = 200):
+    """Integrate ``fn`` over (lo, hi); returns (value, error_estimate).
+
+    ``order`` declares an integrable blow-up fn(y) ~ y**-order at y = 0
+    (``lo`` >= 0 then).  For order > 0 the substitution y = u**p with
+    p = 1/(1-order) makes the integrand bounded; the bounds become
+    lo**(1/p) and hi**(1/p).  No error policy here: callers decide what
+    to do with the estimate.
+    """
+    if order >= 1.0:
+        raise MeasureError(f"non-integrable endpoint order {order}")
+    if order > 0.0:
+        p = 1.0 / (1.0 - order)
+        g = fn
+        fn = lambda u: g(u ** p) * p * u ** (p - 1.0)
+        lo, hi = lo ** (1.0 / p), hi ** (1.0 / p)
+    return _sciint.quad(fn, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=limit)
+
 
 def quad_unit(fn, sing0: float = 0.0, sing1: float = 0.0, upper: float = 1.0):
     """Integrate ``fn`` over (0, upper) <= (0, 1).
 
     ``sing0`` and ``sing1`` declare integrable algebraic blow-ups:
     fn(x) ~ x**-sing0 near 0 and fn(x) ~ (1-x)**-sing1 near 1, both < 1.
-    The substitutions u = x**(1-sing0) and v = (1-x)**(1-sing1) make the
-    transformed integrands bounded before handing them to the adaptive
-    routine.  Returns (value, error_estimate).
+    The pieces (0, 1/2) and (1/2, upper) go to ``quad`` with those orders,
+    the right one in the variable 1 - x.  Returns (value, error_estimate)
+    and raises QuadratureError past 10x the tolerance.
     """
     if not (sing0 < 1.0 and sing1 < 1.0):
         raise MeasureError(f"non-integrable endpoint orders ({sing0}, {sing1})")
@@ -64,36 +88,11 @@ def quad_unit(fn, sing0: float = 0.0, sing1: float = 0.0, upper: float = 1.0):
         return 0.0, 0.0
     upper = min(upper, 1.0)
     split = min(0.5, upper)
-
-    total = 0.0
-    err = 0.0
-
-    # left piece, substitution x = u**p0
-    p0 = 1.0 / (1.0 - sing0) if sing0 > 0.0 else 1.0
-
-    def left(u):
-        x = u ** p0
-        return fn(x) * p0 * u ** (p0 - 1.0) if p0 != 1.0 else fn(u)
-
-    v, e = _sciint.quad(left, 0.0, split ** (1.0 / p0),
-                        epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=200)
-    total += v
-    err += e
-
+    total, err = quad(fn, 0.0, split, sing0)
     if upper > split:
-        # right piece, substitution 1 - x = w**p1
-        p1 = 1.0 / (1.0 - sing1) if sing1 > 0.0 else 1.0
-
-        def right(w):
-            x = 1.0 - w ** p1
-            return fn(x) * p1 * w ** (p1 - 1.0) if p1 != 1.0 else fn(1.0 - w)
-
-        lo = (1.0 - upper) ** (1.0 / p1)
-        v, e = _sciint.quad(right, lo, split ** (1.0 / p1),
-                            epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=200)
+        v, e = quad(lambda w: fn(1.0 - w), 1.0 - upper, split, sing1)
         total += v
         err += e
-
     if err > 10.0 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total)):
         raise QuadratureError("quadrature did not converge", total, err)
     return total, err
@@ -229,14 +228,6 @@ class FiniteMeasure:
             mass += val
         return mass
 
-    def density_integral(self, fn) -> float:
-        """Integral of fn(x) * density(x) over (0, 1); ``fn`` must be bounded near 1."""
-        if self.density is None:
-            return 0.0
-        val, _ = quad_unit(lambda x: fn(x) * self.density(x),
-                           self.sing0, min(0.999, self.sing1))
-        return val
-
     def scaled(self, c: float) -> "FiniteMeasure":
         """The measure c * mu."""
         if c <= 0.0:
@@ -358,21 +349,8 @@ def laplace_exponent(mu: FiniteMeasure, lam: float) -> float:
         for t in mu.beta_terms:
             val += t.coef * bracket_beta_integral(lam, t.a, t.b)
     elif mu.density is not None:
-        val += mu.density_integral(lambda x: bracket(lam, x))
-    return val
-
-
-def integrate(mu: FiniteMeasure, fn) -> float:
-    """Integral of a bounded continuous function against mu; atoms handled exactly."""
-    val = 0.0
-    if mu.atom0:
-        val += mu.atom0 * float(fn(0.0))
-    if mu.atom1:
-        val += mu.atom1 * float(fn(1.0))
-    for loc, mass in mu.interior_atoms:
-        val += mass * float(fn(loc))
-    if mu.density is not None:
-        val += mu.density_integral(fn)
+        val += quad_unit(lambda x: bracket(lam, x) * mu.density(x),
+                         mu.sing0, min(0.999, mu.sing1))[0]
     return val
 
 
@@ -427,35 +405,17 @@ class LevyMeasure:
         if self._tail is not None:
             return val + self._tail(y)
         if y < 1.0:
-            v, _ = _sciint.quad(self.density, y, 1.0,
-                                epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=200)
-            val += v
+            val += quad(self.density, y, 1.0)[0]
             y = 1.0
-        v, _ = _sciint.quad(self.density, y, np.inf,
-                            epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=200)
-        return val + v
+        return val + quad(self.density, y, np.inf)[0]
 
     def _moment_below(self, eps: float, power: int) -> float:
         """Integral of y**power over (0, eps); power >= 1."""
         val = sum(loc ** power * m for loc, m in self.atoms if loc <= eps)
         if self.density is None or eps <= 0.0:
             return val
-        order = self.small_order - power
-        if order > 0.0:
-            # substitution y = u**p flattens the residual blow-up
-            p = 1.0 / (1.0 - order) if order < 1.0 else None
-            if p is None:
-                raise MeasureError("moment does not exist near 0")
-
-            def f(u):
-                y = u ** p
-                return y ** power * self.density(y) * p * u ** (p - 1.0)
-
-            v, _ = _sciint.quad(f, 0.0, eps ** (1.0 / p),
-                                epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=200)
-        else:
-            v, _ = _sciint.quad(lambda y: y ** power * self.density(y), 0.0, eps,
-                                epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=200)
+        v, _ = quad(lambda y: y ** power * self.density(y), 0.0, eps,
+                    self.small_order - power)
         return val + v
 
     def mean_below(self, eps: float) -> float:
@@ -469,27 +429,13 @@ class LevyMeasure:
         val = sum(m * -math.expm1(-lam * y) for y, m in self.atoms)
         if self.density is None:
             return val
-        order = self.small_order - 1.0  # (1 - e^{-lam y}) ~ lam*y near 0
 
         def f(y):
             return -np.expm1(-lam * y) * self.density(y)
 
-        if order > 0.0:
-            p = 1.0 / (1.0 - order)
-
-            def g(u):
-                y = u ** p
-                return f(y) * p * u ** (p - 1.0)
-
-            v, _ = _sciint.quad(g, 0.0, 1.0, epsabs=QUAD_ABS_TOL,
-                                epsrel=QUAD_REL_TOL, limit=200)
-        else:
-            v, _ = _sciint.quad(f, 0.0, 1.0, epsabs=QUAD_ABS_TOL,
-                                epsrel=QUAD_REL_TOL, limit=200)
-        val += v
-        v, _ = _sciint.quad(f, 1.0, np.inf, epsabs=QUAD_ABS_TOL,
-                            epsrel=QUAD_REL_TOL, limit=200)
-        return val + v
+        # (1 - e^{-lam y}) ~ lam*y lowers the order at 0 by one
+        val += quad(f, 0.0, 1.0, self.small_order - 1.0)[0]
+        return val + quad(f, 1.0, np.inf)[0]
 
 
 def levy_atom(mass: float, y0: float) -> LevyMeasure:

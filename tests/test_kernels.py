@@ -273,6 +273,13 @@ def test_coalescent_preconditions():
         K.coalescent_kernel(M.atom(1.0, 0.0))            # mass at 0
     with pytest.raises(ValueError):
         K.coalescent_kernel(M.beta_density(0.8, 1.0))    # dust integral diverges
+    # generic density ~ x^-sing0 at 0: x^-1 against it is finite iff sing0 < 0
+    dens = lambda x: 3 * np.asarray(x, dtype=float) ** 0.6
+    with pytest.raises(ValueError, match="diverges"):
+        K.CoalescentKernel(M.FiniteMeasure(density=dens), beta=0.4)
+    ck = K.CoalescentKernel(M.FiniteMeasure(density=dens, sing0=-0.6), beta=0.4)
+    # h(u) = 3 * integral of x^-1.4 over [u, 1]
+    assert ck.h(0.1) == pytest.approx(7.5 * (0.1 ** -0.4 - 1.0), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

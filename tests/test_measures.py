@@ -1,6 +1,8 @@
 """Measures on [0,1], the bracket transform, Laplace exponents, Levy triples."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,17 +127,36 @@ def test_exponent_scaling_linearity():
 
 
 # ---------------------------------------------------------------------------
-# integrate
+# quad
 # ---------------------------------------------------------------------------
 
-def test_integrate_atoms_and_densities():
-    one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    assert M.integrate(M.atom(1.0, 0.0), one) == 1.0
-    assert M.integrate(M.lebesgue(), lambda x: np.asarray(x, dtype=float)) \
-        == pytest.approx(0.5, abs=1e-12)
-    # antiderivative oracle: gamma * integral (1-x)^-gamma = gamma/(1-gamma)
-    assert M.integrate(M.barrier_measure(GAMMA), one) == pytest.approx(
-        GAMMA / (1 - GAMMA), abs=1e-9)
+@settings(max_examples=200, deadline=None)
+@given(order=st.floats(-0.9, 0.9), hi=st.floats(1e-6, 1.0), at_zero=st.booleans())
+def test_quad_power_closed_form(order, hi, at_zero):
+    lo = 0.0 if at_zero else hi / 10
+    val, _ = M.quad(lambda y: y ** -order, lo, hi, order)
+    exact = (hi ** (1 - order) - lo ** (1 - order)) / (1 - order)
+    # y^-order with order <= 0 is not smooth at 0 and meets the absolute target
+    assert val == pytest.approx(exact, rel=1e-9, abs=M.QUAD_ABS_TOL)
+
+
+def test_quad_rejects_non_integrable_order():
+    for order in (1.0, 1.5):
+        with pytest.raises(M.MeasureError):
+            M.quad(lambda y: y ** -order, 0.0, 1.0, order)
+
+
+def test_quad_unit_raises_on_poor_error_estimate():
+    with pytest.raises(M.QuadratureError):
+        M.quad_unit(lambda x: math.sin(1e4 * x))
+
+
+def test_only_measures_calls_scipy_integrate():
+    src = Path(M.__file__).parent
+    pattern = re.compile(r"_sciint|scipy\.integrate|scipy import integrate")
+    callers = sorted(f.name for f in src.glob("*.py") if pattern.search(f.read_text()))
+    assert callers == ["measures.py"]
+    assert (src / "measures.py").read_text().count("_sciint.quad(") == 1
 
 
 def test_measure_validation():
