@@ -3,9 +3,11 @@
 Paths are piecewise linear plus jumps: jumps above a cutoff come from a
 Poisson process at the exact truncated rate, the discarded small jumps
 are replaced by their mean drift, and the neglected variance is reported
-on the path as a certificate.  Everything downstream of a sampled path
-(clock change, exponential functional, gap structure) is closed-form
-segment algebra, never numerical integration.
+on the path as a certificate.  That mean and variance are computed once
+per (Lévy measure, cutoff) and kept with the jump sampler, so every path
+on one cutoff carries the same certificate value.  Everything downstream
+of a sampled path (clock change, exponential functional, gap structure)
+is closed-form segment algebra, never numerical integration.
 
 Every sampler draws from a generator made by ``philox_rng(seed, stream)``,
 so a path is a function of that generator's (seed, stream) pair.
@@ -45,6 +47,10 @@ class _JumpSampler:
         self._atom_cum = np.cumsum([m for _, m in self.atoms])
         self._atom_y = np.array([y for y, _ in self.atoms])
         self.rate = levy.tail(eps)
+        # small-jump mean and variance of every path on this cutoff; atoms at
+        # or below it are compensated and certified like the density part
+        self.mean_below = levy.mean_below(eps)
+        self.variance_below = levy.variance_below(eps)
         self.dens_rate = self.rate - self.atom_mass
         self._inverse = None
         if levy.density is not None and self.dens_rate > 0.0:
@@ -195,24 +201,17 @@ def sample_subordinator(triple: LevyTriple, horizon: float, rng: np.random.Gener
         n_jumps = int(rng.poisson(sampler.rate * horizon))
         times = np.sort(rng.random(n_jumps)) * horizon
         sizes = sampler.sample(rng.random(n_jumps)) if n_jumps else np.empty(0)
-        # atoms at or below the cutoff are dropped by the sampler, so they
-        # are compensated (and certified) exactly like the density part
-        neglected = levy.variance_below(eps_cut)
-        drift = triple.drift + levy.mean_below(eps_cut)
+        neglected = sampler.variance_below
+        drift = triple.drift + sampler.mean_below
     return SubordinatorPath(triple, times, sizes, drift, killing_time,
                             horizon, eps_cut, neglected)
 
 
 def _jump_sampler(levy: LevyMeasure, eps: float) -> _JumpSampler:
-    cache = getattr(levy, "_sampler_cache", None)
-    if cache is None:
-        cache = {}
-        levy._sampler_cache = cache
-    s = cache.get(eps)
-    if s is None:
-        s = _JumpSampler(levy, eps)
-        cache[eps] = s
-    return s
+    cache = vars(levy).setdefault("_sampler_cache", {})
+    if eps not in cache:
+        cache[eps] = _JumpSampler(levy, eps)
+    return cache[eps]
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +352,17 @@ def sample_z_marginals(triple: LevyTriple, t_grid: Sequence[float], replicates: 
     return out
 
 
+def _restart_blocks(triple: LevyTriple, gamma: float, rng: np.random.Generator,
+                    eps: float):
+    """Clock-changed RESTART_BLOCK pieces of one path, drawn in turn from
+    ``rng`` (Markov restarts); the first killed piece is the last."""
+    while True:
+        block = lamperti(sample_subordinator(triple, RESTART_BLOCK, rng, eps), gamma)
+        yield block
+        if block.killed:
+            return
+
+
 def sample_exponential_functional(triple: LevyTriple, gamma: float,
                                   replicates: int, seed: int, stream0: int = 0) -> np.ndarray:
     """I = integral of exp(-γ ξ): restart by the Markov property every
@@ -365,17 +375,11 @@ def sample_exponential_functional(triple: LevyTriple, gamma: float,
     eps = default_cutoff(triple.levy, RESTART_BLOCK)
     out = np.empty(replicates)
     for i in range(replicates):
-        gen = philox_rng(seed, stream0 + i)
         total = 0.0
         weight = 1.0
-        while True:
-            path = sample_subordinator(triple, RESTART_BLOCK, gen, eps)
-            block = lamperti(path, gamma)
+        for block in _restart_blocks(triple, gamma, philox_rng(seed, stream0 + i), eps):
             total += weight * block.I
-            if block.killed:
-                weight = 0.0
-                break
-            weight *= block.tail_weight
+            weight *= block.tail_weight  # 0 on a killed block
             if weight * expected_I <= 1e-4 * max(total, 1e-300):
                 break
         out[i] = total
@@ -395,25 +399,18 @@ def sample_y_marginals(triple: LevyTriple, gamma: float, t_grid: Sequence[float]
     eps = default_cutoff(triple.levy, RESTART_BLOCK)
     out = np.empty((replicates, t.size))
     for i in range(replicates):
-        gen = philox_rng(seed, stream0 + i)
         xi0_parts, dt_parts = [], []
         offset = 0.0
         covered = 0.0
-        killed = False
-        while True:
-            path = sample_subordinator(triple, RESTART_BLOCK, gen, eps)
-            block = lamperti(path, gamma)
+        for block in _restart_blocks(triple, gamma, philox_rng(seed, stream0 + i), eps):
             xi0_parts.append(block.seg_xi0 + offset)
             dt_parts.append(block.seg_dt)
             covered += math.exp(-gamma * offset) * block.I
             offset += block.xi_end
-            if block.killed:
-                killed = True
-                break
             if covered >= t_max or math.exp(-gamma * offset) <= 1e-9:
                 break
         sample = LimitSample(np.concatenate(xi0_parts), np.concatenate(dt_parts),
-                             path.drift, gamma, killed)
+                             block.drift, gamma, block.killed)
         vals = np.zeros(t.size)
         inside = t < sample.I
         if inside.any():

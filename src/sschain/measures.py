@@ -524,7 +524,10 @@ def levy_triple(mu: FiniteMeasure) -> LevyTriple:
     def dens(y):
         y = np.asarray(y, dtype=float)
         x = np.exp(-y)
-        return rho(x) * x / (-np.expm1(-y))
+        # x underflows to 0 at large y, where rho(x) * x is inf * 0 when
+        # sing0 > 0; the true limit there is 0 because sing0 < 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x > 0.0, rho(x) * x / (-np.expm1(-y)), 0.0)
 
     def tail(y0):
         # mass above y0 equals the (1-x)^-1-weighted mass of rho below e^-y0

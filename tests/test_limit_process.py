@@ -70,8 +70,9 @@ def test_cutoff_certificate(barrier_triple):
         assert levy.variance_below(eps) <= LP.SMALL_JUMP_VARIANCE_BUDGET / horizon
         p = LP.sample_subordinator(barrier_triple, horizon, philox_rng(1, 0))
         assert p.neglected_variance <= LP.SMALL_JUMP_VARIANCE_BUDGET / horizon
-        # compensation keeps the mean exact: drift equals the cut-jump mean
-        assert p.drift == pytest.approx(levy.mean_below(p.eps_cut), rel=1e-12)
+        # compensation keeps the mean exact: drift gains the cut-jump mean
+        assert p.drift == barrier_triple.drift + levy.mean_below(p.eps_cut)
+        assert p.neglected_variance == levy.variance_below(p.eps_cut)
 
 
 @pytest.mark.parametrize("tr", [M.LevyTriple(0.2, 0.3, M.levy_atom(1.0, 0.7)),
@@ -120,6 +121,26 @@ def test_gap_compositions_compute_the_cutoff_once_per_horizon(monkeypatch):
     assert all(c.total == 3 for c in comps)
     doublings = calls["paths"] - reps
     assert 1 <= calls["cutoff"] <= 1 + doublings
+
+
+def test_small_jump_constants_are_computed_once_per_cutoff(monkeypatch):
+    calls = {"n": 0}
+    mean_below, variance_below = M.LevyMeasure.mean_below, M.LevyMeasure.variance_below
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls["n"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(M.LevyMeasure, "mean_below", counted(mean_below))
+    monkeypatch.setattr(M.LevyMeasure, "variance_below", counted(variance_below))
+    counts = []
+    for reps in (10, 40):
+        calls["n"] = 0
+        LP.sample_z_marginals(M.levy_triple(M.barrier_measure(GAMMA)), [0.5, 2.0], reps, SEED)
+        counts.append(calls["n"])
+    assert counts[0] == counts[1]
 
 
 def test_spline_inverse_matches_exact_inverse():

@@ -216,6 +216,17 @@ def test_triple_roundtrip_laplace_exponent():
                 M.laplace_exponent(mu, lam), rel=1e-7)
 
 
+def test_triple_roundtrip_density_singular_at_zero():
+    # e^-y underflows to 0 at large y, where x^-0.3 is inf: the jump
+    # density must take its limit 0 there, not inf * 0 = NaN
+    mu = M.FiniteMeasure(density=lambda x: np.asarray(x) ** -0.3 * (1.0 - np.asarray(x)) ** -0.2,
+                         sing0=0.3, sing1=0.2)
+    tr = M.levy_triple(mu)
+    assert float(tr.levy.density(800.0)) == 0.0
+    for lam in (0.5, 2.0):
+        assert tr.laplace_exponent(lam) == pytest.approx(M.laplace_exponent(mu, lam), rel=1e-8)
+
+
 def test_levy_measure_moments_below_cutoff():
     lm = M.barrier_levy_measure(GAMMA)
     eps = 1e-3
