@@ -101,24 +101,33 @@ def sample_path(kernel: Kernel, n: int, seed: int, stream: int = 0,
     return ChainPath(kernel, np.asarray(states, dtype=np.int64), seed, stream)
 
 
+def _batch_steps(kernel: Kernel, n: int, replicates: int, seed: int, stream0: int):
+    """Yield (states, alive), updated in place, at step 0 and after each step.
+
+    A step's uniform column is drawn only when the caller asks for that step.
+    """
+    uniforms = BlockUniforms(seed, stream0, replicates)
+    states = np.full(replicates, n, dtype=np.int64)
+    alive = ~kernel.absorbing_mask(states)
+    while True:
+        yield states, alive
+        u = uniforms.next_column()
+        if alive.any():
+            states[alive] = kernel.step(states[alive], u[alive])
+            alive[alive] = ~kernel.absorbing_mask(states[alive])
+
+
 def sample_absorption_times(kernel: Kernel, n: int, replicates: int, seed: int,
                             stream0: int = 0,
                             max_steps: int = DEFAULT_STEP_CAP) -> np.ndarray:
     """Absorption times of independent replicates on streams stream0, stream0+1, ..."""
-    uniforms = BlockUniforms(seed, stream0, replicates)
-    states = np.full(replicates, n, dtype=np.int64)
     steps = np.zeros(replicates, dtype=np.int64)
-    alive = ~kernel.absorbing_mask(states)
-    taken = 0
-    while alive.any():
+    for taken, (_, alive) in enumerate(_batch_steps(kernel, n, replicates, seed, stream0)):
+        if not alive.any():
+            return steps
         if taken >= max_steps:
             raise RunawayChainError(f"{kernel.name}: step cap hit in batch sampling")
-        u = uniforms.next_column()
-        states[alive] = kernel.step(states[alive], u[alive])
         steps[alive] += 1
-        taken += 1
-        alive[alive] = ~kernel.absorbing_mask(states[alive])
-    return steps
 
 
 def sample_marginal_states(kernel: Kernel, n: int, step_points: Sequence[int],
@@ -130,17 +139,9 @@ def sample_marginal_states(kernel: Kernel, n: int, step_points: Sequence[int],
     """
     points = sorted(set(int(s) for s in step_points))
     out = np.empty((replicates, len(points)), dtype=np.int64)
-    uniforms = BlockUniforms(seed, stream0, replicates)
-    states = np.full(replicates, n, dtype=np.int64)
     col = {p: i for i, p in enumerate(points)}
-    if 0 in col:
-        out[:, col[0]] = states
-    alive = ~kernel.absorbing_mask(states)
-    for k in range(1, max(points) + 1):
-        u = uniforms.next_column()
-        if alive.any():
-            states[alive] = kernel.step(states[alive], u[alive])
-            alive[alive] = ~kernel.absorbing_mask(states[alive])
+    chain = _batch_steps(kernel, n, replicates, seed, stream0)
+    for k, (states, _) in zip(range(max(points) + 1), chain):
         if k in col:
             out[:, col[k]] = states
     return out

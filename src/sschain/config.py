@@ -157,10 +157,12 @@ def parse_levy_measure(expr: str, path: str = "omega") -> _m.LevyMeasure:
         if not atoms:
             raise ConfigError(path, "empty jump measure expression")
         return _m.LevyMeasure(atoms=tuple(atoms))
+    # the atoms add to the barrier's closed forms, which describe its density part only
     return _m.LevyMeasure(density=density.density, atoms=tuple(atoms),
-                          small_order=density.small_order,
-                          tail=density._tail, tail_inverse=None,
-                          unit_beta_terms=(), tail_index=density.tail_index)
+                          small_order=density.small_order, tail=density._tail,
+                          tail_inverse=density.tail_inverse,
+                          unit_beta_terms=density.unit_beta_terms,
+                          tail_index=density.tail_index)
 
 
 def parse_step_distribution(tree: dict, path: str = "kernel.q") -> _k.StepDistribution:

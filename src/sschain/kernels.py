@@ -6,6 +6,11 @@ on [0, 1] whose Laplace exponent the rescaled chain targets.  Rows are
 built lazily, validated (non-negative, summing to 1 within 1e-12) and
 memoized; binomial coefficients and Beta functions are evaluated in log
 space so states up to ~10^4 stay well inside double range.
+
+The canonical, coalescent and composition rows are binomial mixtures,
+C(n, k) times integrals of x^p (1-x)^q, all from ``_binomial_mixture``:
+closed-form Beta terms and atoms, or a density by ``quad_unit`` with log
+C(n, k) inside the integrand and endpoint orders lowered by the powers.
 """
 
 from __future__ import annotations
@@ -183,7 +188,8 @@ class Kernel:
     def build_row(self, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _validated_row(self, n: int) -> np.ndarray:
+    def validated_row(self, n: int) -> np.ndarray:
+        """Row n built and validated, not cached; records ``absorbing(n)``."""
         row = np.asarray(self.build_row(n), dtype=float)
         if row.shape != (n + 1,):
             raise KernelConstructionError(
@@ -205,7 +211,7 @@ class Kernel:
         """Validated probability vector (p_{n,k})_{0<=k<=n}, memoized."""
         r = self._row_cache.get(n)
         if r is None:
-            r = self._validated_row(n)
+            r = self.validated_row(n)
             self._row_cache[n] = r
         return r
 
@@ -218,7 +224,7 @@ class Kernel:
         if c is None:
             row = self._row_cache.get(n)
             if row is None:
-                row = self._validated_row(n)
+                row = self.validated_row(n)
             c = np.cumsum(row)
             c[-1] = 1.0  # guards searchsorted against accumulated roundoff
             self._cumsum_cache[n] = c
@@ -458,6 +464,34 @@ def ignored_jump_kernel(q: StepDistribution) -> IgnoredJumpKernel:
 # canonical kernel realizing a prescribed (mu, a_n)
 # ---------------------------------------------------------------------------
 
+def _binomial_mixture(log_c, p, q, terms, atoms, density, sing0, sing1,
+                      upper=1.0) -> np.ndarray:
+    """exp(log_c) times the integrals of x^p (1-x)^q over (0, upper), entrywise.
+
+    The measure comes in parts: Beta terms, interior atoms (location, mass)
+    and, only without Beta terms, a density with endpoint orders sing0 and
+    sing1.  Its quadrature keeps exp(log_c) inside the integrand, where the
+    absolute tolerance sees the entry itself, and lowers the orders by the
+    powers.  Endpoint atoms are the caller's.
+    """
+    out = np.zeros(len(log_c))
+    for t in terms:
+        aa, bb = p + t.a, q + t.b
+        val = t.coef * np.exp(log_c + betaln(aa, bb))
+        out += val * betainc(aa, bb, upper) if upper < 1.0 else val
+    for loc, mass in atoms:
+        if loc < upper:
+            out += mass * np.exp(log_c + p * math.log(loc) + q * math.log1p(-loc))
+    if density is not None and not terms:
+        for i, (lc, pk, qk) in enumerate(zip(log_c.tolist(), p.tolist(), q.tolist())):
+            def f(x, lc=lc, pk=pk, qk=qk):
+                if not 0.0 < x < 1.0:  # an endpoint substitution can round onto 0 or 1
+                    return 0.0
+                return math.exp(lc + pk * math.log(x) + qk * math.log1p(-x)) * density(x)
+            out[i] += quad_unit(f, max(0.0, sing0 - pk), max(0.0, sing1 - qk), upper)[0]
+    return out
+
+
 class CanonicalKernel(Kernel):
     """Mixture-of-binomials rows realizing any prescribed limit pair.
 
@@ -491,29 +525,12 @@ class CanonicalKernel(Kernel):
         upper = 1.0 - 1.0 / a_eff
         mu_p = self._mu_p
         entries = np.zeros(n + 1)
-        k = np.arange(n)
         if upper > 0.0:
+            k = np.arange(n)
+            entries[:n] = _binomial_mixture(
+                log_binom(n, k), k, n - k - 1, mu_p.beta_terms, mu_p.interior_atoms,
+                mu_p.density, mu_p.sing0, mu_p.sing1, upper)
             entries[0] += mu_p.atom0
-            for loc, mass in mu_p.interior_atoms:
-                if loc < upper:
-                    entries[:n] += mass * np.exp(
-                        log_binom(n, k) + k * math.log(loc)
-                        + (n - k - 1) * math.log1p(-loc))
-            if mu_p.beta_terms:
-                for t in mu_p.beta_terms:
-                    aa = k + t.a
-                    bb = (n - k - 1) + t.b
-                    entries[:n] += t.coef * np.exp(log_binom(n, k) + betaln(aa, bb)) \
-                        * betainc(aa, bb, upper)
-            elif mu_p.density is not None:
-                dens = mu_p.density
-                for kk in range(n):
-                    def f(x, _k=kk):
-                        return math.exp(_k * math.log(x) + (n - _k - 1) * math.log1p(-x)) \
-                            if 0.0 < x < 1.0 else (float(_k == 0) if x == 0.0 else 0.0)
-                    val, _ = quad_unit(lambda x: f(x) * dens(x),
-                                       mu_p.sing0 if kk == 0 else 0.0, 0.0, upper)
-                    entries[kk] += val
         entries /= a_eff
         if mu_p.atom1 > 0.0:
             k_star = n - math.floor(n ** self.gamma_prime / a_eff)
@@ -628,21 +645,9 @@ class CoalescentKernel(Kernel):
             return g
         k = np.arange(1, n)
         L = self.Lambda
-        for t in L.beta_terms:
-            g[1:n] += t.coef * np.exp(log_binom(n, k - 1)
-                                      + betaln(n - k - 1 + t.a, k - 1 + t.b))
-        for loc, m in L.interior_atoms:
-            g[1:n] += m * np.exp(log_binom(n, k - 1) + (n - k - 1) * math.log(loc)
-                                 + (k - 1) * math.log1p(-loc))
-        if L.atom1 > 0.0:
-            g[1] += L.atom1
-        if L.density is not None and not L.beta_terms:
-            dens = L.density
-            for kk in range(1, n):
-                def f(x, _k=kk):
-                    return math.exp((n - _k - 1) * math.log(x) + (_k - 1) * math.log1p(-x))
-                val, _ = quad_unit(lambda x: f(x) * dens(x), L.sing0, L.sing1)
-                g[kk] += math.exp(log_binom(n, kk - 1)) * val
+        g[1:n] = _binomial_mixture(log_binom(n, k - 1), n - k - 1, k - 1, L.beta_terms,
+                                   L.interior_atoms, L.density, L.sing0, L.sing1)
+        g[1] += L.atom1
         return g
 
     def total_rate(self, n: int) -> float:
@@ -714,6 +719,9 @@ class CompositionKernel(Kernel):
         self._unit_terms = omega.unit_beta_terms
         self._unit_atoms = tuple((math.exp(-y), m) for y, m in omega.atoms)
         self._generic = omega.density is not None and not self._unit_terms
+        # density of the image: omega(y) dy with y = -log x is omega(-log x) dx / x
+        om = omega.density
+        self._unit_density = (lambda x: om(-math.log(x)) / x) if self._generic else None
         self.mu = self._limit_measure()
         self._z_cache: dict[int, float] = {}
 
@@ -736,23 +744,10 @@ class CompositionKernel(Kernel):
                              interior_atoms=interior, beta_terms=terms)
 
     def _unnormalized(self, n: int) -> np.ndarray:
-        """Integrals of x^k (1-x)^(n-k) against the unit image, k = 0..n-1."""
+        """C(n, k) times the integrals of x^k (1-x)^(n-k) against the unit image, k < n."""
         k = np.arange(n)
-        out = np.zeros(n)
-        for t in self._unit_terms:
-            out += t.coef * np.exp(log_binom(n, k) + betaln(k + t.a, n - k + t.b))
-        for x0, m in self._unit_atoms:
-            out += m * np.exp(log_binom(n, k) + k * math.log(x0)
-                              + (n - k) * math.log1p(-x0))
-        if self._generic:
-            om = self.omega.density
-            for kk in range(n):
-                def f(x, _k=kk):
-                    lx = math.log(x)
-                    return math.exp(_k * lx + (n - _k) * math.log1p(-x)) * om(-lx) / x
-                val, _ = quad_unit(f, 0.0, max(0.0, self.omega.small_order - (n - kk)))
-                out[kk] += val
-        return out
+        return _binomial_mixture(log_binom(n, k), k, n - k, self._unit_terms, self._unit_atoms,
+                                 self._unit_density, 0.0, self.omega.small_order)
 
     def scaling(self, n: int) -> float:
         if n == 0:
@@ -824,9 +819,7 @@ class CollapsedKernel(Kernel):
     def build_row(self, n: int) -> np.ndarray:
         if n == 0:
             return np.ones(1)
-        row = self.base._row_cache.get(n)
-        if row is None:
-            row = self.base._validated_row(n)
+        row = self.base.validated_row(n)  # base.row(n) would cache every row it visits
         if self.base.absorbing(n):  # recorded by the validation above: no second build
             out = np.zeros(n + 1)
             out[0] = 1.0

@@ -363,9 +363,9 @@ class LevyMeasure:
 
     ``small_order`` declares density(y) ~ y**-small_order as y -> 0
     (must be < 2).  ``tail`` and ``tail_inverse``, when supplied, are the
-    exact upper tail and its inverse, used by the path sampler; otherwise
-    the tail is integrated numerically and inverted through a monotone
-    log-grid interpolant.
+    exact upper tail of the density part and its inverse, used by the path
+    sampler; otherwise the tail is integrated numerically and inverted
+    through a monotone log-grid interpolant.
     """
 
     def __init__(self, density: Callable | None = None,
@@ -385,7 +385,7 @@ class LevyMeasure:
         self.small_order = float(small_order)
         self._tail = tail
         self.tail_inverse = tail_inverse
-        # image of the measure under x = e^-y, when it has beta-mixture form
+        # image of the density part under x = e^-y, when it has beta-mixture form
         # (the b exponents may lie in (-1, 0]: the image need not be finite)
         self.unit_beta_terms = tuple(unit_beta_terms)
         # regular-variation index -tail_index of the tail at 0, when known

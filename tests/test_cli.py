@@ -93,6 +93,10 @@ def test_levy_expression_parser():
     assert om2.tail_index == 0.5
     om3 = C.parse_levy_measure("barrier_tail(0.5) + atom(0.3, 2)")
     assert om3.atoms and om3.density is not None
+    # the barrier's closed forms describe its density part, so the atoms keep them
+    assert om3.unit_beta_terms == om2.unit_beta_terms
+    assert om3.tail_inverse is not None
+    assert om3.tail_inverse(0.7) == om2.tail_inverse(0.7)
 
 
 def test_kernel_builders_roundtrip():

@@ -196,6 +196,18 @@ def test_canonical_rows_are_probability_vectors_across_zoo():
             assert abs(row.sum() - 1.0) < 1e-11
 
 
+def _density_twin(mu, sing0=0.0):
+    """mu given by its density callable only, so rows take the quadrature route."""
+    return M.FiniteMeasure(density=mu.density, sing0=sing0, sing1=mu.sing1)
+
+
+def test_canonical_generic_density_matches_closed_form():
+    ck = K.canonical_kernel(M.lebesgue(), gamma=0.5)
+    twin = K.canonical_kernel(_density_twin(M.lebesgue()), gamma=0.5)
+    for n in (5, 20, 64):
+        np.testing.assert_allclose(twin.row(n), ck.row(n), rtol=1e-9, atol=0.0)
+
+
 def test_canonical_diagnostic_trends_to_target():
     ck = K.canonical_kernel(M.lebesgue(), gamma=0.5)
     diag = K.hypothesis_h_diagnostic(ck, [1.0], [64, 128, 256, 512], threshold=0.2)
@@ -233,6 +245,13 @@ def test_coalescent_rates_quadrature_vs_loggamma(beta_co):
             0.0, 1.0, epsabs=1e-300, epsrel=1e-12, limit=400)
         assert err < 1e-10 * abs(val)
         assert g[k] == pytest.approx(math.comb(n, k - 1) * val, rel=1e-9)
+
+
+def test_coalescent_generic_density_matches_closed_form(beta_co):
+    # Beta(3/2, 1) density ~ x^(1/2) at 0: declared so the dust integral is finite
+    twin = K.CoalescentKernel(_density_twin(M.beta_density(1.5, 1.0), sing0=-0.5), beta=0.5)
+    for n in (40, 400):
+        np.testing.assert_allclose(twin.row(n), beta_co.row(n), rtol=1e-9, atol=0.0)
 
 
 def test_coalescent_h_and_beta(beta_co):
@@ -296,13 +315,21 @@ def test_composition_atom_rows_exact():
 
 
 def test_composition_barrier_tail_matches_heavy_walk_target():
-    comp = K.composition_kernel(M.barrier_levy_measure(0.5))
+    omega = M.barrier_levy_measure(0.5)
+    comp = K.composition_kernel(omega)
+    # the same jump measure by its density alone: rows by quadrature
+    twin = K.composition_kernel(M.LevyMeasure(density=omega.density,
+                                              small_order=omega.small_order,
+                                              tail_index=omega.tail_index))
     bk = K.barrier_kernel(K.power_tail(0.5))
     for lam in (0.5, 1.0, 2.0):
         assert comp.psi(lam) == pytest.approx(bk.psi(lam), rel=1e-12)
     # scaling: Z_n equals the exponent evaluated at integer arguments
-    for n in (1, 2, 17):
-        assert comp.scaling(n) == pytest.approx(bk.psi(float(n)), rel=1e-10)
+    for kernel in (comp, twin):
+        for n in (1, 2, 17):
+            assert kernel.scaling(n) == pytest.approx(bk.psi(float(n)), rel=1e-10)
+    for n in (2, 3, 6, 17):
+        np.testing.assert_allclose(twin.row(n), comp.row(n), rtol=1e-9, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
