@@ -87,18 +87,22 @@ class ChainPath:
 def sample_path(kernel: Kernel, n: int, seed: int, stream: int = 0,
                 max_steps: int = DEFAULT_STEP_CAP) -> ChainPath:
     """Sample one trajectory started at n, stopped on entering the absorbing set."""
-    rng = philox_rng(seed, stream)
+    uniforms = _uniforms(philox_rng(seed, stream))
     states = [n]
     current = n
     while not kernel.absorbing(current):
         if len(states) > max_steps:
             raise RunawayChainError(
                 f"{kernel.name}: no absorption within {max_steps} steps from {n}")
-        c = kernel.row_cumsum(current)
-        u = rng.random()
-        current = int(np.searchsorted(c, u, side="right"))
+        current = int(kernel.row_cumsum(current).searchsorted(next(uniforms), side="right"))
         states.append(current)
     return ChainPath(kernel, np.asarray(states, dtype=np.int64), seed, stream)
+
+
+def _uniforms(rng: np.random.Generator):
+    """The uniforms of rng one by one, in order, drawn a block at a time."""
+    while True:
+        yield from rng.random(BlockUniforms.BLOCK).tolist()
 
 
 def _batch_steps(kernel: Kernel, n: int, replicates: int, seed: int, stream0: int):
@@ -111,7 +115,7 @@ def _batch_steps(kernel: Kernel, n: int, replicates: int, seed: int, stream0: in
     alive = ~kernel.absorbing_mask(states)
     while True:
         yield states, alive
-        u = uniforms.next_column()
+        u = uniforms.next_column(alive)
         if alive.any():
             states[alive] = kernel.step(states[alive], u[alive])
             alive[alive] = ~kernel.absorbing_mask(states[alive])
@@ -328,25 +332,18 @@ def coupled_barrier_triple(q: StepDistribution, n: int, seed: int, stream: int =
     if kernels is None:
         kernels = (TruncatedKernel(q), BarrierKernel(q), IgnoredJumpKernel(q))
     k_tilde, k_x, k_hat = kernels
-    rng = philox_rng(seed, stream)
     # every step longer than n overflows all three walks alike
-    cum = q.cdf_upto(n)
+    jumps = _inverse_cdf_draws(q.cdf_upto(n), philox_rng(seed, stream))
     hat = [n]
     tilde = [n]
     accept = [0]
     s_raw = 0
     s_hat = 0
     draws = 0
-    buf = np.empty(0)
-    used = 0
     while hat[-1] != 0:
         if draws >= DEFAULT_STEP_CAP:
             raise RunawayChainError("coupled triple: draw cap exceeded")
-        if used >= buf.size:
-            buf = rng.random(64)
-            used = 0
-        z = int(np.searchsorted(cum, buf[used], side="right"))
-        used += 1
+        z = next(jumps)
         draws += 1
         s_raw += z
         if s_hat + z <= n:
@@ -364,6 +361,12 @@ def coupled_barrier_triple(q: StepDistribution, n: int, seed: int, stream: int =
     path_x = ChainPath(k_x, x_states, seed, stream)
     path_hat = ChainPath(k_hat, hat_arr, seed, stream)
     return CoupledTriple(path_tilde, path_x, path_hat, accept_arr)
+
+
+def _inverse_cdf_draws(cdf: np.ndarray, rng: np.random.Generator):
+    """Inverse-CDF draws from cdf, one uniform of rng each, a block of uniforms at a time."""
+    while True:
+        yield from cdf.searchsorted(rng.random(BlockUniforms.BLOCK), side="right").tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -108,7 +109,7 @@ def absorption_distribution(kernel: Kernel, n: int, k_max: int | None = None):
     prev_total = 1.0
     for k in range(1, k_max + 1):
         pi = step(pi)
-        total = float(math.fsum(pi))
+        total = math.fsum(pi.tolist())
         if abs(total - prev_total) > 1e-12:
             raise DPError(f"pmf mass drifted by {total - prev_total!r} at step {k}")
         prev_total = total
@@ -118,21 +119,40 @@ def absorption_distribution(kernel: Kernel, n: int, k_max: int | None = None):
     return pmf, 1.0 - absorbed
 
 
+def marginal_distribution(kernel: Kernel, n: int, steps: Sequence[int],
+                          budget_ops: float = 4e9) -> np.ndarray:
+    """pmf of X_n after each step count in steps, from one pushforward loop.
+
+    Returns an array of shape (len(steps), n + 1) whose row j is
+    P(X_n(steps[j]) = k) for k = 0..n.  The dense pushforward may cost at
+    most budget_ops operations over the longest run.
+    """
+    steps = [int(s) for s in steps]
+    if any(s < 0 for s in steps):
+        raise ValueError("step counts must be >= 0")
+    last = max(steps, default=0)
+    step = kernel.pushforward(n, budget_ops / last) if last > 0 else None
+    out = np.empty((len(steps), n + 1))
+    pi = np.zeros(n + 1)
+    pi[n] = 1.0
+    done = 0
+    for j in np.argsort(steps, kind="stable"):
+        for _ in range(steps[j] - done):
+            pi = step(pi)
+        done = steps[j]
+        out[j] = pi
+    return out
+
+
 def marginal_moment(kernel: Kernel, n: int, t: float, lam: float,
                     budget_ops: float = 4e9) -> float:
     """Exact E[(X_n(floor(a_n t)) / n) ** lam] by pmf evolution."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    steps = int(math.floor(kernel.scaling(n) * t))
     if n == 0:
         return 0.0 if lam > 0 else 1.0
-    if steps == 0:
-        return 1.0
-    step = kernel.pushforward(n, budget_ops / steps)
-    pi = np.zeros(n + 1)
-    pi[n] = 1.0
-    for _ in range(steps):
-        pi = step(pi)
+    steps = int(math.floor(kernel.scaling(n) * t))
+    pi = marginal_distribution(kernel, n, [steps], budget_ops)[0]
     grid = (np.arange(n + 1) / n) ** lam if lam > 0 else np.ones(n + 1)
     if lam > 0:
         grid[0] = 0.0

@@ -241,18 +241,24 @@ class Kernel:
     # -- the sampler and DP protocol -------------------------------------------
     def absorbing_mask(self, states: np.ndarray) -> np.ndarray:
         """``absorbing`` of every entry of an integer state array."""
-        mask = np.zeros(states.shape, dtype=bool)
-        for m in np.unique(states):
-            if self.absorbing(int(m)):
-                mask |= states == m
-        return mask
+        distinct, inverse = np.unique(states, return_inverse=True)
+        return np.array([self.absorbing(m) for m in distinct.tolist()], dtype=bool)[inverse]
 
     def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """One transition of every state by inverse CDF on its row, one uniform each."""
-        out = states.copy()
-        for m in np.unique(states):
-            sel = states == m
-            out[sel] = np.searchsorted(self.row_cumsum(int(m)), u[sel], side="right")
+        """One transition of every state by inverse CDF on its row, one uniform each.
+
+        The states are sorted once, so each distinct state inverts its row
+        on one contiguous slice of the uniforms.
+        """
+        order = np.argsort(states, kind="stable")
+        ordered, u_ordered = states[order], u[order]
+        starts = np.flatnonzero(np.diff(ordered, prepend=-1)).tolist()  # states are >= 0
+        nxt = np.empty_like(ordered)
+        for a, b in zip(starts, starts[1:] + [ordered.size]):
+            nxt[a:b] = self.row_cumsum(int(ordered[a])).searchsorted(u_ordered[a:b],
+                                                                      side="right")
+        out = np.empty_like(states)
+        out[order] = nxt
         return out
 
     def pushforward(self, n: int, budget_ops: float = math.inf):
@@ -539,7 +545,7 @@ class CanonicalKernel(Kernel):
                     f"{self.name}: corrective index {k_star} outside row {n} "
                     "(n too small for the chosen scaling)")
             entries[k_star] += n ** (1.0 - self.gamma_prime) * mu_p.atom1
-        entries[n] = 1.0 - math.fsum(entries[:n])
+        entries[n] = 1.0 - math.fsum(entries[:n].tolist())
         return entries
 
 
@@ -651,7 +657,7 @@ class CoalescentKernel(Kernel):
         return g
 
     def total_rate(self, n: int) -> float:
-        return float(math.fsum(self.collision_rates(n)))
+        return math.fsum(self.collision_rates(n).tolist())
 
     def build_row(self, n: int) -> np.ndarray:
         if n == 0:
@@ -659,7 +665,7 @@ class CoalescentKernel(Kernel):
         if n == 1:
             return np.array([0.0, 1.0])
         g = self.collision_rates(n)
-        return g / math.fsum(g)
+        return g / math.fsum(g.tolist())  # fsum walks a list far faster than an array
 
 
 def _incomplete_power_integral(coef, a, b, u):
@@ -754,7 +760,7 @@ class CompositionKernel(Kernel):
             return 1.0
         z = self._z_cache.get(n)
         if z is None:
-            z = float(math.fsum(self._unnormalized(n)))
+            z = math.fsum(self._unnormalized(n).tolist())
             self._z_cache[n] = z
         return z
 
@@ -762,7 +768,7 @@ class CompositionKernel(Kernel):
         if n == 0:
             return np.ones(1)
         un = self._unnormalized(n)
-        z = math.fsum(un)
+        z = math.fsum(un.tolist())
         self._z_cache.setdefault(n, z)
         row = np.zeros(n + 1)
         row[:n] = un / z

@@ -84,8 +84,11 @@ def criterion_2(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     ok = _check(lines, 0.95 <= ratio <= 1.05,
                 f"E[A_n]/n = {ratio:.6f} in [0.95, 1.05]")
     est = {"ratio": ratio, "marginals": {}}
-    for t in (0.25, 0.5, 0.75):
-        v = dp.marginal_moment(kernel, n, t, 1.0)
+    t_grid = (0.25, 0.5, 0.75)
+    pmfs = dp.marginal_distribution(
+        kernel, n, [int(math.floor(kernel.scaling(n) * t)) for t in t_grid])
+    for t, pmf in zip(t_grid, pmfs):
+        v = float(np.dot(pmf, np.arange(n + 1) / n))
         ok &= _check(lines, abs(v - (1 - t)) <= 0.05,
                      f"E[Y_n({t})] = {v:.5f} within 0.05 of {1 - t}")
         est["marginals"][str(t)] = v

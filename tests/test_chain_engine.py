@@ -1,5 +1,6 @@
 """Trajectories, rescaled paths, martingales, couplings, compositions."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from sschain import chain_engine as CE
 from sschain import kernels as K
 from sschain import measures as M
 from sschain.stats import empirical_moment
+from sschain.streams import BlockUniforms, philox_rng
 
 SEED = 1234
 
@@ -107,6 +109,88 @@ def test_batch_sampler_builds_each_row_once():
     kernel.build_row = counting
     CE.sample_absorption_times(kernel, 300, 200, SEED)
     assert calls and len(calls) == len(set(calls))
+
+
+def test_block_uniforms_follow_each_stream_as_rows_die():
+    # rows die at different steps; every live row reads its own stream, draw
+    # for draw, across four refills.  The keys wrap modulo 2^64 as in philox_rng.
+    seed, stream0, count = 20260809, 2 ** 64 - 20, 40
+    cols = 4 * BlockUniforms.BLOCK
+    death = np.arange(count) * cols // (count - 1)  # from never live to live throughout
+    ref = np.array([philox_rng(seed, stream0 + i).random(cols) for i in range(count)])
+    uniforms = BlockUniforms(seed, stream0, count)
+    for j in range(cols):
+        live = death > j
+        col = uniforms.next_column(live)
+        assert np.array_equal(col[live], ref[live, j])
+
+
+def _per_state_step(kernel, states, u):
+    out = states.copy()
+    for m in np.unique(states):
+        sel = states == m
+        out[sel] = np.searchsorted(kernel.row_cumsum(int(m)), u[sel], side="right")
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: K.ExplicitKernel(lambda n: np.full(n + 1, 1.0 / (n + 1)), name="uniform"),
+    lambda: K.collapse_absorbing(K.beta_coalescent_kernel(1.5, 1.0)),
+], ids=["explicit", "collapsed-coalescent"])
+@pytest.mark.parametrize("states", [[], [7] * 50, list(range(60)) * 3 + [0, 1, 59] * 5],
+                         ids=["empty", "one-state", "many-states"])
+def test_generic_step_matches_per_state_searchsorted(make, states):
+    kernel = make()
+    states = np.asarray(states, dtype=np.int64)
+    u = philox_rng(SEED).random(states.size)
+    got = kernel.step(states, u)
+    assert got.dtype == states.dtype and got.shape == states.shape
+    assert np.array_equal(got, _per_state_step(kernel, states, u))
+    mask = kernel.absorbing_mask(states)
+    assert mask.shape == states.shape
+    assert mask.tolist() == [kernel.absorbing(int(m)) for m in states]
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of the sampled int64 arrays at seed 20260809.  A speed-up must leave
+# every sampled number as it is; a change that moves one must say so and re-pin.
+PINNED_DIGESTS = {
+    "absorption_barrier": "709223b9e7115cbfe934bf942df595b74bf2e35bbca9cddf65facfb9e5d96985",
+    "absorption_barrier_finite":
+        "7b839614dbb0a49f5edb48e810144b324b6b93a741b735fd5c7cb387d85afae6",
+    "absorption_coalescent": "b5da3af9b3a1f19d309ee03a73cc55b7bc1017ab1d3cc03f0d81754bac8f45db",
+    "marginal_states": "144d54b92a275eb2ea486789488253f856c58a09174fe3b3eded5a1c3ab4338f",
+    "paths": "fd670e0b96e75aead6cb4d2769738026d5cee553479ec7004c4da6a70ae19c3c",
+    "triples": "9acb87cb71a3b2e706287afefba116bcd58566c27f621434e6080fdf4fad0ac4",
+}
+
+
+def test_sampled_numbers_are_pinned(pt):
+    seed, n = 20260809, 300
+    finite = K.finite_step([1 / 3, 1 / 3, 1 / 3])  # paths of ~n steps: several blocks
+    bk = K.barrier_kernel(pt)
+    a_n = bk.scaling(n)
+    triples = [CE.coupled_barrier_triple(pt, n, seed, stream=i) for i in range(50)]
+    got = {
+        "absorption_barrier": [CE.sample_absorption_times(bk, n, 500, seed)],
+        "absorption_barrier_finite": [
+            CE.sample_absorption_times(K.barrier_kernel(finite), n, 200, seed, stream0=3)],
+        "absorption_coalescent": [CE.sample_absorption_times(
+            K.beta_coalescent_kernel(1.5, 1.0), n, 500, seed, stream0=7)],
+        "marginal_states": [CE.sample_marginal_states(
+            bk, n, [0, int(a_n / 2), int(a_n), int(4 * a_n)], 500, seed, stream0=11)],
+        "paths": [CE.sample_path(K.barrier_kernel(pt if i < 10 else finite), n, seed,
+                                 stream=i).states for i in range(20)],
+        "triples": [x for trip in triples
+                    for x in (*(p.states for p in trip), trip.acceptance_times)],
+    }
+    assert {k: _digest(v) for k, v in got.items()} == PINNED_DIGESTS
 
 
 def test_record_schema(bk):

@@ -133,6 +133,29 @@ def test_marginal_moment_matches_simulation():
     assert m.within(exact, 4.0)
 
 
+def test_marginal_distribution_is_one_pushforward_loop():
+    kernel = K.truncated_kernel(K.power_tail(0.5))
+    n, steps = 60, [7, 0, 3, 7, 12]
+    got = DP.marginal_distribution(kernel, n, steps)
+    step = kernel.pushforward(n)
+    pi = np.zeros(n + 1)
+    pi[n] = 1.0
+    expect = [pi]
+    for _ in range(12):
+        expect.append(step(expect[-1]))
+    assert got.shape == (len(steps), n + 1)
+    for row, s in zip(got, steps):
+        assert np.array_equal(row, expect[s])
+    # marginal_moment is the dot product on the same pmf
+    t = 12.5 / kernel.scaling(n)
+    grid = (np.arange(n + 1) / n) ** 0.5
+    grid[0] = 0.0
+    assert DP.marginal_moment(kernel, n, t, 0.5) == float(np.dot(got[-1], grid))
+    assert DP.marginal_distribution(kernel, n, []).shape == (0, n + 1)
+    with pytest.raises(ValueError, match="step counts"):
+        DP.marginal_distribution(kernel, n, [3, -1])
+
+
 def _dense_reference(kernel, n):
     m = np.zeros((n + 1, n + 1))
     for j in range(n + 1):

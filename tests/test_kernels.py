@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sciint
-from scipy.special import zeta
+from scipy.special import gammaln, zeta
 
 from sschain import kernels as K
 from sschain import measures as M
+from sschain.special import log_binom
 
 
 def quad(fn, lo, hi):
@@ -22,6 +23,34 @@ def quad(fn, lo, hi):
 @pytest.fixture(scope="module")
 def pt():
     return K.power_tail(0.5)
+
+
+# ---------------------------------------------------------------------------
+# log-space binomials
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 10_000), k=st.integers(0, 10_000))
+def test_log_binom_is_the_gammaln_formula_bit_for_bit(n, k):
+    k = min(k, n)
+    ks = np.arange(n + 1)
+    nf, kf = float(n), ks.astype(float)
+    expect = gammaln(nf + 1.0) - gammaln(kf + 1.0) - gammaln(nf - kf + 1.0)
+    assert np.array_equal(log_binom(n, ks), expect)
+    assert log_binom(n, k) == expect[k]
+    assert np.array_equal(log_binom(np.array([n, n + 7]), np.array([k, 0])),
+                          [expect[k], 0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=st.one_of(st.integers(max_value=-1),
+                     st.floats(-1e4, 1e4).filter(lambda x: x != math.floor(x)),
+                     st.just(math.nan), st.just(3.0)),
+       as_n=st.booleans())
+def test_log_binom_refuses_non_integer_or_negative_input(bad, as_n):
+    n, k = (bad, 0) if as_n else (10, bad)
+    with pytest.raises(ValueError, match="log_binom needs integers"):
+        log_binom(n, k)
 
 
 # ---------------------------------------------------------------------------
