@@ -109,7 +109,7 @@ def absorption_distribution(kernel: Kernel, n: int, k_max: int | None = None):
     prev_total = 1.0
     for k in range(1, k_max + 1):
         pi = step(pi)
-        total = math.fsum(pi.tolist())
+        total = math.fsum(memoryview(pi))
         if abs(total - prev_total) > 1e-12:
             raise DPError(f"pmf mass drifted by {total - prev_total!r} at step {k}")
         prev_total = total

@@ -5,7 +5,8 @@ scaling sequence a_n (completed with a_0 = 1) and the limiting measure mu
 on [0, 1] whose Laplace exponent the rescaled chain targets.  Rows are
 built lazily, validated (non-negative, summing to 1 within 1e-12) and
 memoized; binomial coefficients and Beta functions are evaluated in log
-space so states up to ~10^4 stay well inside double range.
+space, bit for bit from kept log-Gamma tables (``special``), so states up
+to ~10^4 stay well inside double range.
 
 The canonical, coalescent and composition rows are binomial mixtures,
 C(n, k) times integrals of x^p (1-x)^q, all from ``_binomial_mixture``:
@@ -20,13 +21,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.special import betainc, betaln, zeta
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.special import betainc, zeta
 
 from . import measures
 from .measures import (BetaTerm, FiniteMeasure, LevyMeasure, atom,
                        barrier_measure, laplace_exponent, quad, quad_unit)
-from .special import log_binom
+from .special import betaln_shifted, log_binom
 from .stats import TrendReport, trend_verdict
 
 ROW_SUM_TOL = 1e-12
@@ -186,6 +187,7 @@ class Kernel:
 
     # -- rows ---------------------------------------------------------------
     def build_row(self, n: int) -> np.ndarray:
+        """Row n as a fresh array, which ``validated_row`` may return as it is."""
         raise NotImplementedError
 
     def validated_row(self, n: int) -> np.ndarray:
@@ -199,7 +201,8 @@ class Kernel:
             k = int(np.argmax(bad))
             raise KernelConstructionError(
                 f"{self.name}: row {n} has negative entry p[{n},{k}] = {row[k]!r}")
-        row = np.where(row < 0.0, 0.0, row)
+        if not row.min() >= 0.0:  # build_row's array is fresh: copy only to clip
+            row = np.where(row < 0.0, 0.0, row)
         s = float(np.sum(row))
         if abs(s - 1.0) > ROW_SUM_TOL * max(1, n):
             raise KernelConstructionError(
@@ -380,13 +383,20 @@ class BarrierKernel(_BarrierFamily):
         return super().step(states, u * (1.0 - qbar))
 
     def pushforward(self, n: int, budget_ops: float = math.inf):
-        """pi -> pi P as a correlation with q (direct up to 257 support points, else FFT)."""
+        """pi -> pi P as a correlation with q (direct up to 257 support points, else FFT).
+
+        The FFT path is scipy's ``fftconvolve(rho[::-1], q)`` with q
+        transformed once, so it gives the same numbers.
+        """
         q = self.q.pmf_upto(n)
         qbar = self.q.tail_upto(n)
         live = qbar < 1.0
         norm = np.where(live, 1.0 - qbar, 1.0)
         nz = np.nonzero(q)[0]
         support = int(nz[-1]) if nz.size else 0
+        if support > 256:
+            size = next_fast_len(2 * n + 1, real=True)
+            q_hat = rfft(q, size)
 
         def step(pi: np.ndarray) -> np.ndarray:
             rho = np.where(live, pi / norm, 0.0)
@@ -396,7 +406,7 @@ class BarrierKernel(_BarrierFamily):
                     if q[z] != 0.0:
                         out[:n + 1 - z] += q[z] * rho[z:]
             else:
-                out = fftconvolve(rho[::-1], q)[:n + 1][::-1].copy()
+                out = irfft(rfft(rho[::-1], size) * q_hat, size)[:n + 1][::-1].copy()
                 np.clip(out, 0.0, None, out=out)
             out[~live] += pi[~live]
             return out
@@ -482,9 +492,8 @@ def _binomial_mixture(log_c, p, q, terms, atoms, density, sing0, sing1,
     """
     out = np.zeros(len(log_c))
     for t in terms:
-        aa, bb = p + t.a, q + t.b
-        val = t.coef * np.exp(log_c + betaln(aa, bb))
-        out += val * betainc(aa, bb, upper) if upper < 1.0 else val
+        val = t.coef * np.exp(log_c + betaln_shifted(p, q, t.a, t.b))
+        out += val * betainc(p + t.a, q + t.b, upper) if upper < 1.0 else val
     for loc, mass in atoms:
         if loc < upper:
             out += mass * np.exp(log_c + p * math.log(loc) + q * math.log1p(-loc))
@@ -545,7 +554,7 @@ class CanonicalKernel(Kernel):
                     f"{self.name}: corrective index {k_star} outside row {n} "
                     "(n too small for the chosen scaling)")
             entries[k_star] += n ** (1.0 - self.gamma_prime) * mu_p.atom1
-        entries[n] = 1.0 - math.fsum(entries[:n].tolist())
+        entries[n] = 1.0 - math.fsum(memoryview(entries[:n]))
         return entries
 
 
@@ -657,7 +666,7 @@ class CoalescentKernel(Kernel):
         return g
 
     def total_rate(self, n: int) -> float:
-        return math.fsum(self.collision_rates(n).tolist())
+        return math.fsum(memoryview(self.collision_rates(n)))
 
     def build_row(self, n: int) -> np.ndarray:
         if n == 0:
@@ -665,7 +674,7 @@ class CoalescentKernel(Kernel):
         if n == 1:
             return np.array([0.0, 1.0])
         g = self.collision_rates(n)
-        return g / math.fsum(g.tolist())  # fsum walks a list far faster than an array
+        return g / math.fsum(memoryview(g))
 
 
 def _incomplete_power_integral(coef, a, b, u):
@@ -760,7 +769,7 @@ class CompositionKernel(Kernel):
             return 1.0
         z = self._z_cache.get(n)
         if z is None:
-            z = math.fsum(self._unnormalized(n).tolist())
+            z = math.fsum(memoryview(self._unnormalized(n)))
             self._z_cache[n] = z
         return z
 
@@ -768,7 +777,7 @@ class CompositionKernel(Kernel):
         if n == 0:
             return np.ones(1)
         un = self._unnormalized(n)
-        z = math.fsum(un.tolist())
+        z = math.fsum(memoryview(un))
         self._z_cache.setdefault(n, z)
         row = np.zeros(n + 1)
         row[:n] = un / z
@@ -798,7 +807,7 @@ class ExplicitKernel(Kernel):
         self.name = name
 
     def build_row(self, n: int) -> np.ndarray:
-        return np.asarray(self._rows(n), dtype=float)
+        return np.array(self._rows(n), dtype=float)  # the caller's array stays theirs
 
     def scaling(self, n: int) -> float:
         if n == 0:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from sschain import chain_engine as CE
 from sschain import exact_dp as DP
@@ -180,6 +181,23 @@ def test_pushforward_matches_dense_rows(make, q):
         pi = step(pi)
         expect = expect @ ref
         assert np.max(np.abs(pi - expect)) <= 1e-12
+
+
+def test_barrier_fft_step_is_fftconvolve_bit_for_bit():
+    # the transform of q is taken once per pushforward; each step must give
+    # exactly fftconvolve's numbers
+    rng = np.random.default_rng(SEED)
+    q = K.power_tail(0.5)
+    for n in (300, 2000):
+        step = K.barrier_kernel(q).pushforward(n)
+        qn, live = q.pmf_upto(n), q.tail_upto(n) < 1.0
+        norm = np.where(live, 1.0 - q.tail_upto(n), 1.0)
+        for _ in range(10):
+            pi = rng.random(n + 1)
+            rho = np.where(live, pi / norm, 0.0)
+            expect = np.clip(fftconvolve(rho[::-1], qn)[:n + 1][::-1], 0.0, None)
+            expect[~live] += pi[~live]
+            assert np.array_equal(step(pi), expect), n
 
 
 def test_inner_absorbing_state_is_refused_by_distribution():
