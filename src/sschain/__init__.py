@@ -18,18 +18,17 @@ from .kernels import (CoalescentKernel, CompositionKernel, ExplicitKernel, Kerne
                       generating_function, hypothesis_h_diagnostic,
                       ignored_jump_kernel, power_tail, truncated_kernel)
 from .chain_engine import (ChainPath, Composition, CoupledTriple, RescaledPath,
-                           coupled_barrier_triple, composition_from_path,
-                           martingale_M, martingale_additive, martingale_upsilon,
-                           rescale, sample_absorption_times, sample_marginal_states,
-                           sample_path)
+                           StepFunction, TimeChange, coupled_barrier_triple,
+                           composition_from_path, martingale_M, martingale_additive,
+                           martingale_upsilon, rescale, sample_absorption_times,
+                           sample_marginal_states, sample_path, time_change)
 from .exact_dp import (MomentTable, absorption_distribution, absorption_moments,
                        marginal_moment)
-from .limit_process import (InsufficientHorizonError, LimitSample, StepFunction,
-                            SubordinatorPath, TimeChange, analytic_moments,
-                            balls_in_gaps, default_cutoff, lamperti,
+from .limit_process import (InsufficientHorizonError, LimitSample, SubordinatorPath,
+                            analytic_moments, balls_in_gaps, default_cutoff, lamperti,
                             sample_exponential_functional, sample_gap_compositions,
                             sample_subordinator, sample_y_marginals,
-                            sample_z_marginals, time_change)
+                            sample_z_marginals)
 from .stats import (EstimateWithError, TrendReport, empirical_moment, ks_distance,
                     trend_verdict)
 from .streams import philox_rng

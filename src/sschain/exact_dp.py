@@ -19,6 +19,9 @@ import numpy as np
 # CostGuardError and DPError are raised through kernels; this module re-exports them
 from .kernels import ABSORB_TOL, CostGuardError, DPError, Kernel
 
+# most operations a dense pushforward may spend over one pmf evolution
+DP_BUDGET_OPS = 4e9
+
 
 @dataclass(frozen=True)
 class MomentTable:
@@ -90,7 +93,8 @@ def absorption_distribution(kernel: Kernel, n: int, k_max: int | None = None):
 
     The state pmf is pushed forward step by step; the newly absorbed mass
     at 0 after each step is recorded.  Requires a collapsed kernel.  A
-    dense pushforward may cost at most 4e9 operations over the k_max steps.
+    dense pushforward may cost at most DP_BUDGET_OPS operations over the
+    k_max steps.
     Returns (pmf, tail_mass) with pmf[k] = P(A_n = k) for k <= k_max.
     """
     if k_max is None:
@@ -99,7 +103,7 @@ def absorption_distribution(kernel: Kernel, n: int, k_max: int | None = None):
     if n == 0:
         pmf[0] = 1.0
         return pmf, 0.0
-    step = kernel.pushforward(n, 4e9 / max(1, k_max))
+    step = kernel.pushforward(n, DP_BUDGET_OPS / max(1, k_max))
     stuck = np.nonzero(kernel.absorbing_mask(np.arange(1, n + 1)))[0]
     if stuck.size:
         raise _stuck(int(stuck[0]) + 1)
@@ -119,19 +123,18 @@ def absorption_distribution(kernel: Kernel, n: int, k_max: int | None = None):
     return pmf, 1.0 - absorbed
 
 
-def marginal_distribution(kernel: Kernel, n: int, steps: Sequence[int],
-                          budget_ops: float = 4e9) -> np.ndarray:
+def marginal_distribution(kernel: Kernel, n: int, steps: Sequence[int]) -> np.ndarray:
     """pmf of X_n after each step count in steps, from one pushforward loop.
 
     Returns an array of shape (len(steps), n + 1) whose row j is
     P(X_n(steps[j]) = k) for k = 0..n.  The dense pushforward may cost at
-    most budget_ops operations over the longest run.
+    most DP_BUDGET_OPS operations over the longest run.
     """
     steps = [int(s) for s in steps]
     if any(s < 0 for s in steps):
         raise ValueError("step counts must be >= 0")
     last = max(steps, default=0)
-    step = kernel.pushforward(n, budget_ops / last) if last > 0 else None
+    step = kernel.pushforward(n, DP_BUDGET_OPS / last) if last > 0 else None
     out = np.empty((len(steps), n + 1))
     pi = np.zeros(n + 1)
     pi[n] = 1.0
@@ -144,15 +147,14 @@ def marginal_distribution(kernel: Kernel, n: int, steps: Sequence[int],
     return out
 
 
-def marginal_moment(kernel: Kernel, n: int, t: float, lam: float,
-                    budget_ops: float = 4e9) -> float:
+def marginal_moment(kernel: Kernel, n: int, t: float, lam: float) -> float:
     """Exact E[(X_n(floor(a_n t)) / n) ** lam] by pmf evolution."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
     if n == 0:
         return 0.0 if lam > 0 else 1.0
     steps = int(math.floor(kernel.scaling(n) * t))
-    pi = marginal_distribution(kernel, n, [steps], budget_ops)[0]
+    pi = marginal_distribution(kernel, n, [steps])[0]
     grid = (np.arange(n + 1) / n) ** lam if lam > 0 else np.ones(n + 1)
     if lam > 0:
         grid[0] = 0.0

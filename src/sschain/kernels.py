@@ -196,15 +196,16 @@ class Kernel:
         if row.shape != (n + 1,):
             raise KernelConstructionError(
                 f"{self.name}: row {n} has shape {row.shape}, expected ({n + 1},)")
-        bad = row < _NEG_CLIP
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise KernelConstructionError(
-                f"{self.name}: row {n} has negative entry p[{n},{k}] = {row[k]!r}")
+        # every check is written so that NaN fails it
         if not row.min() >= 0.0:  # build_row's array is fresh: copy only to clip
+            bad = ~(row >= _NEG_CLIP)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise KernelConstructionError(
+                    f"{self.name}: row {n} has negative or NaN entry p[{n},{k}] = {row[k]!r}")
             row = np.where(row < 0.0, 0.0, row)
         s = float(np.sum(row))
-        if abs(s - 1.0) > ROW_SUM_TOL * max(1, n):
+        if not abs(s - 1.0) <= ROW_SUM_TOL * max(1, n):
             raise KernelConstructionError(
                 f"{self.name}: row {n} sums to {s!r}, not 1")
         self._absorbing_cache[n] = bool(row[n] >= 1.0 - ABSORB_TOL)

@@ -16,7 +16,7 @@ so a path is a function of that generator's (seed, stream) pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -514,91 +514,3 @@ def sample_gap_compositions(triple: LevyTriple, n: int, replicates: int,
                 if T > 2 ** 20:
                     raise
     return out
-
-
-# ---------------------------------------------------------------------------
-# general step-path clock change (same calculus, arbitrary step functions)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Right-continuous non-increasing step function on [0, inf) with values in [0, 1].
-
-    Holds values[i] on [knots[i], knots[i+1]), with knots[0] = 0 and the
-    last value persisting forever.
-    """
-    values: tuple[float, ...]
-    knots: tuple[float, ...]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        k = np.asarray(self.knots, dtype=float)
-        if v.size != k.size or v.size == 0:
-            raise ValueError("values and knots must have equal positive length")
-        if k[0] != 0.0 or np.any(np.diff(k) <= 0.0):
-            raise ValueError("knots must start at 0 and strictly increase")
-        if np.any(np.diff(v) >= 0.0):
-            raise ValueError("values must strictly decrease at the knots")
-        if v[0] > 1.0 or v[-1] < 0.0:
-            raise ValueError("values must lie in [0, 1]")
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.maximum(np.searchsorted(self.knots, t, side="right") - 1, 0)
-        out = np.asarray(self.values, dtype=float)[idx]
-        return float(out) if out.ndim == 0 else out
-
-    @property
-    def sigma(self) -> float:
-        """First time the function is 0."""
-        return self.knots[-1] if self.values[-1] == 0.0 else math.inf
-
-
-@dataclass(frozen=True)
-class TimeChange:
-    """Exact clock-change bundle of a step path."""
-    f: StepFunction
-    g: StepFunction
-    gamma: float
-    sigma_f: float
-    _f_knots: np.ndarray = field(repr=False, default=None)
-    _g_knots: np.ndarray = field(repr=False, default=None)
-
-    def tau(self, t) -> np.ndarray | float:
-        """Inverse clock: integral of f**-gamma up to t (inf from sigma_f on)."""
-        t = np.asarray(t, dtype=float)
-        v = np.asarray(self.f.values)
-        idx = np.maximum(np.searchsorted(self._f_knots, t, side="right") - 1, 0)
-        slopes = np.zeros_like(v)
-        np.power(v, -self.gamma, out=slopes, where=v > 0.0)
-        base = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(self._f_knots))])
-        out = np.where(t >= self.sigma_f, math.inf,
-                       base[idx] + (t - self._f_knots[idx]) * slopes[idx])
-        return float(out) if out.ndim == 0 else out
-
-    def tau_inv(self, t) -> np.ndarray | float:
-        """Forward clock: integral of g**gamma up to t; reaches sigma_f in the limit."""
-        t = np.asarray(t, dtype=float)
-        v = np.asarray(self.g.values)
-        idx = np.maximum(np.searchsorted(self._g_knots, t, side="right") - 1, 0)
-        out = self._f_knots[idx] + (t - self._g_knots[idx]) * v[idx] ** self.gamma
-        out = np.minimum(out, self.sigma_f)
-        return float(out) if out.ndim == 0 else out
-
-
-def time_change(f: StepFunction, gamma: float) -> TimeChange:
-    """Exact clock change for a non-increasing step path.
-
-    Returns the bundle (tau, tau_inv, sigma_f, g) with g = f composed with
-    tau_inv; every piece is closed-form segment algebra.
-    """
-    if gamma <= 0.0:
-        raise ValueError("needs gamma > 0")
-    v = np.asarray(f.values, dtype=float)
-    k = np.asarray(f.knots, dtype=float)
-    # strict decrease means only the final value can be 0, so every
-    # intermediate segment advances the new clock at a finite rate
-    g_durs = np.diff(k) * v[:-1] ** -gamma
-    g_knots = np.concatenate([[0.0], np.cumsum(g_durs)])
-    g = StepFunction(tuple(v), tuple(g_knots))
-    return TimeChange(f, g, gamma, f.sigma, _f_knots=k, _g_knots=g_knots)

@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import chain_engine as ce
 from . import exact_dp as dp
 from . import kernels as kz
 from . import limit_process as lp
 from . import measures as ms
-from .stats import empirical_moment, ks_distance, trend_verdict
+from .stats import chi2_quantile, empirical_moment, ks_distance, trend_verdict
 from .streams import STREAM_BLOCK, philox_rng
 
 ACCEPTANCE_SEED = 20260809
@@ -305,7 +304,7 @@ def criterion_8(seed: int = ACCEPTANCE_SEED, *,
         counts[key] += 1
     chi = sum((counts[k] - replicates * p) ** 2 / (replicates * p) for k, p in cells.items())
     dof = len(cells) - 1
-    bound = chi2.ppf(0.99, dof)
+    bound = chi2_quantile(0.99, dof)
     ok &= _check(lines, chi <= bound,
                  f"regenerative chi-square at n={n}: {chi:.2f} <= {bound:.2f} (df={dof})")
     est["chi2"] = (chi, bound)
@@ -378,6 +377,7 @@ def criterion_10(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def criterion_11(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
+    """Certify ``chain_engine.time_change``, the clock change criterion 6's paths run on."""
     rng = philox_rng(seed, 11)
     lines: list[str] = []
     ok = True
@@ -390,17 +390,15 @@ def criterion_11(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
         vals = tuple(vals) + ((0.0,) if trial % 2 == 0 else ())
         knots = (0.0,) + tuple(np.cumsum(rng.random(len(vals) - 1) * 2.0 + 0.05))
         gamma = float(rng.random() * 1.5 + 0.25)
-        f = lp.StepFunction(tuple(vals), tuple(knots))
-        tc = lp.time_change(f, gamma)
+        f = ce.StepFunction(vals, knots)
+        tc = ce.time_change(f, gamma)
         horizon = knots[-1] if f.sigma == math.inf else f.sigma
         ts = rng.random(40) * horizon * 0.999
         ts = ts[ts < f.sigma]
         rt = np.max(np.abs(tc.tau_inv(tc.tau(ts)) - ts)) if ts.size else 0.0
         worst_round = max(worst_round, rt)
         if f.sigma < math.inf:
-            g_v = np.asarray(tc.g.values)
-            g_d = np.diff(np.asarray(tc.g.knots))
-            sig = float(np.sum(g_v[:-1] ** gamma * g_d))
+            sig = float(np.sum(tc.g.values[:-1] ** gamma * np.diff(tc.g.knots)))
             worst_sigma = max(worst_sigma, abs(sig - f.sigma))
         # brute-force Riemann inversion of the forward clock
         delta = 1e-4

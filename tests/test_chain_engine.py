@@ -214,6 +214,50 @@ def test_marginal_states_snapshots(bk):
 # rescaling and the exact clock change
 # ---------------------------------------------------------------------------
 
+def test_step_function_validation():
+    with pytest.raises(ValueError):
+        CE.StepFunction((0.5, 0.7), (0.0, 1.0))       # increasing
+    with pytest.raises(ValueError):
+        CE.StepFunction((1.0, 0.5), (0.5, 1.0))       # knots not from 0
+    with pytest.raises(ValueError):
+        CE.StepFunction((1.5, 0.5), (0.0, 1.0))       # above 1
+    with pytest.raises(ValueError):
+        CE.StepFunction((1.0, 0.0, 0.0), (0.0, 1.0, 2.0))  # 0 before the last value
+    with pytest.raises(ValueError):
+        CE.StepFunction((1.0, math.nan), (0.0, 1.0))  # NaN value
+    # a chain path holds: equal neighbouring values are accepted
+    f = CE.StepFunction((1.0, 1.0, 0.5, 0.5, 0.0), (0.0, 1.0, 2.0, 3.0, 4.0))
+    assert f(1.5) == 1.0 and f(3.5) == 0.5 and f.sigma == 4.0
+
+
+def test_time_change_identity_segment():
+    f = CE.StepFunction((1.0, 0.0), (0.0, 1.0))
+    tc = CE.time_change(f, 2.3)
+    assert tc.tau(0.5) == 0.5
+    assert tc.sigma_f == 1.0
+    assert np.array_equal(tc.g.values, f.values) and np.array_equal(tc.g.knots, f.knots)
+
+
+def test_time_change_round_trip_and_inverse_region():
+    f = CE.StepFunction((1.0, 0.5, 0.25, 0.0), (0.0, 0.7, 1.9, 2.4))
+    tc = CE.time_change(f, 1.3)
+    for t in (0.1, 0.69, 1.0, 2.39):
+        assert tc.tau_inv(tc.tau(t)) == pytest.approx(t, abs=1e-12)
+    assert tc.tau(2.4) == math.inf
+    assert tc.tau_inv(1e9) == pytest.approx(tc.sigma_f)
+
+
+def test_time_change_brute_force_oracle():
+    f = CE.StepFunction((1.0, 0.5), (0.0, 1.0))
+    tc = CE.time_change(f, 1.0)
+    delta = 1e-4
+    grid = np.arange(0.0, 3.0, delta)
+    riemann = np.cumsum(np.asarray(tc.g(grid)) ** 1.0) * delta
+    for t in (0.3, 0.9, 1.5, 2.5):
+        idx = min(int(t / delta), riemann.size - 1)
+        assert abs(tc.tau_inv(t) - riemann[idx]) <= 2 * delta
+
+
 def test_rescale_two_point_path():
     p = CE.ChainPath(drop_kernel(4.0), np.array([7, 0]), SEED, 0)
     r = CE.rescale(p)
@@ -250,12 +294,17 @@ def brute_force_Z(states, a_n, gamma, t, dt=1e-4):
 
 def test_rescale_staircase_vs_brute_force_oracle():
     k = drop_kernel(1.0)
-    states = np.array([2, 1, 0])
-    p = CE.ChainPath(k, states, SEED, 0)
-    r = CE.RescaledPath(p, gamma=1.0, a_n=1.0)
-    for t in (0.1, 0.9, 1.1, 2.3, 2.9):
-        assert r.Z(t) == brute_force_Z(states, 1.0, 1.0, t)
-    assert np.allclose(r.z_durations, [1.0, 2.0])
+    cases = [
+        ([2, 1, 0], [1.0, 2.0], (0.1, 0.9, 1.1, 2.3, 2.9)),
+        # a holding path: each repeated state is one more segment of the same value
+        ([4, 4, 2, 2, 0], [1.0, 1.0, 2.0, 2.0], (0.5, 1.5, 2.5, 3.9, 4.1, 5.9, 6.5)),
+    ]
+    for states, durations, probes in cases:
+        states = np.array(states)
+        r = CE.RescaledPath(CE.ChainPath(k, states, SEED, 0), gamma=1.0, a_n=1.0)
+        for t in probes:
+            assert r.Z(t) == brute_force_Z(states, 1.0, 1.0, t)
+        assert np.allclose(r.z_durations, durations)
 
 
 def test_sigma_identity_exact(bk):

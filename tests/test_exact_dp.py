@@ -211,7 +211,8 @@ def test_inner_absorbing_state_is_refused_by_distribution():
     assert DP.marginal_moment(gap, 3, 50.0 / gap.scaling(3), 1.0) == pytest.approx(1 / 3)
 
 
-def test_cost_guard():
+def test_cost_guard(monkeypatch):
     co = K.collapse_absorbing(K.beta_coalescent_kernel(1.5, 1.0))
+    monkeypatch.setattr(DP, "DP_BUDGET_OPS", 10_000)
     with pytest.raises(DP.CostGuardError):
-        DP.marginal_moment(co, 4000, 1.0, 1.0, budget_ops=10_000)
+        DP.marginal_moment(co, 4000, 1.0, 1.0)

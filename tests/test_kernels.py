@@ -170,6 +170,13 @@ def test_row_validation_rejects_bad_rows():
     neg = K.ExplicitKernel(lambda n: [1.5, -0.5] + [0.0] * (n - 1), name="neg")
     with pytest.raises(K.KernelConstructionError):
         neg.row(2)
+    # NaN compares False both ways, so each check must fail on it explicitly
+    for row in ([math.nan] + [0.0] * 3, [1.0, 0.0, 0.0, math.nan]):
+        nan = K.ExplicitKernel(lambda n: row, name="nan")
+        with pytest.raises(K.KernelConstructionError, match=r"nan: row 3"):
+            nan.row(3)
+        with pytest.raises(K.KernelConstructionError):
+            nan.absorbing(3)
 
 
 def test_explicit_rows_are_copied():

@@ -297,44 +297,3 @@ def test_balls_in_gaps_drift_singletons():
     p = LP.sample_subordinator(tr, 60.0, philox_rng(SEED, 0))
     c = LP.balls_in_gaps(p, 6, philox_rng(SEED, 1))
     assert c.parts == (1,) * 6
-
-
-# ---------------------------------------------------------------------------
-# step-function clock change
-# ---------------------------------------------------------------------------
-
-def test_time_change_identity_segment():
-    f = LP.StepFunction((1.0, 0.0), (0.0, 1.0))
-    tc = LP.time_change(f, 2.3)
-    assert tc.tau(0.5) == 0.5
-    assert tc.sigma_f == 1.0
-    assert tc.g.values == f.values and tc.g.knots == f.knots
-
-
-def test_time_change_round_trip_and_inverse_region():
-    f = LP.StepFunction((1.0, 0.5, 0.25, 0.0), (0.0, 0.7, 1.9, 2.4))
-    tc = LP.time_change(f, 1.3)
-    for t in (0.1, 0.69, 1.0, 2.39):
-        assert tc.tau_inv(tc.tau(t)) == pytest.approx(t, abs=1e-12)
-    assert tc.tau(2.4) == math.inf
-    assert tc.tau_inv(1e9) == pytest.approx(tc.sigma_f)
-
-
-def test_time_change_brute_force_oracle():
-    f = LP.StepFunction((1.0, 0.5), (0.0, 1.0))
-    tc = LP.time_change(f, 1.0)
-    delta = 1e-4
-    grid = np.arange(0.0, 3.0, delta)
-    riemann = np.cumsum(np.asarray(tc.g(grid)) ** 1.0) * delta
-    for t in (0.3, 0.9, 1.5, 2.5):
-        idx = min(int(t / delta), riemann.size - 1)
-        assert abs(tc.tau_inv(t) - riemann[idx]) <= 2 * delta
-
-
-def test_step_function_validation():
-    with pytest.raises(ValueError):
-        LP.StepFunction((0.5, 0.7), (0.0, 1.0))       # increasing
-    with pytest.raises(ValueError):
-        LP.StepFunction((1.0, 0.5), (0.5, 1.0))       # knots not from 0
-    with pytest.raises(ValueError):
-        LP.StepFunction((1.5, 0.5), (0.0, 1.0))       # above 1

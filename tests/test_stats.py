@@ -1,10 +1,15 @@
 """Estimator and verdict primitives."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from scipy.stats import chi2, ks_2samp
 
 from sschain import stats as S
 
@@ -120,3 +125,17 @@ def test_trend_monotone_in_threshold_and_slack(errors, threshold, bump):
     if base.passed:
         assert looser_thr.passed
         assert looser_slack.passed
+
+
+def test_chi2_quantile_is_scipy_ppf_bit_for_bit():
+    for dof in range(1, 31):
+        assert S.chi2_quantile(0.99, dof) == chi2.ppf(0.99, dof), dof
+
+
+def test_suites_import_leaves_scipy_stats_out():
+    src = str(Path(S.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, sschain.suites; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
