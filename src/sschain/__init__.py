@@ -15,8 +15,8 @@ from .kernels import (CoalescentKernel, CompositionKernel, ExplicitKernel, Kerne
                       KernelConstructionError, StepDistribution, barrier_kernel,
                       beta_coalescent_kernel, canonical_kernel, coalescent_kernel,
                       collapse_absorbing, composition_kernel, finite_step,
-                      generating_function, hypothesis_h_diagnostic,
-                      ignored_jump_kernel, power_tail, truncated_kernel)
+                      hypothesis_h_diagnostic, ignored_jump_kernel, power_tail,
+                      truncated_kernel)
 from .chain_engine import (ChainPath, Composition, CoupledTriple, RescaledPath,
                            StepFunction, TimeChange, coupled_barrier_triple,
                            composition_from_path, martingale_M, martingale_additive,

@@ -35,6 +35,8 @@ from .kernels import (BarrierKernel, IgnoredJumpKernel, Kernel,
 from .streams import BlockUniforms, philox_rng
 
 DEFAULT_STEP_CAP = 10 ** 9
+# largest |log prod G| a product martingale may reach
+MARTINGALE_LOG_BOUND = 700.0
 
 
 class RunawayChainError(RuntimeError):
@@ -72,20 +74,6 @@ class ChainPath:
     def absorption_time(self) -> int:
         return self.states.size - 1
 
-    def record(self, include_path: bool = False) -> dict:
-        """Per-replicate JSON-ready record."""
-        rec = {
-            "kernel": self.kernel.name,
-            "n": self.start,
-            "seed": self.seed,
-            "stream": self.stream,
-            "absorption_time": self.absorption_time,
-            "final_state": int(self.states[-1]),
-        }
-        if include_path:
-            rec["states"] = [int(x) for x in self.states]
-        return rec
-
     def to_csv(self) -> str:
         """Full path as (step, state) rows."""
         lines = ["step,state"]
@@ -93,16 +81,16 @@ class ChainPath:
         return "\n".join(lines) + "\n"
 
 
-def sample_path(kernel: Kernel, n: int, seed: int, stream: int = 0,
-                max_steps: int = DEFAULT_STEP_CAP) -> ChainPath:
+def sample_path(kernel: Kernel, n: int, seed: int, stream: int = 0) -> ChainPath:
     """Sample one trajectory started at n, stopped on entering the absorbing set."""
     uniforms = _uniforms(philox_rng(seed, stream))
     states = [n]
     current = n
+    cap = DEFAULT_STEP_CAP
     while not kernel.absorbing(current):
-        if len(states) > max_steps:
+        if len(states) > cap:
             raise RunawayChainError(
-                f"{kernel.name}: no absorption within {max_steps} steps from {n}")
+                f"{kernel.name}: no absorption within {cap} steps from {n}")
         current = int(kernel.row_cumsum(current).searchsorted(next(uniforms), side="right"))
         states.append(current)
     return ChainPath(kernel, np.asarray(states, dtype=np.int64), seed, stream)
@@ -131,14 +119,14 @@ def _batch_steps(kernel: Kernel, n: int, replicates: int, seed: int, stream0: in
 
 
 def sample_absorption_times(kernel: Kernel, n: int, replicates: int, seed: int,
-                            stream0: int = 0,
-                            max_steps: int = DEFAULT_STEP_CAP) -> np.ndarray:
+                            stream0: int = 0) -> np.ndarray:
     """Absorption times of independent replicates on streams stream0, stream0+1, ..."""
     steps = np.zeros(replicates, dtype=np.int64)
+    cap = DEFAULT_STEP_CAP
     for taken, (_, alive) in enumerate(_batch_steps(kernel, n, replicates, seed, stream0)):
         if not alive.any():
             return steps
-        if taken >= max_steps:
+        if taken >= cap:
             raise RunawayChainError(f"{kernel.name}: step cap hit in batch sampling")
         steps[alive] += 1
 
@@ -267,24 +255,19 @@ class RescaledPath:
     inf) are the clock's own.
     """
 
-    def __init__(self, path: ChainPath, gamma: float | None = None,
-                 a_n: float | None = None):
+    def __init__(self, path: ChainPath):
         self.path = path
         n = path.start
         self.n = n
         k = path.kernel
-        self.gamma = k.gamma if gamma is None else gamma
-        if self.gamma is None:
-            raise ValueError("no gamma available; pass one explicitly")
-        self.a_n = k.scaling(n) if a_n is None else a_n
+        if k.gamma is None:
+            raise ValueError(f"{k.name}: no gamma attached")
+        self.gamma = k.gamma
+        self.a_n = k.scaling(n)
         y = path.states / n if n > 0 else path.states.astype(float)
         self.clock = time_change(StepFunction(y, np.arange(y.size) / self.a_n), self.gamma)
         self.Y, self.Z = self.clock.f, self.clock.g
         self.tau_inv, self.sigma = self.clock.tau_inv, self.clock.sigma_f
-
-    @property
-    def absorption_time(self) -> int:
-        return self.path.absorption_time
 
     def step_index_at(self, t: float) -> int:
         """Chain step index floor(a_n tau_inv(t)) at Z-clock time t."""
@@ -305,35 +288,20 @@ class RescaledPath:
         return self.Z.values[:-1], self.z_durations
 
 
-def rescale(path: ChainPath, gamma: float | None = None,
-            a_n: float | None = None) -> RescaledPath:
-    return RescaledPath(path, gamma, a_n)
+def rescale(path: ChainPath) -> RescaledPath:
+    return RescaledPath(path)
 
 
 # ---------------------------------------------------------------------------
 # martingales
 # ---------------------------------------------------------------------------
 
-def _log_g_sum(path: ChainPath, lam: float, k: int, log_bound: float) -> float:
-    kernel = path.kernel
-    total = 0.0
-    for i in range(k):
-        g = kernel.generating(int(path.states[i]), lam)
-        if g <= 0.0:
-            return -math.inf
-        total += math.log(g)
-        if abs(total) > log_bound:
-            raise MartingaleOverflow(
-                f"log product reached {total:.3g} at step {i} (bound {log_bound:g})")
-    return total
-
-
-def martingale_upsilon(path: ChainPath, lam: float, k: int,
-                       log_bound: float = 700.0) -> float:
+def martingale_upsilon(path: ChainPath, lam: float, k: int) -> float:
     """Product martingale (X(k)/n)**lam / prod_{i<k} G_{X(i)}(lam).
 
     Zero whenever X(k) = 0, which also absorbs the only way a factor
-    G = 0 can enter the product.
+    G = 0 can enter the product.  The log product may not pass
+    MARTINGALE_LOG_BOUND in absolute value.
     """
     if lam <= 0.0:
         raise ValueError("needs lam > 0")
@@ -342,7 +310,18 @@ def martingale_upsilon(path: ChainPath, lam: float, k: int,
     xk = int(path.states[k])
     if xk == 0:
         return 0.0
-    logs = _log_g_sum(path, lam, k, log_bound)
+    kernel = path.kernel
+    bound = MARTINGALE_LOG_BOUND
+    logs = 0.0
+    for i in range(k):
+        g = kernel.generating(int(path.states[i]), lam)
+        if g <= 0.0:
+            logs = -math.inf
+            break
+        logs += math.log(g)
+        if abs(logs) > bound:
+            raise MartingaleOverflow(
+                f"log product reached {logs:.3g} at step {i} (bound {bound:g})")
     return math.exp(lam * math.log(xk / path.start) - logs)
 
 

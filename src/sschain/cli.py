@@ -122,8 +122,7 @@ def _suite_simulate_limit(cfg: ExperimentConfig):
 
 def _suite_diagnose_h(cfg: ExperimentConfig):
     kernel = cfg.kernel()
-    diag = kz.hypothesis_h_diagnostic(kernel, cfg.lambda_grid, cfg.n_grid,
-                                      threshold=0.10, floor=1e-9)
+    diag = kz.hypothesis_h_diagnostic(kernel, cfg.lambda_grid, cfg.n_grid, threshold=0.10)
     lines = [f"{'ok  ' if v.passed else 'FAIL'} lam={lam:g}: {v}"
              for lam, v in sorted(diag.verdicts.items())]
     return CriterionResult("diagnose-h", diag.passed, tuple(lines),
@@ -200,9 +199,7 @@ def run(cfg: ExperimentConfig, name: str) -> CriterionResult:
 
 
 def _json_default(obj):
-    if hasattr(obj, "item"):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 

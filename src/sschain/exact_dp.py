@@ -81,6 +81,10 @@ def absorption_moments(kernel: Kernel, n_max: int, p_max: int = 1) -> MomentTabl
         for p in range(p_max + 1):
             W[n, p] = math.fsum(choose[p][r] * values[n, r] for r in range(p)) \
                 + values[n, p]
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise DPError(f"{kernel.name}: moments of A_n are not finite from state "
+                      f"{int(np.argmin(finite))} on")
     return MomentTable(kernel.name, values)
 
 
@@ -114,8 +118,9 @@ def absorption_distribution(kernel: Kernel, n: int, k_max: int | None = None):
     for k in range(1, k_max + 1):
         pi = step(pi)
         total = math.fsum(memoryview(pi))
-        if abs(total - prev_total) > 1e-12:
-            raise DPError(f"pmf mass drifted by {total - prev_total!r} at step {k}")
+        if not abs(total - prev_total) <= 1e-12:  # NaN fails it too
+            raise DPError(f"{kernel.name}: pmf mass drifted by {total - prev_total!r} "
+                          f"at step {k}")
         prev_total = total
         newly = float(pi[0]) - absorbed
         pmf[k] = max(newly, 0.0)
@@ -144,6 +149,10 @@ def marginal_distribution(kernel: Kernel, n: int, steps: Sequence[int]) -> np.nd
             pi = step(pi)
         done = steps[j]
         out[j] = pi
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        first = min(s for s, ok in zip(steps, finite) if not ok)
+        raise DPError(f"{kernel.name}: the pmf is not finite at step {first}")
     return out
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .measures import FiniteMeasure, LevyMeasure, LevyTriple, laplace_exponent
 from .streams import philox_rng
@@ -75,6 +74,8 @@ class _JumpSampler:
 
 def _spline_tail_inverse(levy: LevyMeasure, eps: float, rate: float) -> Callable:
     """Monotone log-grid interpolant of the density tail, Newton-polished."""
+    # imported here: every closed-form tail skips this slow import
+    from scipy.interpolate import PchipInterpolator
     y_hi = max(2.0 * eps, 1.0)
     def dens_tail(y):
         return levy.tail(y) - math.fsum(m for loc, m in levy.atoms if loc > y)
@@ -226,9 +227,11 @@ def _segment_lengths(xi0: np.ndarray, dt: np.ndarray, b: float, gamma: float):
 
 
 class LimitSample:
-    """A sampled limit path: Y (changed clock), Z = exp(-ξ), I and σ.
+    """A sampled limit path: Y (changed clock), I and σ.
 
-    Built from affine ξ-segments; ``tail_weight`` is exp(-γ ξ(end)) for an
+    Built from affine ξ-segments, which start at the ξ-clock times
+    ``t_bounds``; Z = exp(-ξ) is read off the subordinator path itself
+    (``SubordinatorPath.xi_at``).  ``tail_weight`` is exp(-γ ξ(end)) for an
     unkilled path, the factor multiplying whatever the unsimulated future
     would contribute to I.
     """
@@ -252,23 +255,6 @@ class LimitSample:
     def sigma(self) -> float:
         """First zero of Y; equals I identically on the sampled path."""
         return self.I
-
-    def xi_of_own_time(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        idx = np.minimum(np.searchsorted(self.t_bounds, s, side="right") - 1,
-                         len(self.seg_dt) - 1)
-        return self.seg_xi0[idx] + self.drift * (s - self.t_bounds[idx])
-
-    def Z(self, t) -> np.ndarray | float:
-        """exp(-ξ) at ξ-clock time t (0 from the killing time on)."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t > self.t_bounds[-1] * (1 + 1e-12)) and not self.killed:
-            raise InsufficientHorizonError("Z evaluated past the simulated horizon")
-        end = self.t_bounds[-1]
-        inside = (t < end) if self.killed else (t <= end)
-        out = np.where(inside,
-                       np.exp(-self.xi_of_own_time(np.minimum(t, end))), 0.0)
-        return float(out) if out.ndim == 0 else out
 
     def Y(self, t) -> np.ndarray | float:
         """The clock-changed path at Y-time t; 0 from σ on."""

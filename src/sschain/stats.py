@@ -13,6 +13,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaincinv
 
+# factor by which an error may rise between neighbouring grid points in a trend
+TREND_SLACK = 1.10
+
 
 @dataclass(frozen=True)
 class EstimateWithError:
@@ -73,7 +76,6 @@ class TrendReport:
     passed: bool
     errors: tuple
     threshold: float
-    slack: float
     reason: str = ""
 
     def __bool__(self):
@@ -89,11 +91,11 @@ class TrendReport:
 
 
 def trend_verdict(errors: Sequence[float], threshold: float,
-                  slack: float = 1.10, floor: float = 0.0) -> TrendReport:
+                  floor: float = 0.0) -> TrendReport:
     """Convergence verdict for an error sequence indexed by increasing n.
 
     Passes iff the errors over the last half of the grid are
-    non-increasing up to the multiplicative ``slack`` and the final error
+    non-increasing up to the multiplicative TREND_SLACK and the final error
     is below ``threshold``.  Intended for grids of at least 4 points;
     shorter grids (down to 2) are accepted for coarse scans.  ``floor``
     exempts pairs already at numerical-noise level from the
@@ -106,10 +108,10 @@ def trend_verdict(errors: Sequence[float], threshold: float,
         raise ValueError("errors must be non-negative")
     tail = errs[len(errs) // 2:]
     for prev, nxt in zip(tail, tail[1:]):
-        if nxt > max(slack * prev, floor):
-            return TrendReport(False, errs, threshold, slack,
+        if nxt > max(TREND_SLACK * prev, floor):
+            return TrendReport(False, errs, threshold,
                                f"error rose {prev:.3g} -> {nxt:.3g} in the last half")
     if errs[-1] > threshold:
-        return TrendReport(False, errs, threshold, slack,
+        return TrendReport(False, errs, threshold,
                            f"final error {errs[-1]:.3g} above threshold")
-    return TrendReport(True, errs, threshold, slack)
+    return TrendReport(True, errs, threshold)

@@ -61,7 +61,7 @@ def criterion_1(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     for p, target in targets.items():
         vals = [table.moment(n, p) / kernel.scaling(n) ** p for n in grid]
         errs = [abs(v - target) / target for v in vals]
-        verdict = trend_verdict(errs, threshold=0.10, slack=1.10, floor=0.01)
+        verdict = trend_verdict(errs, threshold=0.10, floor=0.01)
         ok &= _check(lines, verdict.passed,
                      f"E[A^{p}]/a^{p}: final {vals[-1]:.5f} vs {target:.5f} | {verdict}")
         est[f"moment_{p}"] = vals
@@ -112,7 +112,7 @@ def criterion_3(seed: int = ACCEPTANCE_SEED, *,
         r = kernel.total_rate(n) / (math.gamma(2.0 - kernel.beta) * kernel.h(1.0 / n))
         ratios.append(r)
     errs = [abs(r - 1.0) for r in ratios]
-    verdict = trend_verdict(errs, threshold=0.02, slack=1.10, floor=0.002)
+    verdict = trend_verdict(errs, threshold=0.02, floor=0.002)
     ok = _check(lines, verdict.passed,
                 f"total-rate ratio -> 1: {['%.5f' % r for r in ratios]} | {verdict}")
     est["rate_ratios"] = ratios
@@ -331,8 +331,7 @@ def criterion_9(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     tables = {}
     ok = True
     for name, (kernel, threshold) in zoo.items():
-        diag = kz.hypothesis_h_diagnostic(kernel, lams, grid,
-                                          threshold=threshold, floor=1e-9)
+        diag = kz.hypothesis_h_diagnostic(kernel, lams, grid, threshold=threshold)
         for lam, verdict in sorted(diag.verdicts.items()):
             ok &= _check(lines, verdict.passed,
                          f"{name} lam={lam:g} (threshold {threshold}): {verdict}")
@@ -365,7 +364,7 @@ def criterion_10(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
         for col, t in enumerate(t_grid):
             dists[t].append(ks_distance(states[:, col] / n, limit[:, col]))
     for t in t_grid:
-        verdict = trend_verdict(dists[t], threshold=0.05, slack=1.10)
+        verdict = trend_verdict(dists[t], threshold=0.05)
         ok &= _check(lines, verdict.passed,
                      f"KS(Y_n({t}), Y({t})) over n={n_grid}: {verdict}")
         est[f"ks_t{t}"] = dists[t]

@@ -74,15 +74,20 @@ def test_batch_matches_single_paths_for_generic_kernels():
     assert list(times) == singles
 
 
-def test_runaway_guard():
+def test_runaway_guard(monkeypatch):
     # deterministic one-step-down walk from far away cannot absorb in time
     def down(n):
         row = np.zeros(n + 1)
         row[max(n - 1, 0)] = 1.0
         return row
     loop = K.ExplicitKernel(down, name="walk-down")
+    monkeypatch.setattr(CE, "DEFAULT_STEP_CAP", 100)
+    # both samplers cache one cumulative row per visited state, so start low
     with pytest.raises(CE.RunawayChainError):
-        CE.sample_path(loop, 10 ** 6, SEED, max_steps=100)
+        CE.sample_path(loop, 1000, SEED)
+    with pytest.raises(CE.RunawayChainError):
+        CE.sample_absorption_times(loop, 1000, 4, SEED)
+    assert CE.sample_absorption_times(loop, 100, 4, SEED).tolist() == [100] * 4
 
 
 def test_batch_sampler_stops_at_inner_absorbing_state():
@@ -92,7 +97,7 @@ def test_batch_sampler_stops_at_inner_absorbing_state():
     singles = [CE.sample_path(gap, 3, SEED, stream=i) for i in range(200)]
     assert {int(p.states[-1]) for p in singles} == {1}
     # the batch sampler draws the step law, not the row: same law, other paths
-    times = CE.sample_absorption_times(gap, 3, 200, SEED, max_steps=200)
+    times = CE.sample_absorption_times(gap, 3, 200, SEED)
     assert times.min() >= 1
     late = CE.sample_marginal_states(gap, 3, [200], 200, SEED)
     assert np.all(late == 1)
@@ -193,16 +198,6 @@ def test_sampled_numbers_are_pinned(pt):
     assert {k: _digest(v) for k, v in got.items()} == PINNED_DIGESTS
 
 
-def test_record_schema(bk):
-    p = CE.sample_path(bk, 32, SEED, stream=7)
-    rec = p.record()
-    assert rec["kernel"] == bk.name
-    assert rec["n"] == 32
-    assert rec["seed"] == SEED and rec["stream"] == 7
-    assert rec["absorption_time"] == p.absorption_time
-    assert "states" in p.record(include_path=True)
-
-
 def test_marginal_states_snapshots(bk):
     out = CE.sample_marginal_states(bk, 100, [0, 3, 7], 64, SEED)
     assert out.shape == (64, 3)
@@ -301,7 +296,7 @@ def test_rescale_staircase_vs_brute_force_oracle():
     ]
     for states, durations, probes in cases:
         states = np.array(states)
-        r = CE.RescaledPath(CE.ChainPath(k, states, SEED, 0), gamma=1.0, a_n=1.0)
+        r = CE.RescaledPath(CE.ChainPath(k, states, SEED, 0))
         for t in probes:
             assert r.Z(t) == brute_force_Z(states, 1.0, 1.0, t)
         assert np.allclose(r.z_durations, durations)
@@ -372,17 +367,17 @@ def test_stopped_martingale_mean_and_bound(bk):
     assert maxima[2.0] <= math.exp(1.5 * max(c_hat, 0.5) * 2.0)
 
 
-def test_martingale_overflow_flag():
+def test_martingale_overflow_flag(monkeypatch):
     # a heavy self-loop with tiny G accumulates -ln G fast
     k = K.ExplicitKernel(
         lambda n: ([1.0] if n == 0 else [0.9] + [0.0] * (n - 1) + [0.1]),
         scaling=lambda n: 1.0, gamma=1.0, name="sticky")
     p = CE.ChainPath(k, np.array([5] * 6 + [0]), SEED, 0)
+    # with the fixed bound the value is finite and large
+    assert CE.martingale_upsilon(p, 1.0, 5) == pytest.approx(1.0 / 0.1 ** 5)
+    monkeypatch.setattr(CE, "MARTINGALE_LOG_BOUND", 10.0)
     with pytest.raises(CE.MartingaleOverflow):
-        CE.martingale_upsilon(p, 1.0, 5, log_bound=10.0)
-    # with a generous bound the value is finite and large
-    assert CE.martingale_upsilon(p, 1.0, 5, log_bound=700.0) == pytest.approx(
-        1.0 / 0.1 ** 5)
+        CE.martingale_upsilon(p, 1.0, 5)
 
 
 # ---------------------------------------------------------------------------

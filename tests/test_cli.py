@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from sschain import cli
@@ -115,6 +116,14 @@ def _run(tmp_path, cmd, text, extra=()):
     cfg_path.write_text(text)
     return cli.main([cmd, "--config", str(cfg_path), "--out", str(tmp_path),
                      *extra])
+
+
+def test_json_default_takes_numpy_scalars_and_arrays():
+    obj = {"s": np.float64(0.5), "i": np.int64(3), "a": np.arange(3), "m": np.eye(2)}
+    assert json.loads(json.dumps(obj, default=cli._json_default)) == {
+        "s": 0.5, "i": 3, "a": [0, 1, 2], "m": [[1.0, 0.0], [0.0, 1.0]]}
+    with pytest.raises(TypeError, match="not JSON-serializable: object"):
+        json.dumps(object(), default=cli._json_default)
 
 
 def test_cli_simulate_chain_and_determinism(tmp_path, capsys):

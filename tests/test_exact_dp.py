@@ -121,7 +121,7 @@ def test_marginal_moment_values():
     assert DP.marginal_moment(bk, 2, 0.0, 1.0) == 1.0
     # one step: matches the generating function at lam = 1
     v = DP.marginal_moment(bk, 2, 1.0 / bk.scaling(2), 1.0)
-    assert v == pytest.approx(K.generating_function(bk, 2, 1.0), rel=1e-12)
+    assert v == pytest.approx(bk.generating(2, 1.0), rel=1e-12)
 
 
 def test_marginal_moment_matches_simulation():
@@ -209,6 +209,42 @@ def test_inner_absorbing_state_is_refused_by_distribution():
                    K.beta_coalescent_kernel(1.5, 1.0)):
         assert 0.0 <= DP.marginal_moment(kernel, 3, 5.0 / kernel.scaling(3), 1.0) <= 1.0
     assert DP.marginal_moment(gap, 3, 50.0 / gap.scaling(3), 1.0) == pytest.approx(1 / 3)
+
+
+def nan_rows(n):
+    # a one-step-down walk whose row 3 holds a NaN
+    if n == 3:
+        return [np.nan, 0.5, 0.5, 0.0]
+    r = np.zeros(n + 1)
+    r[max(n - 1, 0)] = 1.0
+    return r
+
+
+def nan_row_kernel():
+    return K.ExplicitKernel(nan_rows, scaling=lambda n: float(n), name="nan-row")
+
+
+def test_nan_row_fails_absorption_moments():
+    with pytest.raises(DP.DPError, match="nan-row: .* from state 3"):
+        DP.absorption_moments(nan_row_kernel(), 5, 1)
+
+
+def test_nan_row_fails_marginal_distribution():
+    with pytest.raises(DP.DPError, match="nan-row: .* at step 1"):
+        DP.marginal_distribution(nan_row_kernel(), 5, [3, 1, 2])
+    # the walk from 2 never reaches row 3
+    assert DP.marginal_distribution(nan_row_kernel(), 2, [1])[0].tolist() == [0, 1, 0]
+
+
+def test_nan_row_fails_absorption_distribution_drift_check():
+    class UncheckedMask(K.ExplicitKernel):
+        # a kernel whose fast absorbing mask builds no rows, so no row is validated
+        def absorbing_mask(self, states):
+            return states == 0
+    k = UncheckedMask(nan_rows, scaling=lambda n: float(n), name="nan-row")
+    # the dense pushforward spreads 0 * NaN over column 0 from the first step
+    with pytest.raises(DP.DPError, match="nan-row: pmf mass drifted by nan at step 1"):
+        DP.absorption_distribution(k, 4, k_max=6)
 
 
 def test_cost_guard(monkeypatch):

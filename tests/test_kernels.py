@@ -83,6 +83,8 @@ def test_finite_step_validation():
         K.finite_step([1.0])                # q_0 = 1
     with pytest.raises(ValueError):
         K.finite_step([0.5, -0.1, 0.6])     # negative mass
+    with pytest.raises(ValueError, match="NaN"):
+        K.finite_step([np.nan, 0.5, 0.5])   # NaN fails neither q < 0 nor "sum - 1 > tol"
     q = K.finite_step([0.25, 0.5, 0.25])
     assert q.mean == pytest.approx(1.0)
 
@@ -407,11 +409,11 @@ def test_composition_barrier_tail_matches_heavy_walk_target():
 
 def test_generating_function_values():
     bk = K.barrier_kernel(K.finite_step([0.0, 0.5, 0.5]))
-    assert K.generating_function(bk, 2, 1.0) == pytest.approx(0.25)
-    assert K.generating_function(bk, 0, 1.0) == 0.0
+    assert bk.generating(2, 1.0) == pytest.approx(0.25)
+    assert bk.generating(0, 1.0) == 0.0
     ident = K.ExplicitKernel(
         lambda n: np.eye(n + 1)[n], scaling=lambda n: float(n), name="ident")
-    assert K.generating_function(ident, 5, 2.0) == pytest.approx(1.0)
+    assert ident.generating(5, 2.0) == pytest.approx(1.0)
 
 
 def test_generating_function_bounded_and_monotone(pt):
@@ -419,7 +421,7 @@ def test_generating_function_bounded_and_monotone(pt):
     co = K.beta_coalescent_kernel(1.5, 1.0)
     lams = np.linspace(0.2, 6.0, 12)
     for kernel, n in ((bk, 37), (co, 12)):
-        g = [K.generating_function(kernel, n, lam) for lam in lams]
+        g = [kernel.generating(n, lam) for lam in lams]
         assert all(0.0 <= v <= 1.0 for v in g)
         assert all(b <= a + 1e-12 for a, b in zip(g, g[1:]))
 
@@ -430,7 +432,7 @@ def test_generating_function_tilt_identity(pt):
     for n in (2, 5, 9):
         row = bk.row(n)
         lam = 1.7
-        lhs = 1.0 - K.generating_function(bk, n, lam)
+        lhs = 1.0 - bk.generating(n, lam)
         x = np.arange(n + 1) / n
         rhs = float(np.sum(M.bracket(lam, x) * (1 - x) * row))
         assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -178,7 +178,7 @@ def test_lamperti_deterministic_drift_closed_form():
     assert ls.I == pytest.approx(1.0, rel=1e-12)
     for t in (0.0, 0.25, 0.77, 0.999):
         assert ls.Y(t) == pytest.approx(1.0 - t, rel=1e-9)
-    assert ls.Z(2.5) == pytest.approx(math.exp(-2.5), rel=1e-12)
+    assert p.xi_at(2.5) == pytest.approx(2.5, rel=1e-12)
 
 
 def test_sigma_equals_I_pathwise():
@@ -196,7 +196,7 @@ def test_lamperti_markov_restart_consistency(barrier_triple):
     p = LP.sample_subordinator(barrier_triple, 6.0, philox_rng(SEED, 2))
     ls = LP.lamperti(p, GAMMA)
     t0 = 0.3 * ls.I
-    s0 = float(ls.xi_of_own_time(_invert_clock(ls, t0)))
+    s0 = p.xi_at(_invert_clock(ls, t0))
     y0 = math.exp(-s0)
     # shifted path: same jumps after the split time, values offset by s0
     split = _invert_clock(ls, t0)

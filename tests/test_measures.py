@@ -148,7 +148,8 @@ def test_quad_rejects_non_integrable_order():
 
 def test_quad_unit_raises_on_poor_error_estimate():
     with pytest.raises(M.QuadratureError):
-        M.quad_unit(lambda x: math.sin(1e4 * x))
+        with pytest.warns(sciint.IntegrationWarning):
+            M.quad_unit(lambda x: math.sin(1e4 * x))
 
 
 def test_only_measures_calls_scipy_integrate():

@@ -118,13 +118,9 @@ def test_trend_validation():
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.floats(0, 10), min_size=4, max_size=10),
        st.floats(0.01, 5.0), st.floats(0.0, 2.0))
-def test_trend_monotone_in_threshold_and_slack(errors, threshold, bump):
-    base = S.trend_verdict(errors, threshold)
-    looser_thr = S.trend_verdict(errors, threshold + bump)
-    looser_slack = S.trend_verdict(errors, threshold, slack=1.10 + bump)
-    if base.passed:
-        assert looser_thr.passed
-        assert looser_slack.passed
+def test_trend_monotone_in_threshold(errors, threshold, bump):
+    if S.trend_verdict(errors, threshold).passed:
+        assert S.trend_verdict(errors, threshold + bump).passed
 
 
 def test_chi2_quantile_is_scipy_ppf_bit_for_bit():
@@ -135,7 +131,10 @@ def test_chi2_quantile_is_scipy_ppf_bit_for_bit():
 def test_suites_import_leaves_scipy_stats_out():
     src = str(Path(S.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, sschain.suites; print('scipy.stats' in sys.modules)"
+    # scipy.interpolate too: only the spline tail inverse needs it, and it
+    # imports it itself
+    code = ("import sys, sschain.suites, sschain.cli; "
+            "print([m in sys.modules for m in ('scipy.stats', 'scipy.interpolate')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
