@@ -61,7 +61,7 @@ def _suite_simulate_chain(cfg: ExperimentConfig):
                                     j * STREAM_BLOCK + i)
                 tables[f"path_n{n}_r{i}.csv"] = path.to_csv()
     res = CriterionResult("simulate-chain", ok, tuple(lines), est, tables)
-    res.estimates["_records"] = replicate_records
+    res.records = replicate_records
     return res
 
 
@@ -116,7 +116,7 @@ def _suite_simulate_limit(cfg: ExperimentConfig):
                         **lp.limit_record(kernel.name, kernel.gamma, path, sample)})
     res = CriterionResult("simulate-limit", ok, tuple(lines), est,
                           tables={"subordinator_path.csv": first_path.to_csv()})
-    res.estimates["_records"] = records
+    res.records = records
     return res
 
 
@@ -172,7 +172,7 @@ def _suite_acceptance(cfg: ExperimentConfig):
         ok &= r.passed
         lines.append(r.report())
         tables.update(r.tables)
-        est[r.name] = {k: v for k, v in r.estimates.items() if k != "_records"}
+        est[r.name] = r.estimates
     return CriterionResult("acceptance suite", ok, tuple(lines), est, tables)
 
 
@@ -218,7 +218,6 @@ def _persist(cfg: ExperimentConfig, name: str, result: CriterionResult,
             raise RuntimeError(
                 f"{record_path} holds a record for digest {first.get('config_digest')!r}; "
                 "refusing to overwrite it with a different config")
-    replicate_records = result.estimates.pop("_records", [])
     header = {"type": "run", "suite": name, "config_digest": cfg.digest,
               "code_version": __version__, "seed": cfg.seed,
               "passed": result.passed, "wallclock_s": round(wallclock, 3)}
@@ -228,7 +227,7 @@ def _persist(cfg: ExperimentConfig, name: str, result: CriterionResult,
     with open(record_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True, default=_json_default) + "\n")
         fh.write(json.dumps(estimates, sort_keys=True, default=_json_default) + "\n")
-        for rec in replicate_records:
+        for rec in result.records:
             fh.write(json.dumps(rec, sort_keys=True, default=_json_default) + "\n")
     if result.tables:
         tables.mkdir(parents=True, exist_ok=True)

@@ -109,60 +109,34 @@ def _parse_call(term: str, path: str):
     return name, [_as_float(path, a) for a in args]
 
 
-def parse_measure(expr: str, path: str = "measure") -> _m.FiniteMeasure:
-    """Sum of atom(p, x), beta_density(a, b[, scale]), barrier(gamma), lebesgue([scale])."""
+_MEASURE_TERMS = {"atom": _m.atom, "beta_density": _m.beta_density,
+                  "barrier": _m.barrier_measure, "lebesgue": _m.lebesgue}
+_LEVY_TERMS = {"atom": _m.levy_atom, "barrier_tail": _m.barrier_levy_measure}
+
+
+def _parse_sum(expr: str, path: str, terms: dict):
+    """Sum of the ``+``-separated terms, each built by its constructor in ``terms``."""
     total = None
     for term in expr.split("+"):
         name, args = _parse_call(term, path)
+        if name not in terms:
+            raise ConfigError(path, f"unknown term {name!r}; expected one of {', '.join(terms)}")
         try:
-            if name == "atom":
-                mu = _m.atom(*args)
-            elif name == "beta_density":
-                mu = _m.beta_density(*args)
-            elif name == "barrier":
-                mu = _m.barrier_measure(*args)
-            elif name == "lebesgue":
-                mu = _m.lebesgue(*args) if args else _m.lebesgue()
-            else:
-                raise ConfigError(path, f"unknown measure {name!r}")
+            mu = terms[name](*args)
+            total = mu if total is None else total + mu
         except (TypeError, _m.MeasureError) as exc:
-            raise ConfigError(path, f"bad arguments for {name}: {exc}") from None
-        total = mu if total is None else total + mu
-    if total is None:
-        raise ConfigError(path, "empty measure expression")
+            raise ConfigError(path, f"bad term {term.strip()!r}: {exc}") from None
     return total
+
+
+def parse_measure(expr: str, path: str = "measure") -> _m.FiniteMeasure:
+    """Sum of atom(p, x), beta_density(a, b[, scale]), barrier(gamma), lebesgue([scale])."""
+    return _parse_sum(expr, path, _MEASURE_TERMS)
 
 
 def parse_levy_measure(expr: str, path: str = "omega") -> _m.LevyMeasure:
     """Sum of atom(mass, y0) terms and at most one barrier_tail(gamma)."""
-    atoms = []
-    density = None
-    for term in expr.split("+"):
-        name, args = _parse_call(term, path)
-        if name == "atom":
-            if len(args) != 2:
-                raise ConfigError(path, "atom(mass, y0) takes two arguments")
-            atoms.append((args[1], args[0]))
-        elif name == "barrier_tail":
-            if density is not None:
-                raise ConfigError(path, "only one density term is supported")
-            if len(args) != 1:
-                raise ConfigError(path, "barrier_tail(gamma) takes one argument")
-            density = _m.barrier_levy_measure(args[0])
-        else:
-            raise ConfigError(path, f"unknown jump measure {name!r}")
-    if density is not None and not atoms:
-        return density
-    if density is None:
-        if not atoms:
-            raise ConfigError(path, "empty jump measure expression")
-        return _m.LevyMeasure(atoms=tuple(atoms))
-    # the atoms add to the barrier's closed forms, which describe its density part only
-    return _m.LevyMeasure(density=density.density, atoms=tuple(atoms),
-                          small_order=density.small_order, tail=density._tail,
-                          tail_inverse=density.tail_inverse,
-                          unit_beta_terms=density.unit_beta_terms,
-                          tail_index=density.tail_index)
+    return _parse_sum(expr, path, _LEVY_TERMS)
 
 
 def parse_step_distribution(tree: dict, path: str = "kernel.q") -> _k.StepDistribution:

@@ -383,9 +383,12 @@ class BarrierKernel(_BarrierFamily):
         return landing
 
     def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # conditioning on no overflow: invert the step CDF below P(step <= state)
-        qbar = self.q.tail_upto(int(states.max()))[states]
-        return super().step(states, u * (1.0 - qbar))
+        # conditioning on no overflow: invert the step CDF below P(step <= state);
+        # the running sums round below 1 - qbar, so cap the level under cdf[state]
+        top = int(states.max())
+        qbar = self.q.tail_upto(top)[states]
+        cap = np.nextafter(self.q.cdf_upto(top)[states], -np.inf)
+        return super().step(states, np.minimum(u * (1.0 - qbar), cap))
 
     def pushforward(self, n: int, budget_ops: float = math.inf):
         """pi -> pi P as a correlation with q (direct up to 257 support points, else FFT).

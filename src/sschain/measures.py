@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate as _sciint
-from scipy.special import betaln, digamma
+from scipy.special import betaln, digamma, polygamma
 
 from .special import gamma_ratio
 
@@ -133,12 +133,18 @@ def bracket_beta_integral(lam: float, a: float, b: float) -> float:
     This is the bracket function integrated against the beta-type density
     x**(a-1) (1-x)**(b-1); it is finite for every a > 0, b > 0, lam > 0.
     Evaluated by analytic continuation of B(a, b-1) - B(a+lam, b-1) across
-    b = 1, where it degenerates to a digamma difference.
+    b = 1, where it degenerates to a digamma difference.  Within
+    |b - 1| < 1e-5 the direct form cancels, so the digamma difference plus
+    its first-order term in b - 1 is used instead (worst error about 6e-10,
+    at the switch, below QUAD_REL_TOL; exactly the digamma difference at b = 1).
     """
     if not (a > 0.0 and b > 0.0 and lam > 0.0):
         raise ValueError("bracket_beta_integral needs a, b, lam > 0")
-    if abs(b - 1.0) < 1e-7:
-        return float(digamma(a + lam) - digamma(a))
+    if abs(b - 1.0) < 1e-5:
+        d0, d1 = digamma(a), digamma(a + lam)
+        slope = 0.0 if b == 1.0 else (d0 * d0 - d1 * d1 - polygamma(1, a) + polygamma(1, a + lam)
+                                      + 2.0 * np.euler_gamma * (d0 - d1)) / 2.0
+        return float(d1 - d0 + (b - 1.0) * slope)
     if b > 1.0:
         return float(math.exp(betaln(a, b - 1.0)) - math.exp(betaln(a + lam, b - 1.0)))
     # 0 < b < 1: Gamma(b-1) is finite here (argument in (-1, 0))
@@ -395,6 +401,22 @@ class LevyMeasure:
     def is_zero(self) -> bool:
         return self.density is None and not self.atoms
 
+    def __add__(self, other: "LevyMeasure") -> "LevyMeasure":
+        """Sum of two jump measures, at most one of them with a density part.
+
+        The closed forms describe the density part only, so the sum keeps
+        them from that part; atoms concatenate in order.
+        """
+        if not isinstance(other, LevyMeasure):
+            return NotImplemented
+        if self.density is not None and other.density is not None:
+            raise MeasureError("a sum of jump measures takes at most one density part")
+        part = self if self.density is not None else other
+        return LevyMeasure(density=part.density, atoms=self.atoms + other.atoms,
+                           small_order=part.small_order, tail=part._tail,
+                           tail_inverse=part.tail_inverse,
+                           unit_beta_terms=part.unit_beta_terms, tail_index=part.tail_index)
+
     def tail(self, y: float) -> float:
         """Mass above level y > 0."""
         if y <= 0.0:
@@ -493,49 +515,45 @@ def levy_triple(mu: FiniteMeasure) -> LevyTriple:
     """Decompose mu into (killing, drift, jump measure).
 
     killing = mu({0}), drift = mu({1}); the jump measure is the image of
-    (1-x)**-1 mu(dx) restricted to (0,1) under y = -log x.
+    (1-x)**-1 mu(dx) restricted to (0,1) under y = -log x, built as its
+    density part plus one atom per interior atom of mu.  A density that is
+    a single beta term with a = 1 is a scaled barrier and keeps the
+    barrier's closed-form tail, its inverse and its tail index, interior
+    atoms or not; any other density gets a quadrature tail.
     """
-    atoms = tuple((-math.log(loc), mass / (1.0 - loc)) for loc, mass in mu.interior_atoms)
+    t = mu.beta_terms[0] if len(mu.beta_terms) == 1 else None
     if mu.density is None:
-        levy = LevyMeasure(atoms=atoms)
-        return LevyTriple(mu.atom0, mu.atom1, levy)
-
-    # single beta term with a == 1 admits a closed-form tail
-    if len(mu.beta_terms) == 1 and not atoms:
-        t = mu.beta_terms[0]
-        if t.a == 1.0 and t.b < 1.0:
-            g = 1.0 - t.b
-            base = barrier_levy_measure(g)
-            if t.coef == g:
-                return LevyTriple(mu.atom0, mu.atom1, base)
+        part = LevyMeasure()
+    elif t is not None and t.a == 1.0 and t.b < 1.0:
+        g = 1.0 - t.b
+        part = base = barrier_levy_measure(g)
+        if t.coef != g:  # the unscaled barrier keeps its closures: no wrapper per density call
             c = t.coef / g
-            dens0 = base.density
-            tail0 = base._tail
-            levy = LevyMeasure(density=lambda y: c * dens0(y),
+            part = LevyMeasure(density=lambda y: c * base.density(y),
                                small_order=base.small_order,
-                               tail=lambda y: c * tail0(y),
+                               tail=lambda y: c * base._tail(y),
                                tail_inverse=lambda v: base.tail_inverse(np.asarray(v) / c),
                                unit_beta_terms=(BetaTerm(t.coef, 1.0, t.b - 1.0),),
                                tail_index=g)
-            return LevyTriple(mu.atom0, mu.atom1, levy)
+    else:
+        rho = mu.density
 
-    rho = mu.density
+        def dens(y):
+            y = np.asarray(y, dtype=float)
+            x = np.exp(-y)
+            # x underflows to 0 at large y, where rho(x) * x is inf * 0 when
+            # sing0 > 0; the true limit there is 0 because sing0 < 1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(x > 0.0, rho(x) * x / (-np.expm1(-y)), 0.0)
 
-    def dens(y):
-        y = np.asarray(y, dtype=float)
-        x = np.exp(-y)
-        # x underflows to 0 at large y, where rho(x) * x is inf * 0 when
-        # sing0 > 0; the true limit there is 0 because sing0 < 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(x > 0.0, rho(x) * x / (-np.expm1(-y)), 0.0)
+        def tail(y0):
+            # mass above y0 equals the (1-x)^-1-weighted mass of rho below e^-y0
+            upper = math.exp(-y0)
+            val, _ = quad_unit(lambda x: rho(x) / (1.0 - x), mu.sing0,
+                               min(0.999, mu.sing1 + 1.0), upper=upper)
+            return val
 
-    def tail(y0):
-        # mass above y0 equals the (1-x)^-1-weighted mass of rho below e^-y0
-        upper = math.exp(-y0)
-        val, _ = quad_unit(lambda x: rho(x) / (1.0 - x), mu.sing0,
-                           min(0.999, mu.sing1 + 1.0), upper=upper)
-        return val
-
-    levy = LevyMeasure(density=dens, atoms=atoms,
-                       small_order=1.0 + mu.sing1, tail=tail)
-    return LevyTriple(mu.atom0, mu.atom1, levy)
+        part = LevyMeasure(density=dens, small_order=1.0 + mu.sing1, tail=tail)
+    jumps = LevyMeasure(atoms=tuple((-math.log(loc), mass / (1.0 - loc))
+                                    for loc, mass in mu.interior_atoms))
+    return LevyTriple(mu.atom0, mu.atom1, part + jumps)

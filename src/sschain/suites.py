@@ -34,6 +34,9 @@ class CriterionResult:
     lines: tuple[str, ...]
     estimates: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
+    # per-replicate JSONL records, written after the estimates line; a plain
+    # attribute, not a field, so the fields stay the result's value
+    records = ()
 
     def report(self) -> str:
         head = f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"

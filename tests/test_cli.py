@@ -100,6 +100,21 @@ def test_levy_expression_parser():
     assert om3.tail_inverse(0.7) == om2.tail_inverse(0.7)
 
 
+@pytest.mark.parametrize("parse, expr, term", [
+    (C.parse_measure, "barrier(0.5) + atom(1)", "atom(1)"),
+    (C.parse_measure, "lebesgue(1) + barrier(2)", "barrier(2)"),
+    (C.parse_levy_measure, "atom(1, 2, 3)", "atom(1, 2, 3)"),
+    (C.parse_levy_measure, "atom(1, -2)", "atom(1, -2)"),
+    (C.parse_levy_measure, "barrier_tail(0.5) + barrier_tail(0.3)", "barrier_tail(0.3)"),
+])
+def test_bad_terms_name_the_field_and_the_term(parse, expr, term):
+    # wrong arity, a refused value and a second density part all fail one term
+    with pytest.raises(C.ConfigError) as err:
+        parse(expr, "kernel.x")
+    assert err.value.fieldname == "kernel.x"
+    assert f"bad term {term!r}" in str(err.value)
+
+
 def test_kernel_builders_roundtrip():
     for text, cls in [
         ("type = coalescent\nLambda = beta_density(1.5, 1)", K.CoalescentKernel),
@@ -173,6 +188,22 @@ def test_cli_out_dir_does_not_change_record(tmp_path):
     [rec_b] = (dir_b / "runs").iterdir()
     assert rec_a.name == rec_b.name == f"simulate-chain-{C.config_digest(BASE)[:12]}.jsonl"
     assert rec_a.read_text().splitlines()[1:] == rec_b.read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize("suite", ["simulate-chain", "simulate-limit"])
+def test_cli_records_ride_beside_the_estimates(tmp_path, suite):
+    # an output directory changes where a run is written, not what it returns
+    cfg = C.ExperimentConfig.from_text(BASE.replace("replicates = 200", "replicates = 20"))
+    bare = cli.run(cfg, suite)
+    kept = cli.run(dataclasses.replace(cfg, out_dir=str(tmp_path)), suite)
+    assert bare.estimates == kept.estimates and bare.records == kept.records
+    assert bare.records and not any(k.startswith("_") for k in bare.estimates)
+    [record] = (tmp_path / "runs").iterdir()
+    lines = record.read_text().splitlines()
+    assert json.loads(lines[1])["estimates"] == json.loads(
+        json.dumps(kept.estimates, default=cli._json_default))
+    assert [json.loads(line) for line in lines[2:]] == json.loads(
+        json.dumps(kept.records, default=cli._json_default))
 
 
 def test_cli_refuses_mismatched_digest(tmp_path):

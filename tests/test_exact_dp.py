@@ -10,6 +10,7 @@ from sschain import chain_engine as CE
 from sschain import exact_dp as DP
 from sschain import kernels as K
 from sschain import measures as M
+from sschain import suites
 from sschain.stats import empirical_moment
 
 SEED = 4321
@@ -181,6 +182,28 @@ def test_pushforward_matches_dense_rows(make, q):
         pi = step(pi)
         expect = expect @ ref
         assert np.max(np.abs(pi - expect)) <= 1e-12
+
+
+DKW_CASES = ([(K.barrier_kernel, n) for n in (250, 1000, 4000)]
+             + [(make, n) for make in (K.truncated_kernel, K.ignored_jump_kernel)
+                for n in (250, 1000)])
+
+
+@pytest.mark.parametrize("kernel, n", [(make(K.power_tail(0.5)), n) for make, n in DKW_CASES]
+                         + [(K.beta_coalescent_kernel(1.5, 1.0), 200)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_sampled_marginals_lie_in_dkw_band_of_exact_pmf(kernel, n):
+    # Dvoretzky-Kiefer-Wolfowitz (Massart's constant): the empirical CDF of N
+    # draws leaves an eps-band around the true CDF with probability at most
+    # 2 exp(-2 N eps^2); alpha = 1e-6 at N = 10^4 gives eps = 0.0269
+    reps, alpha = 10_000, 1e-6
+    eps = math.sqrt(math.log(2.0 / alpha) / (2.0 * reps))
+    steps = [int(math.floor(kernel.scaling(n) * t)) for t in (0.5, 1.0)]
+    pmf = DP.marginal_distribution(kernel, n, steps)
+    states = CE.sample_marginal_states(kernel, n, steps, reps, suites.ACCEPTANCE_SEED)
+    for col, step in enumerate(steps):
+        ecdf = np.cumsum(np.bincount(states[:, col], minlength=n + 1)) / reps
+        assert np.max(np.abs(ecdf - np.cumsum(pmf[col]))) < eps, step
 
 
 def test_barrier_fft_step_is_fftconvolve_bit_for_bit():

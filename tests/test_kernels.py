@@ -129,6 +129,16 @@ def test_barrier_rows_finite_q():
     assert bk.absorbing(0) and not bk.absorbing(2)
 
 
+@pytest.mark.parametrize("gamma, state", [(0.5, 739), (0.3, 20)])
+def test_barrier_step_never_overshoots_the_barrier(gamma, state):
+    # the running sums of q round below 1 - qbar at these states, so u just
+    # under 1 used to pick a jump past the state and land at -1; q_state > 0,
+    # so the largest allowed jump lands at 0
+    bk = K.barrier_kernel(K.power_tail(gamma))
+    u = np.array([1.0 - 2.0 ** -53, 0.0])
+    assert list(bk.step(np.array([state, state]), u)) == [0, state - 1]
+
+
 def test_barrier_scaling_and_target(pt):
     bk = K.barrier_kernel(pt)
     assert bk.scaling(3) == pytest.approx(2.0)       # 1/qbar_3 = 4^1/2

@@ -297,3 +297,16 @@ def test_balls_in_gaps_drift_singletons():
     p = LP.sample_subordinator(tr, 60.0, philox_rng(SEED, 0))
     c = LP.balls_in_gaps(p, 6, philox_rng(SEED, 1))
     assert c.parts == (1,) * 6
+
+
+def test_z_marginals_match_exponent_for_barrier_plus_interior_atom():
+    # an interior atom of mu is a fixed-size jump beside the barrier density,
+    # which keeps its closed-form tail inverse
+    mu = M.atom(0.3, 0.5) + M.barrier_measure(GAMMA)
+    triple = M.levy_triple(mu)
+    assert triple.levy.tail_inverse is not None
+    z = LP.sample_z_marginals(triple, [0.5, 1.0], 2000, SEED)
+    for j, t in enumerate((0.5, 1.0)):
+        for lam in (0.5, 1.0, 2.0):
+            target = math.exp(-M.laplace_exponent(mu, lam) * t)
+            assert empirical_moment(z[:, j], lam).within(target, 4.0), (t, lam)

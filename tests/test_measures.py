@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate as sciint
 from scipy.special import digamma
 
+from sschain import kernels as K
 from sschain import measures as M
 
 GAMMA = 0.5
@@ -228,6 +230,37 @@ def test_triple_roundtrip_density_singular_at_zero():
         assert tr.laplace_exponent(lam) == pytest.approx(M.laplace_exponent(mu, lam), rel=1e-8)
 
 
+def test_levy_measure_sum_keeps_the_density_part_closed_forms():
+    bar = M.barrier_levy_measure(GAMMA)
+    total = M.levy_atom(0.3, 2.0) + bar + M.levy_atom(0.1, 0.5)
+    assert total.atoms == ((2.0, 0.3), (0.5, 0.1))
+    assert total.density is bar.density and total.tail_inverse is bar.tail_inverse
+    assert (total.unit_beta_terms, total.tail_index, total.small_order) == \
+        (bar.unit_beta_terms, bar.tail_index, bar.small_order)
+    # the closed-form tail covers the density part; atoms above the level add to it
+    assert total.tail(1.0) == bar.tail(1.0) + 0.3
+    assert (M.levy_atom(1.0, 1.0) + M.levy_atom(2.0, 3.0)).atoms == ((1.0, 1.0), (3.0, 2.0))
+    with pytest.raises(M.MeasureError, match="at most one density part"):
+        bar + M.barrier_levy_measure(0.3)
+
+
+@pytest.mark.parametrize("mu", [
+    M.atom(0.3, 0.5) + M.barrier_measure(GAMMA),
+    M.barrier_measure(GAMMA).scaled(2.0) + M.atom(0.1, 0.25) + M.atom(0.2, 0.0),
+    K.coalescent_kernel(M.beta_density(1.5, 1.0) + M.atom(0.1, 0.5)).mu,
+], ids=["atom+barrier", "scaled-barrier+atoms", "coalescent-beta+atom"])
+def test_triple_keeps_barrier_closed_forms_beside_interior_atoms(mu):
+    tr = M.levy_triple(mu)
+    assert tr.levy.tail_inverse is not None and tr.levy.tail_index == GAMMA
+    assert len(tr.levy.atoms) == len(mu.interior_atoms)
+    for v in (0.05, 1.0, 7.0):
+        y = float(tr.levy.tail_inverse(v))
+        above = sum(m for loc, m in tr.levy.atoms if loc > y)
+        assert tr.levy.tail(y) - above == pytest.approx(v, rel=1e-12)
+    for lam in (0.5, 1.0, 2.0):
+        assert tr.laplace_exponent(lam) == pytest.approx(M.laplace_exponent(mu, lam), rel=1e-12)
+
+
 def test_levy_measure_moments_below_cutoff():
     lm = M.barrier_levy_measure(GAMMA)
     eps = 1e-3
@@ -257,3 +290,22 @@ def test_bracket_beta_integral_against_quadrature():
             epsabs=1e-12, epsrel=1e-12, limit=400)
         assert err < 1e-8
         assert M.bracket_beta_integral(lam, a, b) == pytest.approx(val, rel=1e-8)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_bracket_beta_integral_near_b_one_matches_mpmath(a, lam):
+    # B(a, b-1) - B(a+lam, b-1) cancels near b = 1; a 40-digit reference
+    # keeps about 30 digits after that cancellation
+    mpmath.mp.dps = 40
+    for d in (0.0, 3e-8, -3e-8, 9.9e-8, -9.9e-8, 1.01e-7, -1.01e-7, 1e-6,
+              1e-5, -1e-5, 1e-4, -0.3, 0.7):
+        b = 1.0 + d
+        eps = mpmath.mpf(b) - 1
+        if eps == 0:
+            ref = mpmath.digamma(a + lam) - mpmath.digamma(a)
+        else:
+            ref = mpmath.beta(a, eps) - mpmath.beta(a + lam, eps)
+        assert M.bracket_beta_integral(lam, a, b) == pytest.approx(float(ref), rel=1e-9), d
+    # b = 1 exactly stays the plain digamma difference
+    assert M.bracket_beta_integral(lam, a, 1.0) == float(digamma(a + lam) - digamma(a))
