@@ -2,9 +2,13 @@
 
 Three views of the same number: the exact DP absorption moments, a Monte
 Carlo run of the chain, and the analytic moments of the limiting
-exponential functional.  Then one trajectory is rescaled and its two
-clocks are printed side by side.
+exponential functional.  The DP runs to n = 2^18, where the relative
+error E[A_n]/a_n / E[I] - 1 is still about 1e-3; the barrier walk's rows
+are one step law shifted, so the DP builds none of them.  Then one
+trajectory is rescaled and its two clocks are printed side by side.
 """
+
+import time
 
 import numpy as np
 
@@ -18,12 +22,18 @@ limit = analytic_moments(barrier_measure(GAMMA), GAMMA, 2)
 
 print("analytic limit moments:   E =", round(limit[1], 5), "  E^2 =", round(limit[2], 5))
 
-table = absorption_moments(kernel, 4096, 2)
-print("\nexact DP, normalized by the scaling sequence:")
+start = time.perf_counter()
+table = absorption_moments(kernel, 2 ** 18, 2)
+print(f"\nexact DP to n = 2^18 in {time.perf_counter() - start:.1f} s, "
+      "normalized by the scaling sequence:")
 for n in (64, 256, 1024, 4096):
     a = kernel.scaling(n)
     print(f"  n = {n:5d}   E[A]/a = {table.moment(n, 1) / a:.5f}"
           f"   E[A^2]/a^2 = {table.moment(n, 2) / a ** 2:.5f}")
+print("relative error of the mean, E[A]/a / E[I] - 1:")
+for k in range(10, 19):
+    n = 2 ** k
+    print(f"  n = 2^{k}   {table.moment(n, 1) / kernel.scaling(n) / limit[1] - 1:+.3e}")
 
 n = 2048
 times = sample_absorption_times(kernel, n, 20_000, seed=1)

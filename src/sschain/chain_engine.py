@@ -382,7 +382,7 @@ def coupled_barrier_triple(q: StepDistribution, n: int, seed: int, stream: int =
         kernels = (TruncatedKernel(q), BarrierKernel(q), IgnoredJumpKernel(q))
     k_tilde, k_x, k_hat = kernels
     # every step longer than n overflows all three walks alike
-    jumps = _inverse_cdf_draws(q.cdf_upto(n), philox_rng(seed, stream))
+    jumps = _inverse_cdf_draws(q.cdf_upto(n), philox_rng(seed, stream), q.max_step)
     hat = [n]
     tilde = [n]
     accept = [0]
@@ -412,10 +412,17 @@ def coupled_barrier_triple(q: StepDistribution, n: int, seed: int, stream: int =
     return CoupledTriple(path_tilde, path_x, path_hat, accept_arr)
 
 
-def _inverse_cdf_draws(cdf: np.ndarray, rng: np.random.Generator):
-    """Inverse-CDF draws from cdf, one uniform of rng each, a block of uniforms at a time."""
+def _inverse_cdf_draws(cdf: np.ndarray, rng: np.random.Generator, top: int | None):
+    """Inverse-CDF draws from cdf, one uniform of rng each, a block of uniforms at a time.
+
+    Draws past ``top``, the last support point of a finite law whose running
+    sums rounded below 1, are clamped to it.
+    """
     while True:
-        yield from cdf.searchsorted(rng.random(BlockUniforms.BLOCK), side="right").tolist()
+        draws = cdf.searchsorted(rng.random(BlockUniforms.BLOCK), side="right")
+        if top is not None:
+            np.minimum(draws, top, out=draws)
+        yield from draws.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 # CostGuardError and DPError are raised through kernels; this module re-exports them
-from .kernels import ABSORB_TOL, CostGuardError, DPError, Kernel
+from .kernels import ABSORB_TOL, DIRECT_SUPPORT, CostGuardError, DPError, Kernel
 
 # most operations a dense pushforward may spend over one pmf evolution
 DP_BUDGET_OPS = 4e9
+# the relaxed correlation of absorption_moments sums blocks of this many states directly
+LEAF_STATES = 32
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,19 @@ def _stuck(n: int) -> DPError:
 def absorption_moments(kernel: Kernel, n_max: int, p_max: int = 1) -> MomentTable:
     """E[A_n^p] for every start n <= n_max and order p <= p_max.
 
-    Requires a kernel whose only absorbing state is 0.  O(n_max^2 * p_max)
-    time, O(n_max * p_max) memory; rows are built once and discarded.
+    Requires a kernel whose only absorbing state is 0.  O(n_max * p_max)
+    memory.  The time depends on the kernel:
+
+    * with a ``toeplitz`` hook (the barrier family), no row is built: the
+      sums over k < n of p_{n,k} E[(1 + A_k)^p] are one online correlation
+      with the step law q.  A q whose last support point s is at most
+      DIRECT_SUPPORT is summed term by term, O(n_max * s * p_max);
+      otherwise relaxed multiplication (van der Hoeven, "Relax, but don't
+      be too lazy", 2002) splits the states in halves, adds each left
+      half into the right one by FFT and solves blocks of LEAF_STATES
+      directly, O(n_max log^2 n_max * p_max).
+    * any other kernel: each row is built once, checked and discarded,
+      O(n_max^2 * p_max).
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
@@ -69,23 +83,85 @@ def absorption_moments(kernel: Kernel, n_max: int, p_max: int = 1) -> MomentTabl
     W = np.zeros((n_max + 1, p_max + 1))
     W[0, :] = 1.0
     choose = [[math.comb(p, r) for r in range(p + 1)] for p in range(p_max + 1)]
-    for n in range(1, n_max + 1):
-        row = kernel.build_row(n)
-        pnn = float(row[n])
+
+    def finish(n: int, sums, pnn: float):
+        # sums[p - 1] = sum over k < n of p_{n,k} W[k, p]
         if pnn >= 1.0 - ABSORB_TOL:
             raise _stuck(n)
+        v = [1.0]  # E[A_n^r], r = 0..p
         for p in range(1, p_max + 1):
-            s = float(np.dot(row[:n], W[:n, p]))
-            lower = math.fsum(choose[p][r] * values[n, r] for r in range(p))
-            values[n, p] = (s + pnn * lower) / (1.0 - pnn)
-        for p in range(p_max + 1):
-            W[n, p] = math.fsum(choose[p][r] * values[n, r] for r in range(p)) \
-                + values[n, p]
+            lower = math.fsum([c * x for c, x in zip(choose[p], v)])
+            v.append((sums[p - 1] + pnn * lower) / (1.0 - pnn))
+        values[n] = v
+        W[n] = [math.fsum([c * x for c, x in zip(choose[p][:p], v)]) + v[p]
+                for p in range(p_max + 1)]
+
+    parts = kernel.toeplitz(n_max)
+    if parts is None:
+        for n in range(1, n_max + 1):
+            row = kernel._checked_row(n)
+            finish(n, [float(np.dot(row[:n], W[:n, p])) for p in range(1, p_max + 1)],
+                   float(row[n]))
+    else:
+        q, norm, zero, diag = parts
+
+        def finish_row(n: int, corr: np.ndarray):
+            # W[0, p] = 1, so the mass sent to state 0 adds zero[n] to every sum
+            scale, sent = float(norm[n]), float(zero[n])
+            finish(n, [c / scale + sent for c in corr.tolist()], float(diag[n]))
+
+        _online_correlation(q, W[:, 1:], finish_row)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise DPError(f"{kernel.name}: moments of A_n are not finite from state "
                       f"{int(np.argmin(finite))} on")
     return MomentTable(kernel.name, values)
+
+
+def _online_correlation(q: np.ndarray, W: np.ndarray, finish) -> None:
+    """finish(n, sum over k < n of q[n - k] W[k]) for n = 1, 2, ... in order.
+
+    ``finish`` fills W[n], which the sums of later states read; q[0] is
+    never used.  Direct sums cover a support up to DIRECT_SUPPORT, else
+    relaxed multiplication: solving states [lo, hi) is solving [lo, mid),
+    adding that half into acc[mid:top], top = min(hi, n_max + 1), as the
+    middle of one cyclic convolution of length at least top - lo (the
+    outputs that wrap around land below mid; with power-of-two halves, one
+    transform of q per length), then solving [mid, hi).
+    """
+    n_max = W.shape[0] - 1
+    nz = np.flatnonzero(q[1:])
+    support = int(nz[-1]) + 1 if nz.size else 0
+
+    def leaf(lo: int, hi: int, width: int, acc):
+        for n in range(max(lo, 1), min(hi, n_max + 1)):
+            k0 = max(lo, n - width)
+            corr = q[n - k0:0:-1] @ W[k0:n]
+            finish(n, corr if acc is None else corr + acc[n])
+
+    if support <= DIRECT_SUPPORT:
+        leaf(0, n_max + 1, support, None)
+        return
+    acc = np.zeros(W.shape)
+    q_hat: dict[int, np.ndarray] = {}
+
+    def solve(lo: int, hi: int):
+        if hi - lo <= LEAF_STATES:
+            leaf(lo, hi, LEAF_STATES, acc)
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        if mid > n_max:
+            return
+        top = min(hi, n_max + 1)
+        size = next_fast_len(top - lo, real=True)
+        if size not in q_hat:
+            q_hat[size] = rfft(q[:size], size)[:, None]
+        part = irfft(rfft(W[lo:mid], size, axis=0) * q_hat[size], size, axis=0)
+        acc[mid:top] += part[mid - lo:top - lo]
+        solve(mid, hi)
+
+    solve(0, 1 << n_max.bit_length())
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,9 @@ from .stats import TrendReport, trend_verdict
 ROW_SUM_TOL = 1e-12
 ABSORB_TOL = 1e-12
 _NEG_CLIP = -1e-13
+# a correlation with a step law whose last support point is at most this runs
+# term by term over the support; a longer one runs by FFT
+DIRECT_SUPPORT = 256
 # relative errors below this count as noise in the convergence diagnostic
 DIAGNOSTIC_FLOOR = 1e-9
 
@@ -59,7 +62,9 @@ class StepDistribution:
     Given either as a finite vector or through an upper-tail callback
     qbar(n) = sum of q_k over k > n, from which q_k = qbar(k-1) - qbar(k).
     ``gamma`` declares the regular-variation index of the tail when the
-    mean is infinite.
+    mean is infinite.  ``max_step`` is the last k with q_k > 0 of a finite
+    vector (None for a tail): its running sums can round below 1, so an
+    inverse CDF clamps its draws there.
     """
 
     def __init__(self, pmf=None, tail=None, gamma: float | None = None,
@@ -86,7 +91,7 @@ class StepDistribution:
             self._qbar[-1] = 0.0
             np.clip(self._qbar, 0.0, None, out=self._qbar)
             self.mean = float(np.dot(np.arange(q.size), q))
-            self.finite_support = True
+            self.max_step = int(np.flatnonzero(q)[-1])
         else:
             qb0 = float(tail(np.asarray([0]))[0])
             if not 0.0 < qb0 <= 1.0:
@@ -97,13 +102,13 @@ class StepDistribution:
             if probe[-1] > 1e-3:
                 raise ValueError("tail does not appear to vanish at infinity")
             self.mean = math.inf if mean is None else float(mean)
-            self.finite_support = False
+            self.max_step = None
             self._q = None
             self._qbar = None
         self._cache_n = -1
 
     def _ensure(self, n: int):
-        if self.finite_support:
+        if self.max_step is not None:
             if self._q.size <= n:
                 pad = n + 1 - self._q.size
                 self._q = np.concatenate([self._q, np.zeros(pad)])
@@ -213,6 +218,22 @@ class Kernel:
         self._absorbing_cache[n] = bool(row[n] >= 1.0 - ABSORB_TOL)
         return row
 
+    def _checked_row(self, n: int) -> np.ndarray:
+        """``build_row(n)`` under validated_row's entry and sum tests, neither copied nor clipped.
+
+        For the DP oracle, which reads every row once.  Both comparisons let
+        NaN through, so the oracle's own finiteness checks name it.
+        """
+        row = self.build_row(n)
+        if row.min() < _NEG_CLIP:
+            k = int(np.argmin(row))
+            raise KernelConstructionError(
+                f"{self.name}: row {n} has negative entry p[{n},{k}] = {float(row[k])!r}")
+        s = float(np.sum(row))
+        if abs(s - 1.0) > ROW_SUM_TOL * max(1, n):
+            raise KernelConstructionError(f"{self.name}: row {n} sums to {s!r}, not 1")
+        return row
+
     def row(self, n: int) -> np.ndarray:
         """Validated probability vector (p_{n,k})_{0<=k<=n}, memoized."""
         r = self._row_cache.get(n)
@@ -274,8 +295,18 @@ class Kernel:
                 f"dense pushforward at n={n} exceeds the operation budget")
         m = np.zeros((n + 1, n + 1))
         for j in range(n + 1):
-            m[j, :j + 1] = self.build_row(j)
+            m[j, :j + 1] = self._checked_row(j)
         return lambda pi: pi @ m
+
+    def toeplitz(self, n: int):
+        """Rows 1..n as one step law plus boundary terms, or None (the generic rows).
+
+        A kernel whose row m is p_{m,k} = q_{m-k} / norm_m for 0 < k < m,
+        plus zero_m more on k = 0, with p_{m,m} = diag_m, may return the
+        arrays (q, norm, zero, diag) over 0..n; the DP oracle then runs its
+        rows as one correlation with q and builds none of them.
+        """
+        return None
 
     # -- scaling and targets --------------------------------------------------
     def scaling(self, n: int) -> float:
@@ -315,11 +346,16 @@ class _BarrierFamily(Kernel):
 
     The walks differ only in what a step that would cross 0 does.  Each
     subclass states that rule in ``build_row``, in ``_diagonal(qbar)``
-    (p_{n,n} from qbar_n, as build_row computes it) and in
-    ``_land(states, landing)`` (next states from states - step).  The
-    truncated and ignored walks keep the dense generic ``pushforward``:
-    a correlation moves their tails at n = 3000 by 4e-14, past the
-    oracle values pinned in ``bench/pinned.json``.
+    (p_{n,n} from qbar_n, as build_row computes it), in ``_boundary(qbar)``
+    (the ``toeplitz`` normaliser and the mass sent to 0: the barrier
+    divides by 1 - qbar_n, the truncated walk sends qbar_n to 0, and the
+    ignored walk's qbar_n sits in its diagonal) and in
+    ``_land(states, landing)`` (next states from states - step).  Every row
+    is q reversed plus that boundary, so the DP oracle's moments run on
+    ``toeplitz`` without building rows.  The truncated and ignored walks
+    keep the dense generic ``pushforward``: a correlation moves their
+    tails at n = 3000 by 4e-14, past the oracle values pinned in
+    ``bench/pinned.json``.
     """
 
     def __init__(self, q: StepDistribution):
@@ -351,7 +387,14 @@ class _BarrierFamily(Kernel):
     def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Inverse CDF on the cached step law, then the overflow rule."""
         jump = np.searchsorted(self.q.cdf_upto(int(states.max())), u, side="right")
+        if self.q.max_step is not None:  # u past a running sum that rounded below 1
+            np.minimum(jump, self.q.max_step, out=jump)
         return self._land(states, states - jump)
+
+    def toeplitz(self, n: int):
+        qbar = self.q.tail_upto(n)
+        norm, zero = self._boundary(qbar)
+        return self.q.pmf_upto(n), norm, zero, self._diagonal(qbar)
 
 
 class BarrierKernel(_BarrierFamily):
@@ -376,8 +419,10 @@ class BarrierKernel(_BarrierFamily):
         return self.q.pmf_upto(n)[::-1] / (1.0 - qb)
 
     def _diagonal(self, qbar):
-        live = qbar < 1.0
-        return np.where(live, self.q.pmf_upto(0)[0] / np.where(live, 1.0 - qbar, 1.0), 1.0)
+        return np.where(qbar < 1.0, self.q.pmf_upto(0)[0] / self._boundary(qbar)[0], 1.0)
+
+    def _boundary(self, qbar):
+        return np.where(qbar < 1.0, 1.0 - qbar, 1.0), np.zeros_like(qbar)
 
     def _land(self, states, landing):
         return landing
@@ -391,32 +436,34 @@ class BarrierKernel(_BarrierFamily):
         return super().step(states, np.minimum(u * (1.0 - qbar), cap))
 
     def pushforward(self, n: int, budget_ops: float = math.inf):
-        """pi -> pi P as a correlation with q (direct up to 257 support points, else FFT).
+        """pi -> pi P as a correlation with q (direct up to DIRECT_SUPPORT, else FFT).
 
         The FFT path is scipy's ``fftconvolve(rho[::-1], q)`` with q
-        transformed once, so it gives the same numbers.
+        transformed once, so it gives the same numbers.  A dead state
+        (qbar_m = 1) keeps its mass and sends none.
         """
         q = self.q.pmf_upto(n)
         qbar = self.q.tail_upto(n)
-        live = qbar < 1.0
-        norm = np.where(live, 1.0 - qbar, 1.0)
-        nz = np.nonzero(q)[0]
-        support = int(nz[-1]) if nz.size else 0
-        if support > 256:
+        norm, _ = self._boundary(qbar)
+        dead = np.flatnonzero(qbar >= 1.0)
+        nz = np.flatnonzero(q).tolist()
+        direct = not nz or nz[-1] <= DIRECT_SUPPORT
+        if not direct:
             size = next_fast_len(2 * n + 1, real=True)
             q_hat = rfft(q, size)
 
         def step(pi: np.ndarray) -> np.ndarray:
-            rho = np.where(live, pi / norm, 0.0)
-            if support <= 256:
-                out = np.zeros_like(pi)
-                for z in range(support + 1):
-                    if q[z] != 0.0:
+            rho = pi / norm
+            rho[dead] = 0.0
+            if direct:
+                out = q[0] * rho if q[0] != 0.0 else np.zeros_like(pi)
+                for z in nz:
+                    if z:
                         out[:n + 1 - z] += q[z] * rho[z:]
             else:
                 out = irfft(rfft(rho[::-1], size) * q_hat, size)[:n + 1][::-1].copy()
                 np.clip(out, 0.0, None, out=out)
-            out[~live] += pi[~live]
+            out[dead] += pi[dead]
             return out
         return step
 
@@ -446,6 +493,9 @@ class TruncatedKernel(_BarrierFamily):
     def _diagonal(self, qbar):
         return np.full(qbar.shape, self.q.pmf_upto(0)[0])
 
+    def _boundary(self, qbar):
+        return np.ones_like(qbar), qbar
+
     def _land(self, states, landing):
         return np.where(landing < 0, 0, landing)
 
@@ -467,6 +517,9 @@ class IgnoredJumpKernel(_BarrierFamily):
 
     def _diagonal(self, qbar):
         return self.q.pmf_upto(0)[0] + qbar
+
+    def _boundary(self, qbar):
+        return np.ones_like(qbar), np.zeros_like(qbar)
 
     def _land(self, states, landing):
         return np.where(landing < 0, states, landing)

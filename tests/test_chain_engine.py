@@ -398,6 +398,23 @@ def test_coupled_triple_invariants(pt):
         assert tl[-1] == 0 and x[-1] == 0 and ht[-1] == 0
 
 
+def test_coupled_triple_never_overflows_past_a_finite_support(monkeypatch):
+    # every uniform is 1 - 2^-53, which is where the running sum of ten 0.1s
+    # rounds to, so the inverse CDF falls past the support; clamped, every
+    # draw is the largest step, 9.  Unclamped it was 100, an overflow of all
+    # three walks, and the ignored walk waited at 99 until the draw cap
+    class NearOne:
+        def random(self, size):
+            return np.full(size, 1.0 - 2.0 ** -53)
+    monkeypatch.setattr(CE, "philox_rng", lambda seed, stream: NearOne())
+    monkeypatch.setattr(CE, "DEFAULT_STEP_CAP", 1000)
+    trip = CE.coupled_barrier_triple(K.finite_step([0.1] * 10), 99, SEED)
+    expect = list(range(99, -1, -9))
+    for path in trip:
+        assert path.states.tolist() == expect
+    assert trip.acceptance_times.tolist() == list(range(12))
+
+
 def test_coupled_marginal_laws_match_kernels(pt):
     # the conditioned-walk marginal read off the coupling equals an
     # independently sampled barrier walk in distribution (absorption mean)

@@ -1,6 +1,8 @@
 """Exact absorption-time tables against enumeration, closed forms, and MC."""
 
+import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -275,3 +277,148 @@ def test_cost_guard(monkeypatch):
     monkeypatch.setattr(DP, "DP_BUDGET_OPS", 10_000)
     with pytest.raises(DP.CostGuardError):
         DP.marginal_moment(co, 4000, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# bit-level pins of the pushforwards
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the pmf bytes from marginal_distribution (steps 0, 1, 7, 50) and
+# absorption_distribution (k <= 200, then the tail): the direct and FFT
+# barrier correlations and the dense truncated and ignored matrices.  A
+# speed-up of a pushforward must leave every bit as it is.
+PINNED_PUSHFORWARD_DIGESTS = {
+    "barrier(finite[1/3]*3)": "033af736d78c4ae320e770d6f9cbd75363020dc965e2300e0a97b6ecc2553420",
+    "barrier(power_tail(0.5))": "cae7a8b7cdd795c445e09bfc0a80009fe764806e8ddcbca60d9aa4f028e4d4df",
+    "truncated(power_tail(0.5))":
+        "13644f49092766ec2261b1e50185de3a69e3d4ee4458f2944822dbd8be36ed28",
+    "ignored(power_tail(0.5))": "5bd29002582cfa1dddfe4f7977079eb4dd06f315d440ec2dde302be11e2bf322",
+}
+
+
+def test_pushforward_outputs_are_pinned():
+    cases = {
+        "barrier(finite[1/3]*3)": (K.barrier_kernel(K.finite_step([1 / 3, 1 / 3, 1 / 3])), 300),
+        "barrier(power_tail(0.5))": (K.barrier_kernel(K.power_tail(0.5)), 2000),
+        "truncated(power_tail(0.5))": (K.truncated_kernel(K.power_tail(0.5)), 300),
+        "ignored(power_tail(0.5))": (K.ignored_jump_kernel(K.power_tail(0.5)), 300),
+    }
+    got = {}
+    for name, (kernel, n) in cases.items():
+        h = hashlib.sha256()
+        h.update(DP.marginal_distribution(kernel, n, [0, 1, 7, 50]).tobytes())
+        pmf, tail = DP.absorption_distribution(kernel, n, k_max=200)
+        h.update(pmf.tobytes())
+        h.update(np.float64(tail).tobytes())
+        got[name] = h.hexdigest()
+    assert got == PINNED_PUSHFORWARD_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# moments of the barrier family from its Toeplitz rows
+# ---------------------------------------------------------------------------
+
+WALKS = [K.barrier_kernel, K.truncated_kernel, K.ignored_jump_kernel]
+THIRDS = [1 / 3, 1 / 3, 1 / 3]
+
+
+def rows_only(kernel):
+    # the same rows with no toeplitz hook: the generic row-by-row loop
+    return K.ExplicitKernel(kernel.build_row, name=f"rows of {kernel.name}")
+
+
+@pytest.mark.parametrize("make", WALKS, ids=["barrier", "truncated", "ignored"])
+@pytest.mark.parametrize("q, n", [(K.power_tail(0.5), 3000), (K.finite_step(THIRDS), 3000),
+                                  (K.power_tail(0.5), 200)],
+                         ids=["power-fft", "finite-direct", "power-direct"])
+def test_toeplitz_moments_match_the_row_loop(make, q, n):
+    kernel = make(q)
+    assert kernel.toeplitz(n) is not None and rows_only(kernel).toeplitz(n) is None
+    fast = DP.absorption_moments(kernel, n, 3).values
+    slow = DP.absorption_moments(rows_only(kernel), n, 3).values
+    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
+
+
+def _exact_rows(walk, n):
+    # row n of the walk on q = (1/3, 1/3, 1/3), in rationals
+    q = [Fraction(1, 3)] * 3 + [Fraction(0)] * max(0, n - 2)
+    qbar = 1 - sum(q[:n + 1])
+    row = [q[n - k] for k in range(n + 1)]
+    if walk == "barrier":
+        return [x / (1 - qbar) for x in row]
+    row[0 if walk == "truncated" else n] += qbar
+    return row
+
+
+@pytest.mark.parametrize("walk", ["barrier", "truncated", "ignored"])
+def test_finite_step_moments_match_exact_rationals(walk):
+    n_max, p_max = 40, 3
+    m = [[Fraction(1)] + [Fraction(0)] * p_max]  # m[n][p] = E[A_n^p]
+    for n in range(1, n_max + 1):
+        row = _exact_rows(walk, n)
+        # E[A_n^p] = sum_k p_{n,k} E[(1 + A_k)^p], with A_n on both sides at k = n
+        shifted = [[sum(math.comb(p, r) * m[k][r] for r in range(p + 1)) for p in range(p_max + 1)]
+                   for k in range(n)]
+        cur = [Fraction(1)]
+        for p in range(1, p_max + 1):
+            rhs = sum(row[k] * shifted[k][p] for k in range(n)) \
+                + row[n] * sum(math.comb(p, r) * cur[r] for r in range(p))
+            cur.append(rhs / (1 - row[n]))
+        m.append(cur)
+    kernel = {"barrier": K.barrier_kernel, "truncated": K.truncated_kernel,
+              "ignored": K.ignored_jump_kernel}[walk](K.finite_step(THIRDS))
+    got = DP.absorption_moments(kernel, n_max, p_max).values
+    np.testing.assert_allclose(got, np.array(m, dtype=float), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("make", WALKS, ids=["barrier", "truncated", "ignored"])
+@pytest.mark.parametrize("q", [K.power_tail(0.5), K.finite_step(THIRDS)], ids=["power", "finite"])
+def test_toeplitz_moments_build_no_row(monkeypatch, make, q):
+    kernel = make(q)
+    expect = DP.absorption_moments(kernel, 600, 2).values
+
+    def refuse(n):
+        raise AssertionError(f"row {n} was built")
+    monkeypatch.setattr(kernel, "build_row", refuse)
+    assert np.array_equal(DP.absorption_moments(kernel, 600, 2).values, expect)
+
+
+def test_toeplitz_moments_refuse_an_absorbing_state_as_the_row_loop_does():
+    # the ignored walk with steps of 2 waits at 1 forever
+    kernel = K.ignored_jump_kernel(K.finite_step([0.0, 0.0, 1.0]))
+    messages = []
+    for k in (kernel, rows_only(kernel)):
+        with pytest.raises(DP.DPError, match="state 1 is absorbing") as err:
+            DP.absorption_moments(k, 5, 1)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    # the barrier walk's dead state 1 (no step fits below it) is absorbing too
+    gap = K.barrier_kernel(K.finite_step([0.0, 0.0, 1.0]))
+    with pytest.raises(DP.DPError, match="state 1 is absorbing"):
+        DP.absorption_moments(gap, 5, 1)
+
+
+# ---------------------------------------------------------------------------
+# the DP refuses rows that are not probability vectors
+# ---------------------------------------------------------------------------
+
+def bad_row_kernel(row3):
+    def rows(n):
+        if n == 3:
+            return row3
+        r = np.zeros(n + 1)
+        r[max(n - 1, 0)] = 1.0
+        return r
+    return K.ExplicitKernel(rows, scaling=lambda n: float(n), name="bad-row")
+
+
+@pytest.mark.parametrize("row3, message", [
+    ([1.5, -0.5, 0.0, 0.0], r"bad-row: row 3 has negative entry p\[3,1\] = -0.5"),
+    ([0.5, 0.4, 0.0, 0.0], r"bad-row: row 3 sums to 0.9"),
+], ids=["negative", "sum"])
+def test_dp_refuses_invalid_finite_rows(row3, message):
+    for run in (lambda k: DP.absorption_moments(k, 5, 1),
+                lambda k: DP.marginal_distribution(k, 5, [3]),
+                lambda k: DP.absorption_distribution(k, 5, k_max=8)):
+        with pytest.raises(K.KernelConstructionError, match=message):
+            run(bad_row_kernel(row3))

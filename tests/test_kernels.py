@@ -139,6 +139,22 @@ def test_barrier_step_never_overshoots_the_barrier(gamma, state):
     assert list(bk.step(np.array([state, state]), u)) == [0, state - 1]
 
 
+@pytest.mark.parametrize("make", [K.barrier_kernel, K.truncated_kernel,
+                                  K.ignored_jump_kernel])
+def test_finite_step_law_never_overflows_past_its_support(make):
+    # the running sum of ten 0.1s rounds to 1 - 2^-53, so u = 1 - 2^-53 used
+    # to pick a jump of 10, which the law never makes, and overflow from 100
+    q = K.finite_step([0.1] * 10)
+    assert q.max_step == 9 and K.power_tail(0.5).max_step is None
+    states = np.array([100, 100, 12, 5])
+    u = np.array([1.0 - 2.0 ** -53, 0.0, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53])
+    landed = make(q).step(states, u)
+    assert list(landed[:3]) == [91, 100, 3]
+    # a genuine overflow from 5 keeps each walk's rule
+    assert landed[3] == {K.barrier_kernel: 0, K.truncated_kernel: 0,
+                         K.ignored_jump_kernel: 5}[make]
+
+
 def test_barrier_scaling_and_target(pt):
     bk = K.barrier_kernel(pt)
     assert bk.scaling(3) == pytest.approx(2.0)       # 1/qbar_3 = 4^1/2
