@@ -135,16 +135,22 @@ def sample_marginal_states(kernel: Kernel, n: int, step_points: Sequence[int],
                            replicates: int, seed: int, stream0: int = 0) -> np.ndarray:
     """States of independent replicates after each step count in step_points.
 
-    Returns an array of shape (replicates, len(step_points)); absorbed
-    replicates simply stay put, exactly like the chain itself.
+    Returns an array of shape (replicates, len(step_points)) whose column j
+    holds the states after step_points[j] steps, in the order given and
+    repeats included, as ``exact_dp.marginal_distribution`` orders its
+    rows.  Absorbed replicates simply stay put, exactly like the chain.
     """
-    points = sorted(set(int(s) for s in step_points))
+    points = [int(s) for s in step_points]
+    cols: dict[int, list[int]] = {}
+    for j, s in enumerate(points):
+        if s < 0:
+            raise ValueError(f"step counts must be >= 0, got {s}")
+        cols.setdefault(s, []).append(j)
     out = np.empty((replicates, len(points)), dtype=np.int64)
-    col = {p: i for i, p in enumerate(points)}
     chain = _batch_steps(kernel, n, replicates, seed, stream0)
-    for k, (states, _) in zip(range(max(points) + 1), chain):
-        if k in col:
-            out[:, col[k]] = states
+    for k, (states, _) in zip(range(max(cols, default=-1) + 1), chain):
+        if k in cols:
+            out[:, cols[k]] = states[:, None]
     return out
 
 
@@ -296,6 +302,13 @@ def rescale(path: ChainPath) -> RescaledPath:
 # martingales
 # ---------------------------------------------------------------------------
 
+def _check_martingale_args(lam: float, k: int):
+    if lam <= 0.0:
+        raise ValueError("needs lam > 0")
+    if k < 0:  # a negative index would read the path from its end
+        raise ValueError(f"needs a step count k >= 0, got k = {k}")
+
+
 def martingale_upsilon(path: ChainPath, lam: float, k: int) -> float:
     """Product martingale (X(k)/n)**lam / prod_{i<k} G_{X(i)}(lam).
 
@@ -303,8 +316,7 @@ def martingale_upsilon(path: ChainPath, lam: float, k: int) -> float:
     G = 0 can enter the product.  The log product may not pass
     MARTINGALE_LOG_BOUND in absolute value.
     """
-    if lam <= 0.0:
-        raise ValueError("needs lam > 0")
+    _check_martingale_args(lam, k)
     if k > path.absorption_time:
         k = path.absorption_time
     xk = int(path.states[k])
@@ -327,8 +339,7 @@ def martingale_upsilon(path: ChainPath, lam: float, k: int) -> float:
 
 def martingale_additive(path: ChainPath, lam: float, k: int) -> float:
     """(X(k)/n)**lam plus the compensator sum of (X(i)/n)**lam (1 - G_{X(i)}(lam))."""
-    if lam <= 0.0:
-        raise ValueError("needs lam > 0")
+    _check_martingale_args(lam, k)
     if k > path.absorption_time:
         k = path.absorption_time
     n = path.start
@@ -382,7 +393,7 @@ def coupled_barrier_triple(q: StepDistribution, n: int, seed: int, stream: int =
         kernels = (TruncatedKernel(q), BarrierKernel(q), IgnoredJumpKernel(q))
     k_tilde, k_x, k_hat = kernels
     # every step longer than n overflows all three walks alike
-    jumps = _inverse_cdf_draws(q.cdf_upto(n), philox_rng(seed, stream), q.max_step)
+    jumps = _quantile_draws(q, n, philox_rng(seed, stream))
     hat = [n]
     tilde = [n]
     accept = [0]
@@ -412,17 +423,10 @@ def coupled_barrier_triple(q: StepDistribution, n: int, seed: int, stream: int =
     return CoupledTriple(path_tilde, path_x, path_hat, accept_arr)
 
 
-def _inverse_cdf_draws(cdf: np.ndarray, rng: np.random.Generator, top: int | None):
-    """Inverse-CDF draws from cdf, one uniform of rng each, a block of uniforms at a time.
-
-    Draws past ``top``, the last support point of a finite law whose running
-    sums rounded below 1, are clamped to it.
-    """
+def _quantile_draws(q: StepDistribution, n: int, rng: np.random.Generator):
+    """``q.quantile(u, n)``, one uniform u of rng each, a block of uniforms at a time."""
     while True:
-        draws = cdf.searchsorted(rng.random(BlockUniforms.BLOCK), side="right")
-        if top is not None:
-            np.minimum(draws, top, out=draws)
-        yield from draws.tolist()
+        yield from q.quantile(rng.random(BlockUniforms.BLOCK), n).tolist()
 
 
 # ---------------------------------------------------------------------------

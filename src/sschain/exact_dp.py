@@ -44,12 +44,14 @@ class MomentTable:
         return float(self.values[n, p])
 
     def to_csv(self, kernel: Kernel) -> str:
+        """One line per (n, p); ``normalized`` is E[A_n^p] / a_n^p, nan where a_n = 0 < p."""
         lines = ["n,p,moment,normalized"]
         for n in range(self.n_max + 1):
             a = kernel.scaling(n)
             for p in range(self.p_max + 1):
                 v = float(self.values[n, p])
-                lines.append(f"{n},{p},{v!r},{float(v / a ** p)!r}")
+                norm = float(v / a ** p) if a or not p else math.nan
+                lines.append(f"{n},{p},{v!r},{norm!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -63,8 +63,8 @@ class StepDistribution:
     qbar(n) = sum of q_k over k > n, from which q_k = qbar(k-1) - qbar(k).
     ``gamma`` declares the regular-variation index of the tail when the
     mean is infinite.  ``max_step`` is the last k with q_k > 0 of a finite
-    vector (None for a tail): its running sums can round below 1, so an
-    inverse CDF clamps its draws there.
+    vector (None for a tail): its running sums can round below 1, so
+    ``quantile``, the one inverse CDF of the law, clamps its draws there.
     """
 
     def __init__(self, pmf=None, tail=None, gamma: float | None = None,
@@ -145,6 +145,17 @@ class StepDistribution:
         """q_0, q_0 + q_1, ..., q_0 + ... + q_n (running sums, cached)."""
         self._ensure(n)
         return self._cdf[:n + 1]
+
+    def quantile(self, u: np.ndarray, n: int) -> np.ndarray:
+        """For each u, the least k <= n with q_0 + ... + q_k > u, else n + 1.
+
+        A finite vector's running sums can round below 1, so a u past the
+        last of them is clamped to ``max_step``, a step the law makes.
+        """
+        k = np.searchsorted(self.cdf_upto(n), u, side="right")
+        if self.max_step is not None:
+            np.minimum(k, self.max_step, out=k)
+        return k
 
 
 def power_tail(gamma: float) -> StepDistribution:
@@ -345,33 +356,60 @@ class _BarrierFamily(Kernel):
     """Walks of i.i.d. steps drawn from q, kept above the barrier at 0.
 
     The walks differ only in what a step that would cross 0 does.  Each
-    subclass states that rule in ``build_row``, in ``_diagonal(qbar)``
-    (p_{n,n} from qbar_n, as build_row computes it), in ``_boundary(qbar)``
-    (the ``toeplitz`` normaliser and the mass sent to 0: the barrier
-    divides by 1 - qbar_n, the truncated walk sends qbar_n to 0, and the
-    ignored walk's qbar_n sits in its diagonal) and in
-    ``_land(states, landing)`` (next states from states - step).  Every row
-    is q reversed plus that boundary, so the DP oracle's moments run on
-    ``toeplitz`` without building rows.  The truncated and ignored walks
-    keep the dense generic ``pushforward``: a correlation moves their
-    tails at n = 3000 by 4e-14, past the oracle values pinned in
-    ``bench/pinned.json``.
+    subclass states that rule in ``_boundary(qbar)``, the arrays
+    (norm, zero, diag) over the states of qbar: row n is q reversed over
+    norm_n, plus zero_n on k = 0, with p_{n,n} = diag_n.  The barrier
+    divides by 1 - qbar_n, the truncated walk sends qbar_n to 0 and the
+    ignored walk adds qbar_n to its diagonal.  ``build_row`` and
+    ``absorbing_mask`` read a kept table of that triple, grown by doubling,
+    and ``toeplitz`` hands it to the DP oracle.  A ``killed`` walk's
+    sampled overflow lands on 0 and its limit measure has the killing atom;
+    any other overflow waits in place (the barrier's ``step`` makes none).
+    The truncated and ignored walks keep the dense generic ``pushforward``:
+    a correlation moves their tails at n = 3000 by 4e-14, past the oracle
+    values pinned in ``bench/pinned.json``.
     """
+
+    walk = "walk"
+    killed = False
 
     def __init__(self, q: StepDistribution):
         super().__init__()
         self.q = q
+        self.name = f"{self.walk}({q.name})"
         if q.gamma is not None and 0.0 < q.gamma < 1.0:
             self.gamma = q.gamma
             self._heavy = True
+            self.mu = barrier_measure(self.gamma)
+            if self.killed:
+                self.mu = atom(1.0, 0.0) + self.mu
         elif math.isfinite(q.mean):
             # finite-mean regime: time scale n, limit is a pure drift
             self.gamma = 1.0
             self._heavy = False
+            self.mu = atom(q.mean, 1.0)
         else:
             raise ValueError(
                 f"{type(self).__name__} needs a regularly varying tail with "
                 "index in (-1, 0), or a step law with finite mean")
+        self._table = (np.empty(0),)
+
+    def _boundary_table(self, n: int):
+        """``_boundary`` over states 0..m for some m >= n, kept between calls."""
+        if self._table[0].size <= n:
+            self._table = self._boundary(self.q.tail_upto(max(2 * n, 64)))
+        return self._table
+
+    def build_row(self, n: int) -> np.ndarray:
+        if n == 0:
+            return np.ones(1)
+        norm, zero, diag = self._boundary_table(n)
+        row = self.q.pmf_upto(n)[::-1].copy()
+        if norm[n] != 1.0:  # x / 1.0 is x, and the division costs more than the copy
+            row /= norm[n]
+        row[0] += zero[n]
+        row[n] = diag[n]
+        return row
 
     def scaling(self, n: int) -> float:
         if n == 0:
@@ -381,51 +419,27 @@ class _BarrierFamily(Kernel):
         return float(n)
 
     def absorbing_mask(self, states: np.ndarray) -> np.ndarray:
-        qbar = self.q.tail_upto(int(states.max(initial=0)))[states]
-        return (states == 0) | (self._diagonal(qbar) >= 1.0 - ABSORB_TOL)
+        diag = self._boundary_table(int(states.max(initial=0)))[2]
+        return (states == 0) | (diag[states] >= 1.0 - ABSORB_TOL)
 
     def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Inverse CDF on the cached step law, then the overflow rule."""
-        jump = np.searchsorted(self.q.cdf_upto(int(states.max())), u, side="right")
-        if self.q.max_step is not None:  # u past a running sum that rounded below 1
-            np.minimum(jump, self.q.max_step, out=jump)
-        return self._land(states, states - jump)
+        """The step law's quantile of each u, then the overflow rule."""
+        landing = states - self.q.quantile(u, int(states.max()))
+        return np.where(landing < 0, 0 if self.killed else states, landing)
 
     def toeplitz(self, n: int):
-        qbar = self.q.tail_upto(n)
-        norm, zero = self._boundary(qbar)
-        return self.q.pmf_upto(n), norm, zero, self._diagonal(qbar)
+        return (self.q.pmf_upto(n), *self._boundary(self.q.tail_upto(n)))
 
 
 class BarrierKernel(_BarrierFamily):
     """Walk reflected by rejection: steps are conditioned to stay above 0."""
 
-    def __init__(self, q: StepDistribution):
-        super().__init__(q)
-        self.name = f"barrier({q.name})"
-        if self._heavy:
-            self.mu = barrier_measure(self.gamma)
-        else:
-            self.mu = atom(self.q.mean, 1.0)
-
-    def build_row(self, n: int) -> np.ndarray:
-        if n == 0:
-            return np.ones(1)
-        qb = self.q.tail_at(n)
-        if qb >= 1.0:
-            row = np.zeros(n + 1)
-            row[n] = 1.0
-            return row
-        return self.q.pmf_upto(n)[::-1] / (1.0 - qb)
-
-    def _diagonal(self, qbar):
-        return np.where(qbar < 1.0, self.q.pmf_upto(0)[0] / self._boundary(qbar)[0], 1.0)
+    walk = "barrier"
 
     def _boundary(self, qbar):
-        return np.where(qbar < 1.0, 1.0 - qbar, 1.0), np.zeros_like(qbar)
-
-    def _land(self, states, landing):
-        return landing
+        norm = np.where(qbar < 1.0, 1.0 - qbar, 1.0)
+        diag = np.where(qbar < 1.0, self.q.pmf_upto(0)[0] / norm, 1.0)
+        return norm, np.zeros_like(qbar), diag
 
     def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         # conditioning on no overflow: invert the step CDF below P(step <= state);
@@ -444,7 +458,7 @@ class BarrierKernel(_BarrierFamily):
         """
         q = self.q.pmf_upto(n)
         qbar = self.q.tail_upto(n)
-        norm, _ = self._boundary(qbar)
+        norm = self._boundary(qbar)[0]
         dead = np.flatnonzero(qbar >= 1.0)
         nz = np.flatnonzero(q).tolist()
         direct = not nz or nz[-1] <= DIRECT_SUPPORT
@@ -475,54 +489,20 @@ class TruncatedKernel(_BarrierFamily):
     the 1/n time scale, so no killing survives in the limit there.
     """
 
-    def __init__(self, q: StepDistribution):
-        super().__init__(q)
-        self.name = f"truncated({q.name})"
-        if self._heavy:
-            self.mu = atom(1.0, 0.0) + barrier_measure(self.gamma)
-        else:
-            self.mu = atom(self.q.mean, 1.0)
-
-    def build_row(self, n: int) -> np.ndarray:
-        if n == 0:
-            return np.ones(1)
-        row = self.q.pmf_upto(n)[::-1].copy()
-        row[0] += self.q.tail_at(n)
-        return row
-
-    def _diagonal(self, qbar):
-        return np.full(qbar.shape, self.q.pmf_upto(0)[0])
+    walk = "truncated"
+    killed = True
 
     def _boundary(self, qbar):
-        return np.ones_like(qbar), qbar
-
-    def _land(self, states, landing):
-        return np.where(landing < 0, 0, landing)
+        return np.ones_like(qbar), qbar, np.full(qbar.shape, self.q.pmf_upto(0)[0])
 
 
 class IgnoredJumpKernel(_BarrierFamily):
     """Overflowing jumps are simply ignored (the walk waits in place)."""
 
-    def __init__(self, q: StepDistribution):
-        super().__init__(q)
-        self.name = f"ignored({q.name})"
-        self.mu = barrier_measure(self.gamma) if self._heavy else atom(self.q.mean, 1.0)
-
-    def build_row(self, n: int) -> np.ndarray:
-        if n == 0:
-            return np.ones(1)
-        row = self.q.pmf_upto(n)[::-1].copy()
-        row[n] += self.q.tail_at(n)
-        return row
-
-    def _diagonal(self, qbar):
-        return self.q.pmf_upto(0)[0] + qbar
+    walk = "ignored"
 
     def _boundary(self, qbar):
-        return np.ones_like(qbar), np.zeros_like(qbar)
-
-    def _land(self, states, landing):
-        return np.where(landing < 0, states, landing)
+        return np.ones_like(qbar), np.zeros_like(qbar), self.q.pmf_upto(0)[0] + qbar
 
 
 def barrier_kernel(q: StepDistribution) -> BarrierKernel:

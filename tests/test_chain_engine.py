@@ -205,6 +205,25 @@ def test_marginal_states_snapshots(bk):
     assert np.all(np.diff(out, axis=1) <= 0)
 
 
+def test_marginal_states_keep_the_order_given(bk):
+    fwd = CE.sample_marginal_states(bk, 100, [5, 10], 64, SEED)
+    assert not np.array_equal(fwd[:, 0], fwd[:, 1])
+    rev = CE.sample_marginal_states(bk, 100, [10, 5], 64, SEED)
+    assert np.array_equal(rev, fwd[:, ::-1])
+
+
+def test_marginal_states_give_a_column_per_repeated_count(bk):
+    fwd = CE.sample_marginal_states(bk, 100, [5, 10], 64, SEED)
+    twice = CE.sample_marginal_states(bk, 100, [5, 5], 64, SEED)
+    assert twice.shape == (64, 2)
+    assert np.array_equal(twice, fwd[:, [0, 0]])
+
+
+def test_marginal_states_refuse_a_negative_count(bk):
+    with pytest.raises(ValueError, match="got -1"):
+        CE.sample_marginal_states(bk, 100, [-1, 5], 64, SEED)
+
+
 # ---------------------------------------------------------------------------
 # rescaling and the exact clock change
 # ---------------------------------------------------------------------------
@@ -332,6 +351,14 @@ def test_upsilon_at_zero_is_one(bk):
     p = CE.sample_path(bk, 100, SEED)
     assert CE.martingale_upsilon(p, 1.0, 0) == 1.0
     assert CE.martingale_M(CE.rescale(p), 1.0, 0.0, 0.5) == 1.0
+
+
+@pytest.mark.parametrize("martingale", [CE.martingale_upsilon, CE.martingale_additive])
+def test_martingales_refuse_a_negative_step_count(bk, martingale):
+    # k = -2 used to read the path from its end and return 0.02
+    p = CE.sample_path(bk, 100, 1)
+    with pytest.raises(ValueError, match="k = -2"):
+        martingale(p, 1.0, -2)
 
 
 def test_martingale_means_are_unit(bk):

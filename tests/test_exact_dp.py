@@ -67,6 +67,24 @@ def test_requires_collapsed_kernel():
     assert tbl.moment(10, 1) > 1.0
 
 
+def test_moment_csv_writes_nan_where_the_scaling_is_zero():
+    # a collapsed coalescent has a_1 = h(1) = 0; the CSV used to divide by it
+    kernel = K.collapse_absorbing(K.beta_coalescent_kernel(1.5, 1.0))
+    tbl = DP.absorption_moments(kernel, 300, 3)
+    assert kernel.scaling(1) == 0.0
+    lines = tbl.to_csv(kernel).splitlines()
+    assert lines[0] == "n,p,moment,normalized" and len(lines) == 1 + 301 * 4
+    for line in lines[1:]:
+        n, p, v, norm = line.split(",")
+        n, p, v = int(n), int(p), float(v)
+        a = kernel.scaling(n)
+        if a == 0.0 and p > 0:
+            assert norm == "nan"
+        else:
+            assert float(norm) == v / a ** p
+    assert "1,0,1.0,1.0" in lines and "1,1,1.0,nan" in lines
+
+
 @pytest.mark.parametrize("make", [
     lambda: K.barrier_kernel(K.power_tail(0.5)),
     lambda: K.truncated_kernel(K.power_tail(0.5)),

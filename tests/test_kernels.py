@@ -146,6 +146,7 @@ def test_finite_step_law_never_overflows_past_its_support(make):
     # to pick a jump of 10, which the law never makes, and overflow from 100
     q = K.finite_step([0.1] * 10)
     assert q.max_step == 9 and K.power_tail(0.5).max_step is None
+    assert q.quantile(np.array([0.0, 0.95, 1.0 - 2.0 ** -53]), 100).tolist() == [0, 9, 9]
     states = np.array([100, 100, 12, 5])
     u = np.array([1.0 - 2.0 ** -53, 0.0, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53])
     landed = make(q).step(states, u)
@@ -519,6 +520,15 @@ PINNED_ROW_DIGESTS = {
         "3401f83c23fa1adcab619c74d29f8613d1bbd5f8718131ecac6da0accf1e6d0b",
     "composition(barrier_levy_measure(0.5))":
         "29061a4e7c066496ef8881d6c67e6624d9eb1b38926307a71fff07104a624ca4",
+    "barrier(power_tail(0.5))": "9eb506730bcc0498ddf559feed4733e84b03bcdd4f9543572863e5d4693566c4",
+    "truncated(power_tail(0.5))":
+        "5085a2a61bc45dfd210673c3e9007737e939fa9752beab1174de1a9c5e299925",
+    "ignored(power_tail(0.5))": "f73fe5750fe4c6ce46e020a00d24ef1123b9108b25f6f569b0999477f8d81d04",
+    # past n = 2 no step of the three-point law overflows, so the three walks agree
+    "barrier(finite([1/3]*3))": "81621ad4582980fdff0f7df993f48473ecbf7c6d616e97503e183e59448df84a",
+    "truncated(finite([1/3]*3))":
+        "81621ad4582980fdff0f7df993f48473ecbf7c6d616e97503e183e59448df84a",
+    "ignored(finite([1/3]*3))": "81621ad4582980fdff0f7df993f48473ecbf7c6d616e97503e183e59448df84a",
 }
 
 
@@ -532,6 +542,10 @@ def test_row_bytes_are_pinned():
         "composition(barrier_levy_measure(0.5))":
             K.composition_kernel(M.barrier_levy_measure(0.5)),  # Beta term with b = -0.5
     }
+    for walk, make in (("barrier", K.barrier_kernel), ("truncated", K.truncated_kernel),
+                       ("ignored", K.ignored_jump_kernel)):
+        kernels[f"{walk}(power_tail(0.5))"] = make(K.power_tail(0.5))
+        kernels[f"{walk}(finite([1/3]*3))"] = make(K.finite_step([1 / 3] * 3))
     got = {}
     for name, k in kernels.items():
         h = hashlib.sha256()
