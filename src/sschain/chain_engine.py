@@ -388,19 +388,31 @@ class CoupledTriple:
 
 def coupled_barrier_triple(q: StepDistribution, n: int, seed: int, stream: int = 0,
                            kernels: tuple[Kernel, Kernel, Kernel] | None = None) -> CoupledTriple:
-    """Couple the three barrier-family walks on one i.i.d. step stream."""
+    """Couple the three barrier-family walks on one i.i.d. step stream.
+
+    Each path ends at its own walk's first absorbing state, read from one
+    ``absorbing_mask`` over 0..n per walk.  Draws go on until the ignored
+    and the truncated walk are both absorbed: the ignored walk can wait
+    forever at an inner absorbing state that the truncated walk leaves.
+    """
     if kernels is None:
         kernels = (TruncatedKernel(q), BarrierKernel(q), IgnoredJumpKernel(q))
     k_tilde, k_x, k_hat = kernels
+    states = np.arange(n + 1)
+    stop_tilde, stop_x, stop_hat = (k.absorbing_mask(states).tolist() for k in kernels)
     # every step longer than n overflows all three walks alike
     jumps = _quantile_draws(q, n, philox_rng(seed, stream))
     hat = [n]
     tilde = [n]
     accept = [0]
+    # the draw counts at which the truncated and the ignored walk are absorbed
+    t_end = 0 if stop_tilde[n] else None
+    h_end = 0 if stop_hat[n] else None
+    h_accepts = 1
     s_raw = 0
     s_hat = 0
     draws = 0
-    while hat[-1] != 0:
+    while t_end is None or h_end is None:
         if draws >= DEFAULT_STEP_CAP:
             raise RunawayChainError("coupled triple: draw cap exceeded")
         z = next(jumps)
@@ -411,16 +423,18 @@ def coupled_barrier_triple(q: StepDistribution, n: int, seed: int, stream: int =
             accept.append(draws)
         hat.append(n - s_hat)
         tilde.append(n - min(s_raw, n))
-    accept_arr = np.asarray(accept, dtype=np.int64)
-    hat_arr = np.asarray(hat, dtype=np.int64)
-    tilde_arr = np.asarray(tilde, dtype=np.int64)
-    # the truncated walk is absorbed at its first zero
-    t_end = int(np.argmax(tilde_arr == 0))
+        if t_end is None and stop_tilde[tilde[-1]]:
+            t_end = draws
+        if h_end is None and stop_hat[hat[-1]]:
+            h_end, h_accepts = draws, len(accept)
+    hat_arr = np.asarray(hat[:h_end + 1], dtype=np.int64)
+    accept_arr = np.asarray(accept[:h_accepts], dtype=np.int64)
     x_states = hat_arr[accept_arr]
-    path_tilde = ChainPath(k_tilde, tilde_arr[:t_end + 1], seed, stream)
-    path_x = ChainPath(k_x, x_states, seed, stream)
+    x_end = next((j for j, x in enumerate(x_states.tolist()) if stop_x[x]), x_states.size - 1)
+    path_tilde = ChainPath(k_tilde, np.asarray(tilde[:t_end + 1], dtype=np.int64), seed, stream)
+    path_x = ChainPath(k_x, x_states[:x_end + 1], seed, stream)
     path_hat = ChainPath(k_hat, hat_arr, seed, stream)
-    return CoupledTriple(path_tilde, path_x, path_hat, accept_arr)
+    return CoupledTriple(path_tilde, path_x, path_hat, accept_arr[:x_end + 1])
 
 
 def _quantile_draws(q: StepDistribution, n: int, rng: np.random.Generator):

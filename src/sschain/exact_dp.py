@@ -66,9 +66,13 @@ def absorption_moments(kernel: Kernel, n_max: int, p_max: int = 1) -> MomentTabl
     Requires a kernel whose only absorbing state is 0.  O(n_max * p_max)
     memory.  The time depends on the kernel:
 
-    * with a ``toeplitz`` hook (the barrier family), no row is built: the
-      sums over k < n of p_{n,k} E[(1 + A_k)^p] are one online correlation
-      with the step law q.  A q whose last support point s is at most
+    * with a ``toeplitz`` hook, no row is built: the sums over k < n of
+      p_{n,k} E[(1 + A_k)^p] are one online correlation of q with
+      weight_k E[(1 + A_k)^p].  The hook is there for the barrier family
+      (weight 1) and for a coalescent or composition kernel with one Beta
+      term and no atoms, collapsed or not (weight and q are two slices of
+      ``gamma_ratio_table``; one more column, the weight alone, gives each
+      row's normaliser).  A q whose last support point s is at most
       DIRECT_SUPPORT is summed term by term, O(n_max * s * p_max);
       otherwise relaxed multiplication (van der Hoeven, "Relax, but don't
       be too lazy", 2002) splits the states in halves, adds each left
@@ -105,14 +109,23 @@ def absorption_moments(kernel: Kernel, n_max: int, p_max: int = 1) -> MomentTabl
             finish(n, [float(np.dot(row[:n], W[:n, p])) for p in range(1, p_max + 1)],
                    float(row[n]))
     else:
-        q, norm, zero, diag = parts
+        q, weight, norm, zero, diag = parts
+        # V[k] = weight[k] W[k]; without given norms, V's column 0 is the
+        # weight alone, whose correlation is each row's Toeplitz mass
+        lead = 0 if norm is None else 1
+        V = np.zeros((n_max + 1, p_max + 1 - lead))
+        V[0] = weight[0] * W[0, lead:]
 
         def finish_row(n: int, corr: np.ndarray):
             # W[0, p] = 1, so the mass sent to state 0 adds zero[n] to every sum
-            scale, sent = float(norm[n]), float(zero[n])
-            finish(n, [c / scale + sent for c in corr.tolist()], float(diag[n]))
+            corr = corr.tolist()
+            scale = corr.pop(0) if norm is None else float(norm[n])
+            sent = float(zero[n])
+            finish(n, [c / scale + sent for c in corr] if scale else [sent] * p_max,
+                   float(diag[n]))
+            V[n] = weight[n] * W[n, lead:]
 
-        _online_correlation(q, W[:, 1:], finish_row)
+        _online_correlation(q, V, finish_row)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise DPError(f"{kernel.name}: moments of A_n are not finite from state "

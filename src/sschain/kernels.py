@@ -4,14 +4,18 @@ Each kernel packages its transition rows (p_{n,k}) together with the
 scaling sequence a_n (completed with a_0 = 1) and the limiting measure mu
 on [0, 1] whose Laplace exponent the rescaled chain targets.  Rows are
 built lazily, validated (non-negative, summing to 1 within 1e-12) and
-memoized; binomial coefficients and Beta functions are evaluated in log
-space, bit for bit from kept log-Gamma tables (``special``), so states up
-to ~10^4 stay well inside double range.
+memoized.
 
 The canonical, coalescent and composition rows are binomial mixtures,
-C(n, k) times integrals of x^p (1-x)^q, all from ``_binomial_mixture``:
-closed-form Beta terms and atoms, or a density by ``quad_unit`` with log
-C(n, k) inside the integrand and endpoint orders lowered by the powers.
+C(n, k) times integrals of x^p (1-x)^q against a measure.  A Beta term
+of a coalescent or composition row is C(n, i) B(i + alpha, n - i + beta),
+which ``_beta_term_entries`` builds as the product of two slices of the
+kept Gamma-ratio tables Gamma(j + s) / j! (``special``), with no log
+space.  Everything else goes through ``_binomial_mixture`` in log space,
+bit for bit from kept log-Gamma tables: the canonical kernel's Beta terms
+(times a regularized incomplete Beta), atoms, and a density without Beta
+terms by ``quad_unit`` with log C(n, k) inside the integrand and endpoint
+orders lowered by the powers.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from scipy.special import betainc, zeta
 from . import measures
 from .measures import (BetaTerm, FiniteMeasure, LevyMeasure, atom,
                        barrier_measure, laplace_exponent, quad, quad_unit)
-from .special import betaln_shifted, log_binom
+from .special import betaln_shifted, gamma_ratio_table, log_binom
 from .stats import TrendReport, trend_verdict
 
 ROW_SUM_TOL = 1e-12
@@ -312,10 +316,13 @@ class Kernel:
     def toeplitz(self, n: int):
         """Rows 1..n as one step law plus boundary terms, or None (the generic rows).
 
-        A kernel whose row m is p_{m,k} = q_{m-k} / norm_m for 0 < k < m,
-        plus zero_m more on k = 0, with p_{m,m} = diag_m, may return the
-        arrays (q, norm, zero, diag) over 0..n; the DP oracle then runs its
-        rows as one correlation with q and builds none of them.
+        A kernel whose row m is p_{m,k} = q_{m-k} weight_k / norm_m for
+        0 <= k < m, plus zero_m more on k = 0, with p_{m,m} = diag_m, may
+        return the arrays (q, weight, norm, zero, diag) over 0..n; the DP
+        oracle then runs its rows as one correlation with q and builds none
+        of them.  ``norm`` None is each row's
+        own Toeplitz mass, the sum over k < m of q_{m-k} weight_k; a row
+        whose Toeplitz part is empty is then its boundary terms alone.
         """
         return None
 
@@ -428,7 +435,7 @@ class _BarrierFamily(Kernel):
         return np.where(landing < 0, 0 if self.killed else states, landing)
 
     def toeplitz(self, n: int):
-        return (self.q.pmf_upto(n), *self._boundary(self.q.tail_upto(n)))
+        return (self.q.pmf_upto(n), np.ones(n + 1), *self._boundary(self.q.tail_upto(n)))
 
 
 class BarrierKernel(_BarrierFamily):
@@ -525,16 +532,17 @@ def _binomial_mixture(log_c, p, q, terms, atoms, density, sing0, sing1,
                       upper=1.0) -> np.ndarray:
     """exp(log_c) times the integrals of x^p (1-x)^q over (0, upper), entrywise.
 
-    The measure comes in parts: Beta terms, interior atoms (location, mass)
-    and, only without Beta terms, a density with endpoint orders sing0 and
-    sing1.  Its quadrature keeps exp(log_c) inside the integrand, where the
+    The measure comes in parts: Beta terms (the canonical kernel's, with
+    upper < 1; the other kernels use ``_beta_term_entries``), interior
+    atoms (location, mass) and, only without Beta terms, a density with
+    endpoint orders sing0 and sing1.  Its quadrature keeps exp(log_c) inside the integrand, where the
     absolute tolerance sees the entry itself, and lowers the orders by the
     powers.  Endpoint atoms are the caller's.
     """
     out = np.zeros(len(log_c))
     for t in terms:
         val = t.coef * np.exp(log_c + betaln_shifted(p, q, t.a, t.b))
-        out += val * betainc(p + t.a, q + t.b, upper) if upper < 1.0 else val
+        out += val * betainc(p + t.a, q + t.b, upper)
     for loc, mass in atoms:
         if loc < upper:
             out += mass * np.exp(log_c + p * math.log(loc) + q * math.log1p(-loc))
@@ -545,6 +553,21 @@ def _binomial_mixture(log_c, p, q, terms, atoms, density, sing0, sing1,
                     return 0.0
                 return math.exp(lc + pk * math.log(x) + qk * math.log1p(-x)) * density(x)
             out[i] += quad_unit(f, max(0.0, sing0 - pk), max(0.0, sing1 - qk), upper)[0]
+    return out
+
+
+def _beta_term_entries(terms, n: int, count: int) -> np.ndarray:
+    """Sum over (coef, alpha, beta) of coef C(n, i) B(i + alpha, n - i + beta), i < count.
+
+    Each term is coef P(n) R_alpha(i) R_beta(n - i), with R_s(j) =
+    Gamma(j + s) / j! and P(n) = n! / Gamma(n + alpha + beta) = 1 /
+    R_{alpha+beta}(n), all read from ``gamma_ratio_table``.
+    """
+    out = np.zeros(count)
+    for coef, alpha, beta in terms:
+        scale = coef / gamma_ratio_table(alpha + beta, n + 1)[n]
+        out += scale * gamma_ratio_table(alpha, count)[:count] \
+            * gamma_ratio_table(beta, n + 1)[n:n - count:-1]
     return out
 
 
@@ -699,10 +722,14 @@ class CoalescentKernel(Kernel):
         g = np.zeros(n + 1)
         if n < 2:
             return g
-        k = np.arange(1, n)
         L = self.Lambda
-        g[1:n] = _binomial_mixture(log_binom(n, k - 1), n - k - 1, k - 1, L.beta_terms,
-                                   L.interior_atoms, L.density, L.sing0, L.sing1)
+        # i = k - 1 merged blocks stay: alpha = b, beta = a - 2
+        g[1:n] = _beta_term_entries([(t.coef, t.b, t.a - 2.0) for t in L.beta_terms], n, n - 1)
+        if L.interior_atoms or not L.beta_terms:
+            k = np.arange(1, n)
+            g[1:n] += _binomial_mixture(log_binom(n, k - 1), n - k - 1, k - 1, (),
+                                        L.interior_atoms, None if L.beta_terms else L.density,
+                                        L.sing0, L.sing1)
         g[1] += L.atom1
         return g
 
@@ -715,7 +742,22 @@ class CoalescentKernel(Kernel):
         if n == 1:
             return np.array([0.0, 1.0])
         g = self.collision_rates(n)
-        return g / math.fsum(memoryview(g))
+        return g / g.sum()
+
+    def absorbing_mask(self, states: np.ndarray) -> np.ndarray:
+        # p_{n,n} = 0 for n >= 2, so only 0 and the single block absorb
+        return states <= 1
+
+    def toeplitz(self, n: int):
+        """One Beta term and no atoms: weight_k = R_b(k - 1) and q_m = R_{a-2}(m + 1)."""
+        L = self.Lambda
+        if len(L.beta_terms) != 1 or L.interior_atoms or L.atom1:
+            return None
+        t = L.beta_terms[0]
+        weight = np.zeros(n + 1)
+        weight[1:] = gamma_ratio_table(t.b, n)[:n]
+        q = gamma_ratio_table(t.a - 2.0, n + 2)[1:n + 2]
+        return q, weight, None, np.zeros(n + 1), (np.arange(n + 1) <= 1).astype(float)
 
 
 def _incomplete_power_integral(coef, a, b, u):
@@ -801,9 +843,12 @@ class CompositionKernel(Kernel):
 
     def _unnormalized(self, n: int) -> np.ndarray:
         """C(n, k) times the integrals of x^k (1-x)^(n-k) against the unit image, k < n."""
-        k = np.arange(n)
-        return _binomial_mixture(log_binom(n, k), k, n - k, self._unit_terms, self._unit_atoms,
-                                 self._unit_density, 0.0, self.omega.small_order)
+        un = _beta_term_entries([(t.coef, t.a, t.b) for t in self._unit_terms], n, n)
+        if self._unit_atoms or self._generic:
+            k = np.arange(n)
+            un += _binomial_mixture(log_binom(n, k), k, n - k, (), self._unit_atoms,
+                                    self._unit_density, 0.0, self.omega.small_order)
+        return un
 
     def scaling(self, n: int) -> float:
         if n == 0:
@@ -823,6 +868,19 @@ class CompositionKernel(Kernel):
         row = np.zeros(n + 1)
         row[:n] = un / z
         return row
+
+    def absorbing_mask(self, states: np.ndarray) -> np.ndarray:
+        return states == 0  # p_{n,n} = 0 for n >= 1
+
+    def toeplitz(self, n: int):
+        """One Beta term and no atoms: weight_k = R_a(k) and q_m = R_b(m)."""
+        if len(self._unit_terms) != 1 or self._unit_atoms:
+            return None
+        t = self._unit_terms[0]
+        q = gamma_ratio_table(t.b, n + 1)[:n + 1].copy()
+        q[0] = 0.0  # never read, and nan where b <= 0
+        zeros = np.zeros(n + 1)
+        return q, gamma_ratio_table(t.a, n + 1)[:n + 1], None, zeros, zeros
 
 
 def composition_kernel(omega: LevyMeasure) -> CompositionKernel:
@@ -884,6 +942,21 @@ class CollapsedKernel(Kernel):
 
     def absorbing(self, n: int) -> bool:
         return n == 0
+
+    def toeplitz(self, n: int):
+        """The base's parts, with each absorbing state's row sent whole to 0.
+
+        A given norm turns infinite there, which empties the Toeplitz part;
+        a base without one has an empty part at its absorbing states already.
+        """
+        parts = self.base.toeplitz(n)
+        if parts is None:
+            return None
+        q, weight, norm, zero, diag = parts
+        stuck = self.base.absorbing_mask(np.arange(n + 1))
+        if norm is not None:
+            norm = np.where(stuck, np.inf, norm)
+        return q, weight, norm, np.where(stuck, 1.0, zero), np.where(stuck, 0.0, diag)
 
     def scaling(self, n: int) -> float:
         return self.base.scaling(n)

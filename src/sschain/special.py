@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import betaln, gammaln, gammasgn
 
@@ -12,6 +14,8 @@ _ASYMPTOTIC = 1e6
 
 # gammaln(j + shift) by shift: pure values, so every caller may share them
 _LGAMMA_TABLES: dict[float, np.ndarray] = {}
+# Gamma(j + shift) / j! by shift, as pure as the tables above
+_RATIO_TABLES: dict[float, np.ndarray] = {}
 
 
 def _lgamma_table(shift: float, size: int) -> np.ndarray:
@@ -20,6 +24,28 @@ def _lgamma_table(shift: float, size: int) -> np.ndarray:
     if t is None or t.size < size:
         m = max(size, 64 if t is None else 2 * t.size)
         t = _LGAMMA_TABLES[shift] = gammaln(np.arange(m) + shift)
+    return t
+
+
+def gamma_ratio_table(shift: float, size: int) -> np.ndarray:
+    """Gamma(j + shift) / j! for j = 0..size-1 or more, kept and grown by doubling.
+
+    A running product: from j0, the first j with j + shift > 0, each entry
+    is the last times (j + shift) / (j + 1), so no log-Gamma difference
+    rounds it and a longer table repeats the shorter one bit for bit.
+    Entries below j0 are nan.
+    """
+    t = _RATIO_TABLES.get(shift)
+    if t is None or t.size < size:
+        m = max(size, 64 if t is None else 2 * t.size)
+        j0 = max(0, math.floor(-shift) + 1)
+        j = np.arange(j0, m - 1, dtype=float)
+        step = np.empty(m - j0)
+        step[0] = math.gamma(j0 + shift) / math.factorial(j0)
+        step[1:] = (j + shift) / (j + 1.0)
+        t = np.full(m, np.nan)
+        t[j0:] = np.cumprod(step)
+        _RATIO_TABLES[shift] = t
     return t
 
 

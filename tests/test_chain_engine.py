@@ -442,6 +442,28 @@ def test_coupled_triple_never_overflows_past_a_finite_support(monkeypatch):
     assert trip.acceptance_times.tolist() == list(range(12))
 
 
+def test_coupled_triple_ends_each_walk_at_its_own_absorption(monkeypatch):
+    # from 1 only the step 0 fits, so the ignored and the conditioned walks
+    # can be absorbed at 1 while the truncated walk goes on to die at 0; the
+    # draws used to run until the ignored walk reached 0, that is forever.
+    # A small cap makes a relapse raise at once instead of filling memory.
+    monkeypatch.setattr(CE, "DEFAULT_STEP_CAP", 10 ** 4)
+    q = K.finite_step([0.5, 0.0, 0.25, 0.25])
+    ends = set()
+    for i in range(8):
+        trip = CE.coupled_barrier_triple(q, 500, SEED, stream=i)
+        for path in trip:
+            stop = path.kernel.absorbing_mask(path.states).tolist()
+            assert stop[-1] and not any(stop[:-1]), (i, path.kernel.name)
+        tl, x, ht = (p.states for p in trip)
+        assert tl[-1] == 0 and x[-1] == ht[-1]
+        assert np.array_equal(ht[trip.acceptance_times], x)
+        kk = min(len(tl), len(x), len(ht))
+        assert np.all(tl[:kk] <= x[:kk]) and np.all(x[:kk] <= ht[:kk])
+        ends.add(int(ht[-1]))
+    assert ends == {0, 1}
+
+
 def test_coupled_marginal_laws_match_kernels(pt):
     # the conditioned-walk marginal read off the coupling equals an
     # independently sampled barrier walk in distribution (absorption mean)

@@ -345,12 +345,32 @@ def rows_only(kernel):
     return K.ExplicitKernel(kernel.build_row, name=f"rows of {kernel.name}")
 
 
-@pytest.mark.parametrize("make", WALKS, ids=["barrier", "truncated", "ignored"])
-@pytest.mark.parametrize("q, n", [(K.power_tail(0.5), 3000), (K.finite_step(THIRDS), 3000),
-                                  (K.power_tail(0.5), 200)],
-                         ids=["power-fft", "finite-direct", "power-direct"])
-def test_toeplitz_moments_match_the_row_loop(make, q, n):
-    kernel = make(q)
+WALK_IDS = ["barrier", "truncated", "ignored"]
+# the collapsed coalescent and the composition with one Beta term: rows from
+# two Gamma-ratio slices, whose normaliser the correlation reads off itself
+BETA_TERM_DP = [("collapsed-coalescent",
+                 lambda: K.collapse_absorbing(K.beta_coalescent_kernel(1.5, 1.0))),
+                ("collapsed-coalescent(1.3,0.7)",
+                 lambda: K.collapse_absorbing(K.coalescent_kernel(M.beta_density(1.3, 0.7)))),
+                ("composition", lambda: K.composition_kernel(M.barrier_levy_measure(0.5)))]
+
+
+def _walk_cases(laws):
+    return [pytest.param(lambda w=walk, q=q: w(q), *rest, id=f"{law}-{wid}")
+            for law, q, *rest in laws for walk, wid in zip(WALKS, WALK_IDS)]
+
+
+# the Beta-term supports reach n: direct sums up to DIRECT_SUPPORT, FFT above
+@pytest.mark.parametrize("make, n", _walk_cases(
+    [("power-fft", K.power_tail(0.5), 3000), ("finite-direct", K.finite_step(THIRDS), 3000),
+     ("power-direct", K.power_tail(0.5), 200)])
+    + [pytest.param(make, n, id=f"{kind}-{name}") for name, make in BETA_TERM_DP
+       for kind, n in (("fft", 3000), ("direct", 200))]
+    # an inner absorbing state 1, sent to 0 by the collapse: its norm turns infinite
+    + [pytest.param(lambda w=walk: K.collapse_absorbing(w(K.finite_step([0.5, 0.0, 0.5]))), 300,
+                    id=f"collapsed-gap-{wid}") for walk, wid in zip(WALKS, WALK_IDS)])
+def test_toeplitz_moments_match_the_row_loop(make, n):
+    kernel = make()
     assert kernel.toeplitz(n) is not None and rows_only(kernel).toeplitz(n) is None
     fast = DP.absorption_moments(kernel, n, 3).values
     slow = DP.absorption_moments(rows_only(kernel), n, 3).values
@@ -389,16 +409,27 @@ def test_finite_step_moments_match_exact_rationals(walk):
     np.testing.assert_allclose(got, np.array(m, dtype=float), rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("make", WALKS, ids=["barrier", "truncated", "ignored"])
-@pytest.mark.parametrize("q", [K.power_tail(0.5), K.finite_step(THIRDS)], ids=["power", "finite"])
-def test_toeplitz_moments_build_no_row(monkeypatch, make, q):
-    kernel = make(q)
+@pytest.mark.parametrize("make", _walk_cases([("power", K.power_tail(0.5)),
+                                               ("finite", K.finite_step(THIRDS))])
+                         + [pytest.param(make, id=name) for name, make in BETA_TERM_DP])
+def test_toeplitz_moments_build_no_row(monkeypatch, make):
+    kernel = make()
     expect = DP.absorption_moments(kernel, 600, 2).values
 
     def refuse(n):
         raise AssertionError(f"row {n} was built")
-    monkeypatch.setattr(kernel, "build_row", refuse)
+    for k in (kernel, getattr(kernel, "base", kernel)):
+        monkeypatch.setattr(k, "build_row", refuse)
     assert np.array_equal(DP.absorption_moments(kernel, 600, 2).values, expect)
+
+
+def test_collapsed_toeplitz_sends_an_absorbing_row_whole_to_zero():
+    # state 1 of this ignored walk waits with probability 1 - 1e-13, inside
+    # ABSORB_TOL, and steps to 0 with 1e-13: collapsed, row 1 is exactly (1, 0)
+    kernel = K.collapse_absorbing(K.ignored_jump_kernel(K.finite_step([0.5, 1e-13, 0.5 - 1e-13])))
+    assert kernel.base.absorbing(1) and kernel.toeplitz(5) is not None
+    for k in (kernel, rows_only(kernel)):
+        assert DP.absorption_moments(k, 5, 2).values[1].tolist() == [1.0, 1.0, 1.0]
 
 
 def test_toeplitz_moments_refuse_an_absorbing_state_as_the_row_loop_does():

@@ -326,14 +326,14 @@ def test_coalescent_rates_quadrature_vs_loggamma(beta_co):
 def test_coalescent_rates_match_mpmath(a, b):
     """collision_rates(n) against 40-digit C(n, k-1) B(n-k-1+a, k-1+b) / B(a, b).
 
-    The log-space floor is |log Gamma| times machine epsilon: log C and log B
-    reach about 8e4 at n = 10^4 and cancel down to the log of the rate, so
-    the measured worst relative errors at these indices are 1.5e-12 and
-    2.7e-12 at n = 1000 and 3.4e-11 and 4.1e-11 at n = 10^4, for (1.5, 1)
-    and (1.3, 0.7).
+    The rates are products of Gamma-ratio tables, running products whose
+    rounding grows with the index, so the measured worst relative errors
+    at these indices are 2.6e-15 and 1.9e-14 at n = 1000 and 3.6e-15 and
+    2.5e-13 at n = 10^4, for (1.5, 1) and (1.3, 0.7); the tolerances are
+    about twice the worse of the two.
     """
     co = K.coalescent_kernel(M.beta_density(a, b))
-    for n, tol in ((1000, 1e-11), (10_000, 1e-10)):
+    for n, tol in ((1000, 5e-14), (10_000, 5e-13)):
         g = co.collision_rates(n)
         ends = np.geomspace(1, n - 1, 30).round().astype(int)
         ks = np.unique(np.concatenate([ends, n - ends])).tolist()
@@ -505,21 +505,88 @@ def test_absorbing_state_detection(pt):
 
 
 # ---------------------------------------------------------------------------
+# Beta-term rows against mpmath, and the vectorized absorbing masks
+# ---------------------------------------------------------------------------
+
+BETA_TERM_KERNELS = {
+    # (kernel, first destination, a, b) with entries C(n, i) B(i + alpha, n - i + beta)
+    "beta_coalescent(1.5,1)": (lambda: K.beta_coalescent_kernel(1.5, 1.0), 1, 1.5, 1.0),
+    "coalescent(beta_density(1.3,0.7))":
+        (lambda: K.coalescent_kernel(M.beta_density(1.3, 0.7)), 1, 1.3, 0.7),
+    "composition(barrier_levy_measure(0.5))":
+        (lambda: K.composition_kernel(M.barrier_levy_measure(0.5)), 0, 1.0, -0.5),
+}
+
+
+def _mpmath_row(first, a, b, n):
+    """Row n in 30-digit arithmetic, as {destination: probability}."""
+    with mpmath.workdps(30):
+        A, B = mpmath.mpf(a), mpmath.mpf(b)
+        if first == 1:  # coalescent: k - 1 blocks stay, alpha = b, beta = a - 2
+            ent = {k: mpmath.binomial(n, k - 1) * mpmath.beta(k - 1 + B, n - k - 1 + A)
+                   for k in range(1, n)}
+        else:  # composition: alpha = a, beta = b
+            ent = {k: mpmath.binomial(n, k) * mpmath.beta(k + A, n - k + B) for k in range(n)}
+        z = mpmath.fsum(ent.values())
+        return {k: v / z for k, v in ent.items()}
+
+
+@pytest.mark.parametrize("name", list(BETA_TERM_KERNELS))
+def test_beta_term_rows_match_mpmath(name):
+    """Every entry of rows 3, 50, 700 and 3000 against 30-digit mpmath.
+
+    The worst relative errors measured are 1.1e-16, 4.0e-16, 3.3e-15,
+    6.0e-15 for beta_coalescent(1.5,1), 1.6e-16, 7.7e-16, 1.2e-14,
+    5.1e-14 for the (1.3, 0.7) coalescent and 2.8e-17, 5.5e-16, 3.2e-15,
+    5.6e-15 for the composition; the tolerance is twice the worst of them.
+    """
+    make, first, a, b = BETA_TERM_KERNELS[name]
+    kernel = make()
+    for n in (3, 50, 700, 3000):
+        row = kernel.validated_row(n)
+        ref = _mpmath_row(first, a, b, n)
+        assert set(np.flatnonzero(row).tolist()) == set(ref), n
+        worst = max(float(abs(row[k] - p) / p) for k, p in ref.items())
+        assert worst <= 1e-13, (n, worst)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: K.beta_coalescent_kernel(1.5, 1.0),
+    lambda: K.coalescent_kernel(M.beta_density(1.3, 0.7) + M.atom(0.2, 0.5)),
+    lambda: K.composition_kernel(M.barrier_levy_measure(0.5)),
+    lambda: K.composition_kernel(M.levy_atom(1.0, math.log(2.0))),
+], ids=["beta-coalescent", "coalescent-with-atom", "composition", "atomic-composition"])
+def test_absorbing_mask_overrides_match_recorded_flags(make):
+    kernel = make()
+    states = np.arange(201)
+    mask = kernel.absorbing_mask(states).tolist()
+    assert not kernel._absorbing_cache  # the override builds no row
+    for n in states.tolist():
+        kernel.validated_row(n)
+    assert mask == [kernel._absorbing_cache[n] for n in states.tolist()]
+    assert mask == [kernel.absorbing(n) for n in states.tolist()]
+
+
+# ---------------------------------------------------------------------------
 # pinned row bytes
 # ---------------------------------------------------------------------------
 
 # SHA-256 of validated_row(n).tobytes() for n = 50, 300, 2000 in turn.  A
 # last-bit change in any entry moves the digest; the sampled-integer pins in
-# test_chain_engine.py cannot see one.
+# test_chain_engine.py cannot see one.  The three Beta-term rows are products
+# of two Gamma-ratio table slices; their worst relative errors against
+# 30-digit mpmath at n = 50, 300, 2000 are 4.0e-16, 7.1e-16, 5.3e-15 for
+# beta_coalescent(1.5,1), 7.7e-16, 1.4e-14, 9.8e-14 for the (1.3, 0.7)
+# coalescent and 5.5e-16, 6.2e-16, 5.3e-15 for the composition.
 PINNED_ROW_DIGESTS = {
-    "beta_coalescent(1.5,1)": "920908953ae00462a643c4ecd61452078b703c89e6d49a60f79b2e3dbc6ef1bf",
+    "beta_coalescent(1.5,1)": "2fe2981200230be4932b31c308776e98698413d223e6b2b52be22c72cc2c2eb6",
     "coalescent(beta_density(1.3,0.7))":
-        "73d1cb5f55a65f16e3b25440e7e97f9bbfae9b9edfe278463c5501b030b63aea",
+        "f6f99770721acf608201a7c59ebd890f0d430882d846e1aefaf912b84b022c24",
     "canonical(lebesgue,0.5)": "334eb8d16996f015ca654fe9d53c1d7b6449eafb8109c2d1cfe2e0b3404237b7",
     "canonical(beta_density(0.7,1.9),0.8)":
         "3401f83c23fa1adcab619c74d29f8613d1bbd5f8718131ecac6da0accf1e6d0b",
     "composition(barrier_levy_measure(0.5))":
-        "29061a4e7c066496ef8881d6c67e6624d9eb1b38926307a71fff07104a624ca4",
+        "f24c8d0f4c109cc84964e58ea779e6257ed1efc1f14bd9156b5b09f40f149572",
     "barrier(power_tail(0.5))": "9eb506730bcc0498ddf559feed4733e84b03bcdd4f9543572863e5d4693566c4",
     "truncated(power_tail(0.5))":
         "5085a2a61bc45dfd210673c3e9007737e939fa9752beab1174de1a9c5e299925",
