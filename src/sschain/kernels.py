@@ -192,14 +192,21 @@ class Kernel:
     Subclasses implement ``build_row`` and ``scaling``; everything else is
     shared.  Validating row n records whether n is absorbing, and
     ``absorbing(n)`` reads that record: it builds no row of its own.
-    Samplers and the DP oracle use ``absorbing_mask``, ``step`` and
-    ``pushforward``, generic here and overridable by faster equivalents.
+    The batch samplers sweep the rows from the highest state down, one
+    uncached ``cumulative_row`` at a time, unless the kernel samples a
+    step law of its own (``step``); ``sample_path`` reads the memoized
+    ``row_cumsum``.  ``absorbing_mask``, ``pushforward`` and ``toeplitz``
+    are generic here and overridable by faster equivalents.
     Kernels are immutable once built; the caches are deterministic.
     """
 
     name = "kernel"
     gamma: float | None = None
     mu: FiniteMeasure | None = None
+    # a kernel that samples a step law of its own sets step(states, u), one
+    # transition per state and uniform; the batch samplers then run it in
+    # lockstep.  Without one they sweep the rows, highest state first.
+    step = None
 
     def __init__(self):
         self._row_cache: dict[int, np.ndarray] = {}
@@ -257,19 +264,26 @@ class Kernel:
             self._row_cache[n] = r
         return r
 
+    def cumulative_row(self, n: int) -> np.ndarray:
+        """Running sums of row n, not cached; validating the row records ``absorbing(n)``.
+
+        The last sum is set to 1, so inverting a uniform u < 1 with
+        ``searchsorted(u, side="right")`` never passes state n.  A row that
+        ``row(n)`` keeps is read, not built again.
+        """
+        row = self._row_cache.get(n)
+        c = np.cumsum(self.validated_row(n) if row is None else row)
+        c[-1] = 1.0  # guards searchsorted against accumulated roundoff
+        return c
+
     def row_cumsum(self, n: int) -> np.ndarray:
-        """Cumulative row, memoized separately so samplers need not pin raw rows.
+        """``cumulative_row(n)``, memoized for ``sample_path``, which revisits its states.
 
         ``absorbing(n)`` and ``row_cumsum(n)`` share one build of row n.
         """
         c = self._cumsum_cache.get(n)
         if c is None:
-            row = self._row_cache.get(n)
-            if row is None:
-                row = self.validated_row(n)
-            c = np.cumsum(row)
-            c[-1] = 1.0  # guards searchsorted against accumulated roundoff
-            self._cumsum_cache[n] = c
+            c = self._cumsum_cache[n] = self.cumulative_row(n)
         return c
 
     def absorbing(self, n: int) -> bool:
@@ -285,23 +299,6 @@ class Kernel:
         """``absorbing`` of every entry of an integer state array."""
         distinct, inverse = np.unique(states, return_inverse=True)
         return np.array([self.absorbing(m) for m in distinct.tolist()], dtype=bool)[inverse]
-
-    def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """One transition of every state by inverse CDF on its row, one uniform each.
-
-        The states are sorted once, so each distinct state inverts its row
-        on one contiguous slice of the uniforms.
-        """
-        order = np.argsort(states, kind="stable")
-        ordered, u_ordered = states[order], u[order]
-        starts = np.flatnonzero(np.diff(ordered, prepend=-1)).tolist()  # states are >= 0
-        nxt = np.empty_like(ordered)
-        for a, b in zip(starts, starts[1:] + [ordered.size]):
-            nxt[a:b] = self.row_cumsum(int(ordered[a])).searchsorted(u_ordered[a:b],
-                                                                      side="right")
-        out = np.empty_like(states)
-        out[order] = nxt
-        return out
 
     def pushforward(self, n: int, budget_ops: float = math.inf):
         """The map pi -> pi P on states 0..n, as a dense (n+1)^2 row matrix."""
@@ -1027,7 +1024,8 @@ def hypothesis_h_diagnostic(kernel: Kernel, lambda_grid: Sequence[float],
         target = kernel.psi(lam)
         errs = []
         for n in n_grid:
-            value = kernel.scaling(n) * (1.0 - kernel.generating(n, lam))
+            g = kernel.generating(n, lam)  # first: a_n may reuse what row n's build kept
+            value = kernel.scaling(n) * (1.0 - g)
             e = DiagnosticEntry(n, lam, value, target)
             entries.append(e)
             errs.append(e.rel_error)

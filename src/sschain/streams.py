@@ -29,11 +29,13 @@ def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
 class BlockUniforms:
     """Per-replicate uniforms, drawn in blocks, in a fixed per-stream order.
 
-    Row i holds the draws of ``philox_rng(seed, stream0 + i)``: refill r
+    Row i holds the draws of ``philox_rng(seed, stream0 + i)``: block r
     is its draws 64r ... 64r+63, that is Philox counters 16r+1 ... 16r+16
-    under key (seed, stream0 + i), reached by setting the state of one
-    bit generator.  A refill skips the rows its caller marks dead, so a
-    replicate's numbers still depend only on its own (seed, stream) pair.
+    under key (seed, stream0 + i), reached by setting the state of one bit
+    generator.  Each row keeps the block it holds and refills only itself,
+    so the lockstep sampler (every replicate at the same draw) and the
+    state sweep (each at its own) read draw k of a replicate's own stream
+    alike, and a replicate's numbers depend only on its (seed, stream) pair.
     """
 
     BLOCK = 64  # uniforms drawn from each replicate's stream at a time
@@ -45,31 +47,29 @@ class BlockUniforms:
                                                    dtype=np.uint64))
         self._gen = np.random.Generator(self._bits)
         self._buf = np.empty((count, self.BLOCK))
-        self._block = -1
-        self._used = self.BLOCK
+        self._block = np.full(count, -1, dtype=np.int64)
 
-    def next_column(self, live: np.ndarray) -> np.ndarray:
-        """One fresh uniform per replicate; only rows where ``live`` holds are valid.
+    def draws(self, rows: np.ndarray, k) -> np.ndarray:
+        """Draw k[j] (counted from 0) of the stream of each distinct row rows[j].
 
-        Every replicate's stream advances in lockstep, so which replicates
-        are still running never affects the numbers another replicate sees.
+        k is an integer array shaped like rows, or one count for every row.
         """
-        if self._used == self.BLOCK:
-            self._block += 1
-            self._refill(np.flatnonzero(live).tolist())
-            self._used = 0
-        col = self._buf[:, self._used]
-        self._used += 1
-        return col
+        block, col = np.divmod(k, self.BLOCK)
+        stale = self._block[rows] != block
+        if stale.any():
+            self._refill(rows[stale], np.broadcast_to(block, rows.shape)[stale])
+        return self._buf[rows, col]
 
-    def _refill(self, rows: list[int]):
+    def _refill(self, rows: np.ndarray, blocks: np.ndarray):
         # the state setter reads plain sequences; buffer_pos 4 marks the
         # buffer spent, so the first draw advances the counter to 16r + 1
+        self._block[rows] = blocks
         key = [self._seed, 0]
-        state = {"bit_generator": "Philox",
-                 "state": {"counter": [self.BLOCK // 4 * self._block, 0, 0, 0], "key": key},
+        counter = [0, 0, 0, 0]
+        state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
                  "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        for i in rows:
+        for i, r in zip(rows.tolist(), blocks.tolist()):
             key[1] = (self._stream0 + i) & _U64
+            counter[0] = self.BLOCK // 4 * r
             self._bits.state = state
             self._gen.random(self.BLOCK, out=self._buf[i])

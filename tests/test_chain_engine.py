@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,12 +67,32 @@ def test_determinism_bitwise(bk):
     assert not np.array_equal(p1.states, p3.states)
 
 
+def _uniform_rows_absorbing_at_3(n):
+    # uniform rows, so every state may hold; state 3 absorbs
+    return np.eye(n + 1)[n] if n == 3 else np.full(n + 1, 1.0 / (n + 1))
+
+
+GENERIC_KERNELS = {
+    "coalescent": lambda: K.beta_coalescent_kernel(1.5, 1.0),
+    "collapsed-coalescent": lambda: K.collapse_absorbing(K.beta_coalescent_kernel(1.5, 1.0)),
+    "composition": lambda: K.composition_kernel(M.barrier_levy_measure(0.5)),
+    "explicit": lambda: K.ExplicitKernel(_uniform_rows_absorbing_at_3, name="uniform-stop-3"),
+}
+
+
 def test_batch_matches_single_paths_for_generic_kernels():
-    co = K.beta_coalescent_kernel(1.5, 1.0)
-    times = CE.sample_absorption_times(co, 30, 16, SEED, stream0=5)
-    singles = [CE.sample_path(co, 30, SEED, stream=5 + i).absorption_time
-               for i in range(16)]
-    assert list(times) == singles
+    # the state sweep and sample_path read draw k of a replicate's stream at step k
+    n, reps, stream0 = 30, 16, 5
+    points = [0, 1, 2, 5, 5, 17, 3, 60]
+    for name, make in GENERIC_KERNELS.items():
+        kernel = make()
+        assert kernel.step is None, name
+        singles = [CE.sample_path(kernel, n, SEED, stream=stream0 + i) for i in range(reps)]
+        times = CE.sample_absorption_times(make(), n, reps, SEED, stream0=stream0)
+        assert times.tolist() == [p.absorption_time for p in singles], name
+        states = CE.sample_marginal_states(make(), n, points, reps, SEED, stream0=stream0)
+        expect = [[int(p.states[min(k, p.absorption_time)]) for k in points] for p in singles]
+        assert states.tolist() == expect, name
 
 
 def test_runaway_guard(monkeypatch):
@@ -82,7 +103,7 @@ def test_runaway_guard(monkeypatch):
         return row
     loop = K.ExplicitKernel(down, name="walk-down")
     monkeypatch.setattr(CE, "DEFAULT_STEP_CAP", 100)
-    # both samplers cache one cumulative row per visited state, so start low
+    # sample_path caches one cumulative row per visited state, so start low
     with pytest.raises(CE.RunawayChainError):
         CE.sample_path(loop, 1000, SEED)
     with pytest.raises(CE.RunawayChainError):
@@ -116,6 +137,19 @@ def test_batch_sampler_builds_each_row_once():
     assert calls and len(calls) == len(set(calls))
 
 
+def test_state_sweep_holds_one_row_at_a_time():
+    # caching every visited cumulative row peaks at 34.7 MiB here; the sweep
+    # measured 0.48 MiB: one row of <= 3001 entries and 200 replicates' blocks
+    kernel = K.beta_coalescent_kernel(1.5, 1.0)
+    tracemalloc.start()
+    try:
+        CE.sample_absorption_times(kernel, 3000, 200, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
+
+
 def test_block_uniforms_follow_each_stream_as_rows_die():
     # rows die at different steps; every live row reads its own stream, draw
     # for draw, across four refills.  The keys wrap modulo 2^64 as in philox_rng.
@@ -125,9 +159,29 @@ def test_block_uniforms_follow_each_stream_as_rows_die():
     ref = np.array([philox_rng(seed, stream0 + i).random(cols) for i in range(count)])
     uniforms = BlockUniforms(seed, stream0, count)
     for j in range(cols):
-        live = death > j
-        col = uniforms.next_column(live)
-        assert np.array_equal(col[live], ref[live, j])
+        live = np.flatnonzero(death > j)
+        assert np.array_equal(uniforms.draws(live, j), ref[live, j])
+
+
+def test_block_uniforms_serve_rows_at_their_own_draws():
+    # as in the state sweep: each call asks a few rows for their own next
+    # draw, some rows run ahead by whole blocks, and some skip draws
+    seed, stream0, count = 7, 3, 12
+    cols = 5 * BlockUniforms.BLOCK
+    ref = np.array([philox_rng(seed, stream0 + i).random(cols) for i in range(count)])
+    uniforms = BlockUniforms(seed, stream0, count)
+    rng = philox_rng(99)
+    pos = np.zeros(count, dtype=np.int64)
+    spread = 0  # most blocks apart two rows of one call sat
+    for _ in range(300):
+        rows = np.flatnonzero(rng.random(count) < 0.5)
+        rows = rows[pos[rows] < cols]
+        got = uniforms.draws(rows, pos[rows])
+        assert np.array_equal(got, ref[rows, pos[rows]])
+        blocks = pos[rows] // BlockUniforms.BLOCK
+        spread = max(spread, int(blocks.max(initial=0) - blocks.min(initial=0)))
+        pos[rows] += rng.integers(1, 40, rows.size)
+    assert spread >= 2 and pos.min() >= cols
 
 
 def _per_state_step(kernel, states, u):
@@ -145,12 +199,15 @@ def _per_state_step(kernel, states, u):
 @pytest.mark.parametrize("states", [[], [7] * 50, list(range(60)) * 3 + [0, 1, 59] * 5],
                          ids=["empty", "one-state", "many-states"])
 def test_generic_step_matches_per_state_searchsorted(make, states):
+    # row kernels have no step: the sweep inverts each state's uncached
+    # cumulative row, which must equal sample_path's memoized one
     kernel = make()
+    assert kernel.step is None
     states = np.asarray(states, dtype=np.int64)
     u = philox_rng(SEED).random(states.size)
-    got = kernel.step(states, u)
-    assert got.dtype == states.dtype and got.shape == states.shape
-    assert np.array_equal(got, _per_state_step(kernel, states, u))
+    got = np.array([make().cumulative_row(int(m)).searchsorted(x, side="right")
+                    for m, x in zip(states.tolist(), u)], dtype=np.int64)
+    assert np.array_equal(got.reshape(states.shape), _per_state_step(kernel, states, u))
     mask = kernel.absorbing_mask(states)
     assert mask.shape == states.shape
     assert mask.tolist() == [kernel.absorbing(int(m)) for m in states]

@@ -368,6 +368,26 @@ def test_coalescent_h_generic_beta_b_not_one():
         assert co.h(u) == pytest.approx(oracle, rel=1e-9)
 
 
+@pytest.mark.parametrize("a, b", [(1.5, 1.0), (1.3, 0.7), (1.7, 2.5), (1.2, 1.0 + 2e-6)])
+def test_coalescent_h_matches_mpmath(a, b):
+    """h(1/n) against coef * B(a - 2, b; 1/n, 1), the incomplete Beta integral, in mpmath.
+
+    Over n = 2 ... 10^6 the worst measured relative error was 5.8e-11, at
+    u = 1/2 for b = 1 + 2e-6 (quadrature near b = 1); b = 1 is a closed form
+    (2.3e-16), the other two 6.6e-13.  The tolerance is twice the worst.
+    Toward u = 1 the error grows (7.1e-9 at u = 0.999 for Beta(1.7, 2.5)),
+    as scipy's default absolute quadrature tolerance comes to dominate the
+    small value of h; u = 1/n <= 1/2 never gets there.
+    """
+    co = K.beta_coalescent_kernel(a, b)
+    for n in (2, 3, 5, 10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6):
+        u = 1.0 / n
+        with mpmath.workdps(30):
+            A, B = mpmath.mpf(a), mpmath.mpf(b)
+            ref = mpmath.betainc(A - 2, B, mpmath.mpf(u), 1) / mpmath.beta(A, B)
+        assert abs(co.h(u) - float(ref)) <= 1.2e-10 * float(ref), (n, co.h(u), ref)
+
+
 def test_coalescent_psi_quadrature_oracle(beta_co):
     # substitute x = u^2 so the integrand stays bounded at the left endpoint:
     # (1 - (1-x)^lam) x^-2 dLambda = 3 (1 - (1-u^2)^lam) u^-2 du
@@ -483,6 +503,19 @@ def test_diagnostic_barrier_trend(pt):
     csv = diag.to_csv()
     assert csv.splitlines()[0] == "n,lambda,value,target,rel_error"
     assert len(csv.splitlines()) == 5
+
+
+def test_diagnostic_builds_each_composition_row_once(monkeypatch):
+    # a_n of a composition is its row normalizer Z_n, which building row n keeps
+    kernel = K.composition_kernel(M.barrier_levy_measure(0.5))
+    unnormalized, calls = K.CompositionKernel._unnormalized, []
+
+    def counting(self, n):
+        calls.append(n)
+        return unnormalized(self, n)
+    monkeypatch.setattr(K.CompositionKernel, "_unnormalized", counting)
+    K.hypothesis_h_diagnostic(kernel, [0.5, 1.0], [128, 256, 512])
+    assert calls == [128, 256, 512]
 
 
 def test_collapse_absorbing(beta_co):
