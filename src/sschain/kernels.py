@@ -13,9 +13,8 @@ which ``_beta_term_entries`` builds as the product of two slices of the
 kept Gamma-ratio tables Gamma(j + s) / j! (``special``), with no log
 space.  Everything else goes through ``_binomial_mixture`` in log space,
 bit for bit from kept log-Gamma tables: the canonical kernel's Beta terms
-(times a regularized incomplete Beta), atoms, and a density without Beta
-terms by ``quad_unit`` with log C(n, k) inside the integrand and endpoint
-orders lowered by the powers.
+(times a regularized incomplete Beta) and interior atoms.  No row entry is
+a quadrature.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from scipy.special import betainc, zeta
 
 from . import measures
 from .measures import (BetaTerm, FiniteMeasure, LevyMeasure, atom,
-                       barrier_measure, laplace_exponent, quad, quad_unit)
+                       barrier_measure, laplace_exponent, quad)
 from .special import betaln_shifted, gamma_ratio_table, log_binom
 from .stats import TrendReport, trend_verdict
 
@@ -244,7 +243,10 @@ class Kernel:
         """``build_row(n)`` under validated_row's entry and sum tests, neither copied nor clipped.
 
         For the DP oracle, which reads every row once.  Both comparisons let
-        NaN through, so the oracle's own finiteness checks name it.
+        NaN through, so the oracle's own finiteness checks name it.  Like
+        ``validated_row`` it records ``absorbing(n)`` (False on a NaN
+        diagonal), so a generic ``absorbing_mask`` after a dense
+        ``pushforward`` builds no row again.
         """
         row = self.build_row(n)
         if row.min() < _NEG_CLIP:
@@ -254,6 +256,7 @@ class Kernel:
         s = float(np.sum(row))
         if abs(s - 1.0) > ROW_SUM_TOL * max(1, n):
             raise KernelConstructionError(f"{self.name}: row {n} sums to {s!r}, not 1")
+        self._absorbing_cache[n] = bool(row[n] >= 1.0 - ABSORB_TOL)
         return row
 
     def row(self, n: int) -> np.ndarray:
@@ -525,16 +528,12 @@ def ignored_jump_kernel(q: StepDistribution) -> IgnoredJumpKernel:
 # canonical kernel realizing a prescribed (mu, a_n)
 # ---------------------------------------------------------------------------
 
-def _binomial_mixture(log_c, p, q, terms, atoms, density, sing0, sing1,
-                      upper=1.0) -> np.ndarray:
+def _binomial_mixture(log_c, p, q, terms, atoms, upper=1.0) -> np.ndarray:
     """exp(log_c) times the integrals of x^p (1-x)^q over (0, upper), entrywise.
 
     The measure comes in parts: Beta terms (the canonical kernel's, with
-    upper < 1; the other kernels use ``_beta_term_entries``), interior
-    atoms (location, mass) and, only without Beta terms, a density with
-    endpoint orders sing0 and sing1.  Its quadrature keeps exp(log_c) inside the integrand, where the
-    absolute tolerance sees the entry itself, and lowers the orders by the
-    powers.  Endpoint atoms are the caller's.
+    upper < 1; the other kernels use ``_beta_term_entries``) and interior
+    atoms (location, mass).  Endpoint atoms are the caller's.
     """
     out = np.zeros(len(log_c))
     for t in terms:
@@ -543,13 +542,6 @@ def _binomial_mixture(log_c, p, q, terms, atoms, density, sing0, sing1,
     for loc, mass in atoms:
         if loc < upper:
             out += mass * np.exp(log_c + p * math.log(loc) + q * math.log1p(-loc))
-    if density is not None and not terms:
-        for i, (lc, pk, qk) in enumerate(zip(log_c.tolist(), p.tolist(), q.tolist())):
-            def f(x, lc=lc, pk=pk, qk=qk):
-                if not 0.0 < x < 1.0:  # an endpoint substitution can round onto 0 or 1
-                    return 0.0
-                return math.exp(lc + pk * math.log(x) + qk * math.log1p(-x)) * density(x)
-            out[i] += quad_unit(f, max(0.0, sing0 - pk), max(0.0, sing1 - qk), upper)[0]
     return out
 
 
@@ -604,8 +596,7 @@ class CanonicalKernel(Kernel):
         if upper > 0.0:
             k = np.arange(n)
             entries[:n] = _binomial_mixture(
-                log_binom(n, k), k, n - k - 1, mu_p.beta_terms, mu_p.interior_atoms,
-                mu_p.density, mu_p.sing0, mu_p.sing1, upper)
+                log_binom(n, k), k, n - k - 1, mu_p.beta_terms, mu_p.interior_atoms, upper)
             entries[0] += mu_p.atom0
         entries /= a_eff
         if mu_p.atom1 > 0.0:
@@ -635,52 +626,31 @@ class CoalescentKernel(Kernel):
     normalized rates.  State 1 is absorbing (the chain counts collisions).
     The scaling sequence is h(1/n) with h(u) the integral of x^-2 over
     [u, 1], and the limiting measure is pinned so its Laplace exponent is
-    the h-normalized one (no free constant left).
+    the h-normalized one (no free constant left).  The tail index is
+    beta = 2 - min a over the Beta terms of the driving measure; a purely
+    atomic one has none (h is slowly varying).
     """
 
-    def __init__(self, lam_measure: FiniteMeasure, beta: float | None = None,
-                 name: str | None = None):
+    def __init__(self, lam_measure: FiniteMeasure, name: str | None = None):
         super().__init__()
         if lam_measure.atom0 != 0.0:
             raise ValueError("coalescent kernel needs Lambda({0}) = 0")
-        self.Lambda = lam_measure
-        if beta is None:
-            if lam_measure.beta_terms:
-                a_min = min(t.a for t in lam_measure.beta_terms)
-                beta = 2.0 - a_min
-            elif lam_measure.density is not None:
-                raise ValueError("declare the tail index beta for a generic density")
-            else:
-                beta = None  # purely atomic: h is slowly varying, no index
-        if beta is not None and not 0.0 < beta < 1.0:
-            raise ValueError(f"coalescent regime needs beta in (0, 1), got {beta}")
+        L = self.Lambda = lam_measure
+        beta = None
+        if L.beta_terms:
+            beta = 2.0 - min(t.a for t in L.beta_terms)
+            if not 0.0 < beta < 1.0:  # beta < 1 is also the finite dust integral
+                raise ValueError(f"coalescent regime needs beta = 2 - min a in (0, 1), got "
+                                 f"{beta} (a <= 1 makes the integral of 1/x against Lambda diverge)")
         self.beta = beta
         self.gamma = beta
-        # finiteness of the dust integral (x^-1 against Lambda)
-        if lam_measure.beta_terms:
-            if any(t.a <= 1.0 for t in lam_measure.beta_terms):
-                raise ValueError("integral of 1/x against Lambda diverges")
-        elif lam_measure.density is not None and lam_measure.sing0 >= 0.0:
-            # density ~ x^-sing0 at 0, so density/x is integrable iff sing0 < 0
-            raise ValueError("integral of 1/x against Lambda diverges")
         gam = math.gamma(2.0 - beta) if beta is not None else 1.0
-        self._h_norm = gam
-        self.mu = self._limit_measure(gam)
+        self.mu = FiniteMeasure(
+            atom0=L.atom1 / gam,
+            interior_atoms=tuple((1.0 - loc, m / (loc * gam)) for loc, m in L.interior_atoms),
+            beta_terms=tuple(BetaTerm(t.coef / gam, t.b, t.a - 1.0) for t in L.beta_terms))
         self._h_cache: dict[int, float] = {}
         self.name = name or "coalescent"
-
-    def _limit_measure(self, gam: float) -> FiniteMeasure:
-        L = self.Lambda
-        terms = tuple(BetaTerm(t.coef / gam, t.b, t.a - 1.0) for t in L.beta_terms)
-        interior = tuple((1.0 - loc, m / (loc * gam)) for loc, m in L.interior_atoms)
-        dens = None
-        s0 = s1 = 0.0
-        if not terms and L.density is not None:
-            ld = L.density
-            dens = lambda y: ld(1.0 - np.asarray(y, dtype=float)) / ((1.0 - np.asarray(y, dtype=float)) * gam)
-            s0, s1 = L.sing1, L.sing0 + 1.0
-        return FiniteMeasure(atom0=L.atom1 / gam, density=dens, sing0=s0, sing1=s1,
-                             interior_atoms=interior, beta_terms=terms)
 
     def h(self, u: float) -> float:
         """Integral of x^-2 against the driving measure over [u, 1]."""
@@ -696,13 +666,6 @@ class CoalescentKernel(Kernel):
                     val += t.coef * (u ** (t.a - 2.0) - 1.0) / (2.0 - t.a)
             else:
                 val += _incomplete_power_integral(t.coef, t.a, t.b, u)
-        if self.Lambda.density is not None and not self.Lambda.beta_terms:
-            dens = self.Lambda.density
-
-            def f(y):  # y = x - u would lose precision; integrate in log x
-                return dens(math.exp(y)) * math.exp(-y)
-
-            val += quad(f, math.log(u), 0.0, limit=400)[0]
         return val
 
     def scaling(self, n: int) -> float:
@@ -722,11 +685,10 @@ class CoalescentKernel(Kernel):
         L = self.Lambda
         # i = k - 1 merged blocks stay: alpha = b, beta = a - 2
         g[1:n] = _beta_term_entries([(t.coef, t.b, t.a - 2.0) for t in L.beta_terms], n, n - 1)
-        if L.interior_atoms or not L.beta_terms:
+        if L.interior_atoms:
             k = np.arange(1, n)
             g[1:n] += _binomial_mixture(log_binom(n, k - 1), n - k - 1, k - 1, (),
-                                        L.interior_atoms, None if L.beta_terms else L.density,
-                                        L.sing0, L.sing1)
+                                        L.interior_atoms)
         g[1] += L.atom1
         return g
 
@@ -785,8 +747,7 @@ def coalescent_kernel(lam_measure: FiniteMeasure) -> CoalescentKernel:
 
 def beta_coalescent_kernel(a: float, b: float) -> CoalescentKernel:
     """Block-counting kernel of the Beta(a, b) coalescent, 1 < a < 2."""
-    return CoalescentKernel(measures.beta_density(a, b), beta=2.0 - a,
-                            name=f"beta_coalescent({a:g},{b:g})")
+    return CoalescentKernel(measures.beta_density(a, b), name=f"beta_coalescent({a:g},{b:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +760,9 @@ class CompositionKernel(Kernel):
     Built from a jump measure omega on (0, inf): rows are binomial
     mixtures against the image of omega under x = e^-y, normalized by
     Z_n (which doubles as the scaling sequence, so normalization errors
-    cancel at first order).  The chain is strictly decreasing: p_{n,n}=0.
+    cancel at first order).  The image is omega's atoms at e^-y and, for
+    a density part, its ``unit_beta_terms``.  The chain is strictly
+    decreasing: p_{n,n}=0.
     """
 
     name = "composition"
@@ -808,43 +771,25 @@ class CompositionKernel(Kernel):
         super().__init__()
         if omega.is_zero:
             raise ValueError("composition kernel needs a non-zero jump measure")
+        if omega.density is not None and not omega.unit_beta_terms:
+            raise ValueError("composition kernel needs the density part of omega as "
+                             "unit_beta_terms, its image under x = e^-y")
         self.omega = omega
         self.gamma = omega.tail_index
         # unit-interval image of omega: beta terms and/or atoms at e^-y
         self._unit_terms = omega.unit_beta_terms
         self._unit_atoms = tuple((math.exp(-y), m) for y, m in omega.atoms)
-        self._generic = omega.density is not None and not self._unit_terms
-        # density of the image: omega(y) dy with y = -log x is omega(-log x) dx / x
-        om = omega.density
-        self._unit_density = (lambda x: om(-math.log(x)) / x) if self._generic else None
-        self.mu = self._limit_measure()
+        self.mu = FiniteMeasure(
+            interior_atoms=tuple((x0, m * (1.0 - x0)) for x0, m in self._unit_atoms),
+            beta_terms=tuple(BetaTerm(t.coef, t.a, t.b + 1.0) for t in self._unit_terms))
         self._z_cache: dict[int, float] = {}
-
-    def _limit_measure(self) -> FiniteMeasure:
-        terms = tuple(BetaTerm(t.coef, t.a, t.b + 1.0) for t in self._unit_terms)
-        interior = tuple((x0, m * (1.0 - x0)) for x0, m in self._unit_atoms)
-        dens = None
-        s0 = s1 = 0.0
-        if self._generic:
-            om = self.omega.density
-
-            def dens(x):
-                x = np.asarray(x, dtype=float)
-                return om(-np.log(x)) * (1.0 - x) / x
-
-            # near x=1: omega(y) ~ y^-small_order with y ~ 1-x
-            s1 = self.omega.small_order - 1.0
-            s0 = 0.0
-        return FiniteMeasure(density=dens, sing0=s0, sing1=s1,
-                             interior_atoms=interior, beta_terms=terms)
 
     def _unnormalized(self, n: int) -> np.ndarray:
         """C(n, k) times the integrals of x^k (1-x)^(n-k) against the unit image, k < n."""
         un = _beta_term_entries([(t.coef, t.a, t.b) for t in self._unit_terms], n, n)
-        if self._unit_atoms or self._generic:
+        if self._unit_atoms:
             k = np.arange(n)
-            un += _binomial_mixture(log_binom(n, k), k, n - k, (), self._unit_atoms,
-                                    self._unit_density, 0.0, self.omega.small_order)
+            un += _binomial_mixture(log_binom(n, k), k, n - k, (), self._unit_atoms)
         return un
 
     def scaling(self, n: int) -> float:

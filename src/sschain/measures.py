@@ -1,16 +1,15 @@
 """Finite measures on [0, 1] and their subordinator-side descriptions.
 
 A measure is stored as two exact atoms (at 0 and at 1), an optional list
-of interior atoms, and a density on (0, 1) with declared endpoint
-singularity orders.  The atoms at the endpoints map to the killing rate
-and drift of a subordinator, the rest maps to its jump measure; keeping
-them separate means those two numbers are never quadrature artifacts.
-
-Densities built through the named constructors (``barrier_measure``,
-``lebesgue``, ``beta_density``) additionally carry a structured
-beta-mixture form ``sum_i c_i x^(a_i-1) (1-x)^(b_i-1)`` which downstream
-code uses for closed-form Gamma-function evaluation; a plain callable
-density falls back to adaptive quadrature with endpoint substitutions.
+of interior atoms, and a density on (0, 1) given as Beta terms,
+``sum_i c_i x^(a_i-1) (1-x)^(b_i-1)``.  The atoms at the endpoints map to
+the killing rate and drift of a subordinator, the rest maps to its jump
+measure; keeping them separate means those two numbers are never
+quadrature artifacts.  The Beta terms give the mass, the Laplace exponent
+and the kernel rows in closed form through Gamma functions.  Only the
+jump side still integrates: ``LevyMeasure``'s small-jump moments and
+exponent, and the tail that ``levy_triple`` gives a density other than a
+scaled barrier.
 
 Every integral in the package goes through ``quad``, the one call into
 scipy's adaptive routine: it owns the tolerances, the subdivision limit
@@ -173,78 +172,56 @@ class BetaTerm:
 
 
 class FiniteMeasure:
-    """A finite non-negative measure on [0, 1].
+    """A finite non-negative measure on [0, 1]: atoms plus Beta terms.
 
     Parameters
     ----------
     atom0, atom1 : float
         Point masses at x = 0 and x = 1.
-    density : callable, optional
-        Density on (0, 1); must be evaluable on numpy arrays.
-    sing0, sing1 : float
-        Declared algebraic orders of the density at the endpoints
-        (density ~ x**-sing0 near 0 and ~ (1-x)**-sing1 near 1), both < 1.
     interior_atoms : sequence of (location, mass)
         Extra atoms strictly inside (0, 1).
     beta_terms : sequence of BetaTerm
-        Structured form of ``density``.  When given and ``density`` is
-        None, the callable is synthesized from the terms.
+        The density on (0, 1), their sum.
+
+    ``density`` (None without terms) is the sum as a callable on numpy
+    arrays, and ``sing0 = max(0, 1 - a)``, ``sing1 = max(0, 1 - b)`` over
+    the terms are its algebraic orders at the endpoints (density ~
+    x**-sing0 near 0 and ~ (1-x)**-sing1 near 1), both < 1.
     """
 
     def __init__(self, atom0: float = 0.0, atom1: float = 0.0,
-                 density: Callable | None = None,
-                 sing0: float = 0.0, sing1: float = 0.0,
                  interior_atoms: Sequence[tuple[float, float]] = (),
                  beta_terms: Sequence[BetaTerm] = ()):
         if atom0 < 0.0 or atom1 < 0.0:
             raise MeasureError("atom masses must be non-negative")
         beta_terms = tuple(beta_terms)
-        if beta_terms and density is None:
-            density = _beta_mixture(beta_terms)
-            sing0 = max(0.0, max(1.0 - t.a for t in beta_terms))
-            sing1 = max(0.0, max(1.0 - t.b for t in beta_terms))
-        if not (sing0 < 1.0 and sing1 < 1.0):
+        self.sing0 = max([0.0, *(1.0 - t.a for t in beta_terms)])
+        self.sing1 = max([0.0, *(1.0 - t.b for t in beta_terms)])
+        if not (self.sing0 < 1.0 and self.sing1 < 1.0):
             raise MeasureError("endpoint singularity orders must be < 1")
         for loc, mass in interior_atoms:
             if not (0.0 < loc < 1.0):
                 raise MeasureError(f"interior atom at {loc} not inside (0, 1)")
             if mass <= 0.0:
                 raise MeasureError("interior atom masses must be positive")
-        if density is not None:
-            vals = density(_CHECK_GRID)
-            if np.any(np.asarray(vals) < 0.0):
-                raise MeasureError("density takes negative values")
+        self.density = (lambda x: sum(t(x) for t in beta_terms)) if beta_terms else None
+        if beta_terms and np.any(self.density(_CHECK_GRID) < 0.0):
+            raise MeasureError("density takes negative values")
         self.atom0 = float(atom0)
         self.atom1 = float(atom1)
-        self.density = density
-        self.sing0 = float(sing0)
-        self.sing1 = float(sing1)
         self.interior_atoms = tuple((float(l), float(m)) for l, m in interior_atoms)
         self.beta_terms = beta_terms
-        self.total_mass = self._compute_mass()
+        self.total_mass = (self.atom0 + self.atom1 + sum(m for _, m in self.interior_atoms)
+                           + sum(t.mass for t in beta_terms))
         if not (self.total_mass > 0.0 and math.isfinite(self.total_mass)):
             raise MeasureError("measure must be non-zero and finite")
-
-    def _compute_mass(self) -> float:
-        mass = self.atom0 + self.atom1 + sum(m for _, m in self.interior_atoms)
-        if self.beta_terms:
-            mass += sum(t.mass for t in self.beta_terms)
-        elif self.density is not None:
-            val, _ = quad_unit(self.density, self.sing0, self.sing1)
-            mass += val
-        return mass
 
     def scaled(self, c: float) -> "FiniteMeasure":
         """The measure c * mu."""
         if c <= 0.0:
             raise MeasureError("scale factor must be positive")
-        dens = None
-        if self.density is not None and not self.beta_terms:
-            base = self.density
-            dens = lambda x, _b=base: c * _b(x)
         return FiniteMeasure(
             atom0=c * self.atom0, atom1=c * self.atom1,
-            density=dens, sing0=self.sing0, sing1=self.sing1,
             interior_atoms=tuple((l, c * m) for l, m in self.interior_atoms),
             beta_terms=tuple(BetaTerm(c * t.coef, t.a, t.b) for t in self.beta_terms),
         )
@@ -252,26 +229,10 @@ class FiniteMeasure:
     def __add__(self, other: "FiniteMeasure") -> "FiniteMeasure":
         if not isinstance(other, FiniteMeasure):
             return NotImplemented
-        dens = None
-        terms = ()
-        if self.beta_terms or other.beta_terms:
-            if (self.density is None or self.beta_terms) and \
-               (other.density is None or other.beta_terms):
-                terms = self.beta_terms + other.beta_terms
-        if not terms and (self.density is not None or other.density is not None):
-            d1, d2 = self.density, other.density
-            if d1 is None:
-                dens = d2
-            elif d2 is None:
-                dens = d1
-            else:
-                dens = lambda x: d1(x) + d2(x)
         return FiniteMeasure(
             atom0=self.atom0 + other.atom0, atom1=self.atom1 + other.atom1,
-            density=dens, sing0=max(self.sing0, other.sing0),
-            sing1=max(self.sing1, other.sing1),
             interior_atoms=self.interior_atoms + other.interior_atoms,
-            beta_terms=terms,
+            beta_terms=self.beta_terms + other.beta_terms,
         )
 
     def __repr__(self):
@@ -285,19 +246,7 @@ class FiniteMeasure:
         if self.beta_terms:
             parts.append("beta_terms=" + ",".join(
                 f"({t.coef:g},{t.a:g},{t.b:g})" for t in self.beta_terms))
-        elif self.density is not None:
-            parts.append("density=<callable>")
         return f"FiniteMeasure({', '.join(parts)})"
-
-
-def _beta_mixture(terms):
-    def dens(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for t in terms:
-            out = out + t(x)
-        return out
-    return dens
 
 
 # named constructors used by the experiment configs -------------------------
@@ -351,12 +300,8 @@ def laplace_exponent(mu: FiniteMeasure, lam: float) -> float:
     val = mu.atom0 + mu.atom1 * lam
     for loc, mass in mu.interior_atoms:
         val += mass * bracket(lam, loc)
-    if mu.beta_terms:
-        for t in mu.beta_terms:
-            val += t.coef * bracket_beta_integral(lam, t.a, t.b)
-    elif mu.density is not None:
-        val += quad_unit(lambda x: bracket(lam, x) * mu.density(x),
-                         mu.sing0, min(0.999, mu.sing1))[0]
+    for t in mu.beta_terms:
+        val += t.coef * bracket_beta_integral(lam, t.a, t.b)
     return val
 
 

@@ -290,6 +290,39 @@ def test_nan_row_fails_absorption_distribution_drift_check():
         DP.absorption_distribution(k, 4, k_max=6)
 
 
+def test_dense_distribution_builds_each_row_once_and_keeps_none():
+    # the dense pushforward's row checks record absorbing(n), so the generic
+    # absorbing_mask after it reads flags: no second build, no kept cumulative row
+    built = []
+
+    def uniform(n):
+        built.append(n)
+        return np.full(n + 1, 1.0 / (n + 1))
+    k = K.ExplicitKernel(uniform, scaling=lambda n: float(n), name="uniform")
+    pmf, tail = DP.absorption_distribution(k, 1500, k_max=30)
+    assert sorted(built) == list(range(1501))
+    assert not k._cumsum_cache and not k._row_cache
+    # from n the first step lands on 0 with probability 1/(n + 1)
+    assert pmf[1] == pytest.approx(1 / 1501, rel=1e-12)
+    assert math.fsum(pmf) + tail == pytest.approx(1.0, abs=1e-12)
+
+
+def test_nan_diagonal_records_not_absorbing():
+    def rows(n):
+        r = np.zeros(n + 1)
+        r[max(n - 1, 0)] = 1.0
+        if n == 3:
+            r[3] = np.nan
+        return r
+    k = K.ExplicitKernel(rows, scaling=lambda n: float(n), name="nan-diag")
+    with pytest.raises(DP.DPError, match="nan-diag: pmf mass drifted by nan"):
+        DP.absorption_distribution(k, 4, k_max=6)
+    assert k._absorbing_cache[3] is False
+    # validation still names the row
+    with pytest.raises(K.KernelConstructionError, match="nan-diag: row 3"):
+        k.row(3)
+
+
 def test_cost_guard(monkeypatch):
     co = K.collapse_absorbing(K.beta_coalescent_kernel(1.5, 1.0))
     monkeypatch.setattr(DP, "DP_BUDGET_OPS", 10_000)

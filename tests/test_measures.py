@@ -88,12 +88,43 @@ def test_exponent_barrier_density_vs_quadrature_oracle():
             barrier_psi_closed(lam), rel=1e-10)
 
 
-def test_exponent_generic_callable_density_matches_structured():
-    dens = lambda x: GAMMA * (1.0 - np.asarray(x, dtype=float)) ** -GAMMA
-    mu = M.FiniteMeasure(density=dens, sing1=GAMMA)
-    for lam in (0.5, 1.0, 2.0):
-        assert M.laplace_exponent(mu, lam) == pytest.approx(
-            barrier_psi_closed(lam), rel=1e-8)
+def _bracket_integral_mpmath(lam, a, b):
+    """The bracket against x^(a-1) (1-x)^(b-1) on (0, 1), by mpmath.quad.
+
+    x = u^(1/a) on (0, 1/2) and 1 - x = u^(1/b) on (1/2, 1) make both
+    integrands bounded, and the right half keeps its nodes near 1 - x = 0
+    at full relative precision.
+    """
+    L, A, B = mpmath.mpf(lam), mpmath.mpf(a), mpmath.mpf(b)
+    left = mpmath.quad(lambda u: -mpmath.expm1(L * mpmath.log(u) / A)
+                       * (1 - u ** (1 / A)) ** (B - 2) / A, [0, mpmath.mpf(0.5) ** A])
+    right = mpmath.quad(lambda u: -mpmath.expm1(L * mpmath.log1p(-u ** (1 / B)))
+                        * (1 - u ** (1 / B)) ** (A - 1) * u ** (-1 / B) / B,
+                        [0, mpmath.mpf(0.5) ** B])
+    return left + right
+
+
+@pytest.mark.parametrize("mu, tol", [
+    (M.barrier_measure(0.5), 5e-14),
+    (M.barrier_measure(0.2), 5e-14),
+    (M.beta_density(0.7, 1.9), 5e-14),
+    (M.beta_density(0.7, 0.3) + M.beta_density(3.0, 0.1, 0.5), 5e-14),
+    (M.beta_density(2.0, 1.0 + 3e-6), 1e-10),
+], ids=["barrier(0.5)", "barrier(0.2)", "beta(0.7,1.9)", "two-terms-b<1", "b=1+3e-6"])
+def test_exponent_beta_terms_match_mpmath_at_large_lambda(mu, tol):
+    """psi(lam) from the closed forms against 40-digit quadrature, lam = 0.25 ... 40.
+
+    Away from b = 1 the worst measured relative error over these cases is
+    9.0e-15 (barrier(0.5) at lam = 40), and 2.6e-14 for Beta(3, 0.1)
+    alone; for b = 1 + 3e-6, inside the switch to the digamma series, it
+    is 4.4e-11.  Each tolerance is about twice the worst of its kind.
+    """
+    for lam in (0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0):
+        with mpmath.workdps(40):
+            ref = mpmath.fsum(mpmath.mpf(t.coef) * _bracket_integral_mpmath(lam, t.a, t.b)
+                              for t in mu.beta_terms)
+            err = float(abs(M.laplace_exponent(mu, lam) - ref) / ref)
+        assert err <= tol, (lam, err)
 
 
 def test_exponent_lebesgue_digamma():
@@ -162,15 +193,22 @@ def test_only_measures_calls_scipy_integrate():
     assert (src / "measures.py").read_text().count("_sciint.quad(") == 1
 
 
+def test_only_measures_names_quad_unit():
+    # no kernel row entry is a quadrature: rows are Beta terms and atoms
+    src = Path(M.__file__).parent
+    assert sorted(f.name for f in src.glob("*.py") if "quad_unit" in f.read_text()) == \
+        ["measures.py"]
+
+
 def test_measure_validation():
     with pytest.raises(M.MeasureError):
         M.FiniteMeasure()  # zero measure
     with pytest.raises(M.MeasureError):
         M.atom(-1.0, 0.0)
-    with pytest.raises(M.MeasureError):
-        M.FiniteMeasure(density=lambda x: -np.ones_like(np.asarray(x)), sing1=0.0)
-    with pytest.raises(M.MeasureError):
-        M.FiniteMeasure(density=lambda x: np.ones_like(np.asarray(x)), sing1=1.5)
+    with pytest.raises(M.MeasureError, match="negative"):
+        M.FiniteMeasure(beta_terms=(M.BetaTerm(-1.0, 1.0, 1.0),))
+    with pytest.raises(M.MeasureError, match="orders"):
+        M.FiniteMeasure(beta_terms=(M.BetaTerm(1.0, 1.0, -0.5),))  # sing1 = 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +260,8 @@ def test_triple_roundtrip_laplace_exponent():
 def test_triple_roundtrip_density_singular_at_zero():
     # e^-y underflows to 0 at large y, where x^-0.3 is inf: the jump
     # density must take its limit 0 there, not inf * 0 = NaN
-    mu = M.FiniteMeasure(density=lambda x: np.asarray(x) ** -0.3 * (1.0 - np.asarray(x)) ** -0.2,
-                         sing0=0.3, sing1=0.2)
+    mu = M.FiniteMeasure(beta_terms=(M.BetaTerm(1.0, 0.7, 0.8),))
+    assert (mu.sing0, mu.sing1) == pytest.approx((0.3, 0.2))
     tr = M.levy_triple(mu)
     assert float(tr.levy.density(800.0)) == 0.0
     for lam in (0.5, 2.0):
