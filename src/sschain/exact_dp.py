@@ -20,7 +20,8 @@ from scipy.fft import irfft, next_fast_len, rfft
 # CostGuardError and DPError are raised through kernels; this module re-exports them
 from .kernels import ABSORB_TOL, DIRECT_SUPPORT, CostGuardError, DPError, Kernel
 
-# most operations a dense pushforward may spend over one pmf evolution
+# most operations the generic row-matrix pushforward may spend over one pmf
+# evolution, charged (n + 1)^2 per step
 DP_BUDGET_OPS = 4e9
 # the relaxed correlation of absorption_moments sums blocks of this many states directly
 LEAF_STATES = 32
@@ -188,8 +189,8 @@ def absorption_distribution(kernel: Kernel, n: int, k_max: int | None = None):
 
     The state pmf is pushed forward step by step; the newly absorbed mass
     at 0 after each step is recorded.  Requires a collapsed kernel.  A
-    dense pushforward may cost at most DP_BUDGET_OPS operations over the
-    k_max steps.
+    row-matrix pushforward may cost at most DP_BUDGET_OPS operations over
+    the k_max steps.
     Returns (pmf, tail_mass) with pmf[k] = P(A_n = k) for k <= k_max.
     """
     if k_max is None:
@@ -223,8 +224,8 @@ def marginal_distribution(kernel: Kernel, n: int, steps: Sequence[int]) -> np.nd
     """pmf of X_n after each step count in steps, from one pushforward loop.
 
     Returns an array of shape (len(steps), n + 1) whose row j is
-    P(X_n(steps[j]) = k) for k = 0..n.  The dense pushforward may cost at
-    most DP_BUDGET_OPS operations over the longest run.
+    P(X_n(steps[j]) = k) for k = 0..n.  A row-matrix pushforward may cost
+    at most DP_BUDGET_OPS operations over the longest run.
     """
     steps = [int(s) for s in steps]
     if any(s < 0 for s in steps):

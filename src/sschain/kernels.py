@@ -39,6 +39,9 @@ _NEG_CLIP = -1e-13
 # a correlation with a step law whose last support point is at most this runs
 # term by term over the support; a longer one runs by FFT
 DIRECT_SUPPORT = 256
+# the generic pushforward keeps its lower triangle in panels of this many
+# columns: a multiple of 64, so each panel starts on a 64-aligned column
+PANEL_COLUMNS = 128
 # relative errors below this count as noise in the convergence diagnostic
 DIAGNOSTIC_FLOOR = 1e-9
 
@@ -245,7 +248,7 @@ class Kernel:
         For the DP oracle, which reads every row once.  Both comparisons let
         NaN through, so the oracle's own finiteness checks name it.  Like
         ``validated_row`` it records ``absorbing(n)`` (False on a NaN
-        diagonal), so a generic ``absorbing_mask`` after a dense
+        diagonal), so a generic ``absorbing_mask`` after the generic
         ``pushforward`` builds no row again.
         """
         row = self.build_row(n)
@@ -304,14 +307,35 @@ class Kernel:
         return np.array([self.absorbing(m) for m in distinct.tolist()], dtype=bool)[inverse]
 
     def pushforward(self, n: int, budget_ops: float = math.inf):
-        """The map pi -> pi P on states 0..n, as a dense (n+1)^2 row matrix."""
+        """The map pi -> pi P on states 0..n, from the lower triangle in column panels.
+
+        The panel at c0 holds columns c0 .. c0 + PANEL_COLUMNS - 1 of rows
+        c0..n as one C-contiguous block, about (n+1)^2 / 2 entries in all,
+        and a step sets out[c0:c0 + width] = pi[c0:] @ panel.  The rows
+        above c0 are zero there, so each output is the dense ``pi @ m``
+        without its leading exact-zero terms; with every panel starting on
+        a 64-aligned column, single-threaded OpenBLAS gives the same bits.
+        Each row is built once, and one that is not finite is refused.
+        """
         if (n + 1) ** 2 > budget_ops:
             raise CostGuardError(
                 f"dense pushforward at n={n} exceeds the operation budget")
-        m = np.zeros((n + 1, n + 1))
+        panels = [(c0, np.zeros((n + 1 - c0, min(PANEL_COLUMNS, n + 1 - c0))))
+                  for c0 in range(0, n + 1, PANEL_COLUMNS)]
         for j in range(n + 1):
-            m[j, :j + 1] = self._checked_row(j)
-        return lambda pi: pi @ m
+            row = self._checked_row(j)
+            if not np.isfinite(row).all():
+                raise DPError(f"{self.name}: row {j} is not finite")
+            for c0, panel in panels[:j // PANEL_COLUMNS + 1]:
+                part = row[c0:c0 + PANEL_COLUMNS]
+                panel[j - c0, :part.size] = part
+
+        def step(pi: np.ndarray) -> np.ndarray:
+            out = np.empty(n + 1)
+            for c0, panel in panels:
+                out[c0:c0 + panel.shape[1]] = pi[c0:] @ panel
+            return out
+        return step
 
     def toeplitz(self, n: int):
         """Rows 1..n as one step law plus boundary terms, or None (the generic rows).
@@ -372,9 +396,9 @@ class _BarrierFamily(Kernel):
     and ``toeplitz`` hands it to the DP oracle.  A ``killed`` walk's
     sampled overflow lands on 0 and its limit measure has the killing atom;
     any other overflow waits in place (the barrier's ``step`` makes none).
-    The truncated and ignored walks keep the dense generic ``pushforward``:
-    a correlation moves their tails at n = 3000 by 4e-14, past the oracle
-    values pinned in ``bench/pinned.json``.
+    The truncated and ignored walks keep the generic ``pushforward``, the
+    lower triangle in column panels: a correlation moves their tails at
+    n = 3000 by 4e-14, past the oracle values pinned in ``bench/pinned.json``.
     """
 
     walk = "walk"

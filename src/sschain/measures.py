@@ -464,7 +464,9 @@ def levy_triple(mu: FiniteMeasure) -> LevyTriple:
     density part plus one atom per interior atom of mu.  A density that is
     a single beta term with a = 1 is a scaled barrier and keeps the
     barrier's closed-form tail, its inverse and its tail index, interior
-    atoms or not; any other density gets a quadrature tail.
+    atoms or not; any other density gets a quadrature tail.  Either way the
+    density part's ``unit_beta_terms`` are the image of (1-x)**-1 times each
+    term c x**(a-1) (1-x)**(b-1), that is BetaTerm(c, a, b - 1).
     """
     t = mu.beta_terms[0] if len(mu.beta_terms) == 1 else None
     if mu.density is None:
@@ -498,7 +500,9 @@ def levy_triple(mu: FiniteMeasure) -> LevyTriple:
                                min(0.999, mu.sing1 + 1.0), upper=upper)
             return val
 
-        part = LevyMeasure(density=dens, small_order=1.0 + mu.sing1, tail=tail)
+        part = LevyMeasure(density=dens, small_order=1.0 + mu.sing1, tail=tail,
+                           unit_beta_terms=tuple(BetaTerm(t.coef, t.a, t.b - 1.0)
+                                                 for t in mu.beta_terms))
     jumps = LevyMeasure(atoms=tuple((-math.log(loc), mass / (1.0 - loc))
                                     for loc, mass in mu.interior_atoms))
     return LevyTriple(mu.atom0, mu.atom1, part + jumps)

@@ -455,6 +455,25 @@ def test_composition_barrier_tail_matches_heavy_walk_target():
                                            tail_index=omega.tail_index))
 
 
+@pytest.mark.parametrize("mu", [M.lebesgue(), M.beta_density(0.7, 1.9)],
+                         ids=["lebesgue", "beta(0.7,1.9)"])
+def test_composition_of_a_levy_triple_matches_mpmath(mu):
+    # the jump measure of mu's density comes with its unit image, each term
+    # c x^(a-1) (1-x)^(b-1) becoming BetaTerm(c, a, b - 1); rows against a
+    # 40-digit C(n, k) B(k + a, n - k + b - 1) / Z_n, worst measured 3.3e-15
+    # (row 64 of the Beta kernel)
+    comp = K.composition_kernel(M.levy_triple(mu).levy)
+    (t,) = mu.beta_terms
+    assert comp.omega.unit_beta_terms == (M.BetaTerm(t.coef, t.a, t.b - 1.0),)
+    for n in (5, 64):
+        with mpmath.workdps(40):
+            un = [mpmath.binomial(n, k) * mpmath.beta(k + t.a, n - k + t.b - 1)
+                  for k in range(n)]
+            z = mpmath.fsum(un)
+            ref = np.array([float(u / z) for u in un] + [0.0])
+        assert np.allclose(comp.row(n), ref, rtol=1e-14, atol=0.0), n
+
+
 # ---------------------------------------------------------------------------
 # generating function, diagnostic, collapse
 # ---------------------------------------------------------------------------
