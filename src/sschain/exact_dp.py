@@ -249,7 +249,9 @@ def marginal_distribution(kernel: Kernel, n: int, steps: Sequence[int]) -> np.nd
 
 
 def marginal_moment(kernel: Kernel, n: int, t: float, lam: float) -> float:
-    """Exact E[(X_n(floor(a_n t)) / n) ** lam] by pmf evolution."""
+    """Exact E[(X_n(floor(a_n t)) / n) ** lam] by pmf evolution.
+
+    Summed by ``math.fsum``: the same bits under any BLAS thread count."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
     if n == 0:
@@ -259,4 +261,4 @@ def marginal_moment(kernel: Kernel, n: int, t: float, lam: float) -> float:
     grid = (np.arange(n + 1) / n) ** lam if lam > 0 else np.ones(n + 1)
     if lam > 0:
         grid[0] = 0.0
-    return float(np.dot(pi, grid))
+    return math.fsum(memoryview(pi * grid))

@@ -90,7 +90,7 @@ def criterion_2(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     pmfs = dp.marginal_distribution(
         kernel, n, [int(math.floor(kernel.scaling(n) * t)) for t in t_grid])
     for t, pmf in zip(t_grid, pmfs):
-        v = float(np.dot(pmf, np.arange(n + 1) / n))
+        v = math.fsum(memoryview(pmf * (np.arange(n + 1) / n)))
         ok &= _check(lines, abs(v - (1 - t)) <= 0.05,
                      f"E[Y_n({t})] = {v:.5f} within 0.05 of {1 - t}")
         est["marginals"][str(t)] = v

@@ -1,6 +1,7 @@
 """Exact absorption-time tables against enumeration, closed forms, and MC."""
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -173,11 +174,11 @@ def test_marginal_distribution_is_one_pushforward_loop():
     assert got.shape == (len(steps), n + 1)
     for row, s in zip(got, steps):
         assert np.array_equal(row, expect[s])
-    # marginal_moment is the dot product on the same pmf
+    # marginal_moment is the correctly rounded sum over the same pmf
     t = 12.5 / kernel.scaling(n)
     grid = (np.arange(n + 1) / n) ** 0.5
     grid[0] = 0.0
-    assert DP.marginal_moment(kernel, n, t, 0.5) == float(np.dot(got[-1], grid))
+    assert DP.marginal_moment(kernel, n, t, 0.5) == math.fsum(memoryview(got[-1] * grid))
     assert DP.marginal_distribution(kernel, n, []).shape == (0, n + 1)
     with pytest.raises(ValueError, match="step counts"):
         DP.marginal_distribution(kernel, n, [3, -1])
@@ -246,10 +247,10 @@ print(h.hexdigest())
 """
 
 
-def _panel_run(threads: int, mode: str) -> str:
+def _run_with_blas_threads(threads: int, script: str, *args: str) -> str:
     src = str(Path(K.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads))
-    out = subprocess.run([sys.executable, "-c", PANEL_SCRIPT, mode], env=env,
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env,
                          capture_output=True, text=True, check=True)
     return out.stdout.strip()
 
@@ -258,8 +259,25 @@ def test_panel_pushforward_is_the_dense_product_bit_for_bit():
     # with one BLAS thread, as the bench runs, each panel gemv sums the terms
     # of pi @ m in the same order; with two, the dense product moves in the
     # last bits at n >= 777, while the panels keep the one-thread bytes
-    single = _panel_run(1, "check")
-    assert _panel_run(2, "digest") == single
+    single = _run_with_blas_threads(1, PANEL_SCRIPT, "check")
+    assert _run_with_blas_threads(2, PANEL_SCRIPT, "digest") == single
+
+
+CRITERION_2_SCRIPT = """
+import json
+from sschain import suites
+marginals = suites.criterion_2().estimates["marginals"]
+print(json.dumps({t: repr(v) for t, v in marginals.items()}))
+"""
+
+
+def test_criterion_2_marginals_do_not_depend_on_blas_threads():
+    # a BLAS dot product over the 10001-entry pmf sums in another order
+    # under two threads and moved E[Y_n(0.5)] by one ulp; fsum does not
+    single, double = (json.loads(_run_with_blas_threads(threads, CRITERION_2_SCRIPT))
+                      for threads in (1, 2))
+    assert sorted(single) == ["0.25", "0.5", "0.75"]
+    assert single == double
 
 
 def test_panel_pushforward_stores_about_half_the_matrix():

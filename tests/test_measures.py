@@ -1,7 +1,10 @@
 """Measures on [0,1], the bracket transform, Laplace exponents, Levy triples."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -191,6 +194,37 @@ def test_only_measures_calls_scipy_integrate():
     callers = sorted(f.name for f in src.glob("*.py") if pattern.search(f.read_text()))
     assert callers == ["measures.py"]
     assert (src / "measures.py").read_text().count("_sciint.quad(") == 1
+
+
+QUAD_ON_FIRST_USE_SCRIPT = """
+import sys
+import numpy as np
+from sschain import chain_engine as CE, exact_dp as DP, kernels as K, measures as M
+
+barrier = K.barrier_kernel(K.power_tail(0.5))
+DP.absorption_moments(barrier, 500, 2)
+DP.marginal_moment(barrier, 500, 0.5, 1.0)
+CE.sample_absorption_times(K.beta_coalescent_kernel(1.5, 1.0), 200, 50, 7)
+CE.sample_path(barrier, 500, 7)
+assert "scipy.integrate" not in sys.modules, "the chain side loaded scipy.integrate"
+got = M.quad(lambda x: x * x, 0.0, 1.0)
+from scipy import integrate
+want = integrate.quad(lambda x: x * x, 0.0, 1.0, epsabs=M.QUAD_ABS_TOL,
+                      epsrel=M.QUAD_REL_TOL, limit=200)
+assert got == want, (got, want)
+print("ok")
+"""
+
+
+def test_quad_imports_scipy_integrate_on_first_use():
+    # the DP oracles and the chain samplers never integrate, so a process
+    # that only runs them never loads scipy.integrate (about 25 MB)
+    src = str(Path(M.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", QUAD_ON_FIRST_USE_SCRIPT], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
 
 
 def test_only_measures_names_quad_unit():

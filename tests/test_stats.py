@@ -131,10 +131,11 @@ def test_chi2_quantile_is_scipy_ppf_bit_for_bit():
 def test_suites_import_leaves_scipy_stats_out():
     src = str(Path(S.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    # scipy.interpolate too: only the spline tail inverse needs it, and it
-    # imports it itself
+    # scipy.interpolate and scipy.integrate too: only the spline tail inverse
+    # and measures.quad need them, and each imports its own
     code = ("import sys, sschain.suites, sschain.cli; "
-            "print([m in sys.modules for m in ('scipy.stats', 'scipy.interpolate')])")
+            "print([m in sys.modules for m in "
+            "('scipy.stats', 'scipy.interpolate', 'scipy.integrate')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[False, False]"
+    assert out.stdout.strip() == "[False, False, False]"
