@@ -3,9 +3,12 @@
 Paths are piecewise linear plus jumps: jumps above a cutoff come from a
 Poisson process at the exact truncated rate, the discarded small jumps
 are replaced by their mean drift, and the neglected variance is reported
-on the path as a certificate.  That mean and variance are computed once
-per (Lévy measure, cutoff) and kept with the jump sampler, so every path
-on one cutoff carries the same certificate value.  Everything downstream
+on the path as a certificate.  That mean and variance are closed forms in
+the measure's Beta terms (``LevyMeasure.mean_below``), computed once per
+(Lévy measure, cutoff) and kept with the jump sampler, so every path on
+one cutoff carries the same certificate value.  With the barrier's exact
+tail inverse, sampling a path integrates nothing; only a density without
+a closed-form tail integrates, for its jump sizes.  Everything downstream
 of a sampled path (clock change, exponential functional, gap structure)
 is closed-form segment algebra, never numerical integration.
 

@@ -6,10 +6,10 @@ of interior atoms, and a density on (0, 1) given as Beta terms,
 the killing rate and drift of a subordinator, the rest maps to its jump
 measure; keeping them separate means those two numbers are never
 quadrature artifacts.  The Beta terms give the mass, the Laplace exponent
-and the kernel rows in closed form through Gamma functions.  Only the
-jump side still integrates: ``LevyMeasure``'s small-jump moments and
-exponent, and the tail that ``levy_triple`` gives a density other than a
-scaled barrier.
+and the kernel rows in closed form through Gamma functions, and their
+images under y = -log x give a ``LevyMeasure``'s small-jump moments and
+exponent in closed form too.  Only the jump side still integrates: the
+tail that ``levy_triple`` gives a density other than a scaled barrier.
 
 Every integral in the package goes through ``quad``, the one call into
 scipy's adaptive routine: it owns the tolerances, the subdivision limit
@@ -312,11 +312,67 @@ def laplace_exponent(mu: FiniteMeasure, lam: float) -> float:
 # Levy measures on (0, infinity) and the triple (killing, drift, jumps)
 # ---------------------------------------------------------------------------
 
+def _image_density(terms: Sequence[BetaTerm]) -> Callable:
+    """The jump density sum c e**(-a y) (1 - e**-y)**(b-1) whose image under
+    x = e**-y is the unit terms c x**(a-1) (1-x)**(b-1).
+
+    -expm1(-y) keeps 1 - e**-y exact as y -> 0, where e**-y rounds to 1.
+    """
+    def dens(y):
+        y = np.asarray(y, dtype=float)
+        em = -np.expm1(-y)  # 1 - e^-y
+        return sum(t.coef * np.exp(-t.a * y) * em ** (t.b - 1.0) for t in terms)
+    return dens
+
+
+#: below this y the moments sum a power series in v = 1 - e**-y, above it
+#: a series in e**-y; at the split v = 0.865 and e**-y = 0.135
+MOMENT_SPLIT = 2.0
+_TAIL_TERMS = 40  # 0.135**40 ~ 1e-35
+
+
+def _beta_image_moment(t: BetaTerm, eps: float, p: int) -> float:
+    """Integral of y**p c e**(-a y) (1 - e**-y)**(b-1) over (0, eps], eps <= inf.
+
+    With v = 1 - e**-y it is c times the integral of
+    (-log(1-v))**p (1-v)**(a-1) v**(b-1) over (0, V).  Up to MOMENT_SPLIT
+    the first two factors are v**p sum_k g_k v**k, which integrates term by
+    term to V**(p+b) sum_k g_k V**k / (k+p+b).  Above it (1 - e**-y)**(b-1)
+    is sum_j w_j e**(-j y), and y**p e**(-s y) has a closed antiderivative.
+    """
+    lo = min(eps, MOMENT_SPLIT)
+    v = -math.expm1(-lo)
+    n = p + 1 + math.ceil(45.0 / -math.log(v))  # v**n < e**-45
+    k = np.arange(1, n)
+    g = np.concatenate([[1.0], np.cumprod((k - t.a) / k)])  # (1-v)**(a-1)
+    log_series = 1.0 / np.arange(1.0, n + 1.0)  # -log(1-v) / v = sum_j v**j / (j+1)
+    for _ in range(p):
+        g = np.convolve(g, log_series)[:n]
+    k = np.arange(n)
+    val = t.coef * v ** (p + t.b) * math.fsum(g * v ** k / (k + p + t.b))
+    if eps <= MOMENT_SPLIT:
+        return val
+    j = np.arange(_TAIL_TERMS)
+    w = t.coef * np.concatenate([[1.0], np.cumprod((j[1:] - t.b) / j[1:])])
+    s = t.a + j
+
+    def beyond(y):  # integral of u**p e**(-s u) over (y, inf), one entry per s
+        if math.isinf(y):
+            return np.zeros_like(s)
+        return np.exp(-s * y) * sum(math.perm(p, i) * y ** (p - i) / s ** (i + 1)
+                                    for i in range(p + 1))
+
+    return val + math.fsum(w * (beyond(lo) - beyond(eps)))
+
+
 class LevyMeasure:
     """Measure on (0, inf) integrating y ^ 1, as (density, atoms).
 
-    ``small_order`` declares density(y) ~ y**-small_order as y -> 0
-    (must be < 2).  ``tail`` and ``tail_inverse``, when supplied, are the
+    ``unit_beta_terms`` are the image of the density part under x = e**-y,
+    as Beta terms c x**(a-1) (1-x)**(b-1) with b > -1 (b <= 0 is allowed:
+    the image need not be finite).  The small-jump moments and the
+    exponent are closed forms in them, so a density part without them is
+    refused there.  ``tail`` and ``tail_inverse``, when supplied, are the
     exact upper tail of the density part and its inverse, used by the path
     sampler; otherwise the tail is integrated numerically and inverted
     through a monotone log-grid interpolant.
@@ -324,23 +380,20 @@ class LevyMeasure:
 
     def __init__(self, density: Callable | None = None,
                  atoms: Sequence[tuple[float, float]] = (),
-                 small_order: float = 0.0,
                  tail: Callable | None = None,
                  tail_inverse: Callable | None = None,
                  unit_beta_terms: Sequence[BetaTerm] = (),
                  tail_index: float | None = None):
-        if small_order >= 2.0:
-            raise MeasureError("jump density order at 0 must be < 2")
         for y, m in atoms:
             if y <= 0.0 or m <= 0.0:
                 raise MeasureError("levy atoms need positive location and mass")
+        for t in unit_beta_terms:
+            if not t.b > -1.0:  # density ~ y**(b-1) at 0 must integrate y ^ 1
+                raise MeasureError(f"unit Beta term {t} needs b > -1")
         self.density = density
         self.atoms = tuple((float(y), float(m)) for y, m in atoms)
-        self.small_order = float(small_order)
         self._tail = tail
         self.tail_inverse = tail_inverse
-        # image of the density part under x = e^-y, when it has beta-mixture form
-        # (the b exponents may lie in (-1, 0]: the image need not be finite)
         self.unit_beta_terms = tuple(unit_beta_terms)
         # regular-variation index -tail_index of the tail at 0, when known
         self.tail_index = tail_index
@@ -348,6 +401,12 @@ class LevyMeasure:
     @property
     def is_zero(self) -> bool:
         return self.density is None and not self.atoms
+
+    def __repr__(self):
+        dens = "none" if self.density is None else (
+            f"unit_beta_terms={self.unit_beta_terms}" if self.unit_beta_terms
+            else "a callable without unit_beta_terms")
+        return f"LevyMeasure(density part: {dens}, atoms={self.atoms})"
 
     def __add__(self, other: "LevyMeasure") -> "LevyMeasure":
         """Sum of two jump measures, at most one of them with a density part.
@@ -361,9 +420,14 @@ class LevyMeasure:
             raise MeasureError("a sum of jump measures takes at most one density part")
         part = self if self.density is not None else other
         return LevyMeasure(density=part.density, atoms=self.atoms + other.atoms,
-                           small_order=part.small_order, tail=part._tail,
-                           tail_inverse=part.tail_inverse,
+                           tail=part._tail, tail_inverse=part.tail_inverse,
                            unit_beta_terms=part.unit_beta_terms, tail_index=part.tail_index)
+
+    def _density_terms(self, what: str) -> tuple[BetaTerm, ...]:
+        if self.density is not None and not self.unit_beta_terms:
+            raise MeasureError(f"the {what} of {self!r} need its density part as "
+                               "unit_beta_terms, its image under x = e^-y")
+        return self.unit_beta_terms if self.density is not None else ()
 
     def tail(self, y: float) -> float:
         """Mass above level y > 0."""
@@ -380,13 +444,13 @@ class LevyMeasure:
         return val + quad(self.density, y, np.inf)[0]
 
     def _moment_below(self, eps: float, power: int) -> float:
-        """Integral of y**power over (0, eps); power >= 1."""
+        """Integral of y**power over (0, eps]; power >= 1, eps <= inf."""
         val = sum(loc ** power * m for loc, m in self.atoms if loc <= eps)
-        if self.density is None or eps <= 0.0:
+        if eps <= 0.0:
             return val
-        v, _ = quad(lambda y: y ** power * self.density(y), 0.0, eps,
-                    self.small_order - power)
-        return val + v
+        for t in self._density_terms("small-jump moments"):
+            val += _beta_image_moment(t, eps, power)
+        return val
 
     def mean_below(self, eps: float) -> float:
         return self._moment_below(eps, 1)
@@ -395,17 +459,15 @@ class LevyMeasure:
         return self._moment_below(eps, 2)
 
     def exponent_integral(self, lam: float) -> float:
-        """Integral of (1 - exp(-lam*y)) against the measure."""
+        """Integral of (1 - exp(-lam*y)) against the measure.
+
+        Each unit term contributes c times the integral of
+        (1 - x**lam) x**(a-1) (1-x)**(b-1), a bracket Beta integral.
+        """
         val = sum(m * -math.expm1(-lam * y) for y, m in self.atoms)
-        if self.density is None:
-            return val
-
-        def f(y):
-            return -np.expm1(-lam * y) * self.density(y)
-
-        # (1 - e^{-lam y}) ~ lam*y lowers the order at 0 by one
-        val += quad(f, 0.0, 1.0, self.small_order - 1.0)[0]
-        return val + quad(f, 1.0, np.inf)[0]
+        for t in self._density_terms("exponent"):
+            val += t.coef * bracket_beta_integral(lam, t.a, t.b + 1.0)
+        return val
 
 
 def levy_atom(mass: float, y0: float) -> LevyMeasure:
@@ -417,11 +479,7 @@ def barrier_levy_measure(gamma: float) -> LevyMeasure:
     """Jump density gamma * e**-y * (1 - e**-y)**-(gamma+1) with closed-form tail."""
     if not 0.0 < gamma < 1.0:
         raise MeasureError("requires gamma in (0, 1)")
-
-    def dens(y):
-        y = np.asarray(y, dtype=float)
-        em = -np.expm1(-y)  # 1 - e^-y
-        return gamma * np.exp(-y) * em ** (-gamma - 1.0)
+    terms = (BetaTerm(gamma, 1.0, -gamma),)
 
     def tail(y):
         return (-np.expm1(-y)) ** -gamma - 1.0
@@ -430,10 +488,8 @@ def barrier_levy_measure(gamma: float) -> LevyMeasure:
         # solves tail(y) = v
         return -np.log1p(-(1.0 + np.asarray(v, dtype=float)) ** (-1.0 / gamma))
 
-    return LevyMeasure(density=dens, small_order=1.0 + gamma,
-                       tail=tail, tail_inverse=tail_inverse,
-                       unit_beta_terms=(BetaTerm(gamma, 1.0, -gamma),),
-                       tail_index=gamma)
+    return LevyMeasure(density=_image_density(terms), tail=tail, tail_inverse=tail_inverse,
+                       unit_beta_terms=terms, tail_index=gamma)
 
 
 @dataclass(frozen=True)
@@ -446,8 +502,9 @@ class LevyTriple:
     def laplace_exponent(self, lam: float) -> float:
         """killing + drift*lam + integral of (1 - e**(-lam*y)) against the jumps.
 
-        Computed in the y coordinate, independently of any [0,1]-side
-        representation, so it can serve as a round-trip check.
+        The jump part comes from the jump measure's own atoms and unit Beta
+        terms (``LevyMeasure.exponent_integral``), not from a [0,1]-side
+        measure, so it checks ``levy_triple``'s bookkeeping of atoms and terms.
         """
         if lam < 0.0:
             raise ValueError("needs lam >= 0")
@@ -464,37 +521,29 @@ def levy_triple(mu: FiniteMeasure) -> LevyTriple:
 
     killing = mu({0}), drift = mu({1}); the jump measure is the image of
     (1-x)**-1 mu(dx) restricted to (0,1) under y = -log x, built as its
-    density part plus one atom per interior atom of mu.  A density that is
-    a single beta term with a = 1 is a scaled barrier and keeps the
-    barrier's closed-form tail, its inverse and its tail index, interior
-    atoms or not; any other density gets a quadrature tail.  Either way the
-    density part's ``unit_beta_terms`` are the image of (1-x)**-1 times each
-    term c x**(a-1) (1-x)**(b-1), that is BetaTerm(c, a, b - 1).
+    density part plus one atom per interior atom of mu.  The density
+    part's ``unit_beta_terms`` are the image of (1-x)**-1 times each term
+    c x**(a-1) (1-x)**(b-1), that is BetaTerm(c, a, b - 1), and its density
+    is evaluated from them.  A density that is a single beta term with
+    a = 1 is a scaled barrier and keeps the barrier's closed-form tail, its
+    inverse and its tail index, interior atoms or not; any other density
+    gets a quadrature tail.
     """
+    terms = tuple(BetaTerm(t.coef, t.a, t.b - 1.0) for t in mu.beta_terms)
     t = mu.beta_terms[0] if len(mu.beta_terms) == 1 else None
     if mu.density is None:
         part = LevyMeasure()
     elif t is not None and t.a == 1.0 and t.b < 1.0:
         g = 1.0 - t.b
         part = base = barrier_levy_measure(g)
-        if t.coef != g:  # the unscaled barrier keeps its closures: no wrapper per density call
+        if t.coef != g:  # the unscaled barrier keeps its closures: no wrapper per tail call
             c = t.coef / g
-            part = LevyMeasure(density=lambda y: c * base.density(y),
-                               small_order=base.small_order,
+            part = LevyMeasure(density=_image_density(terms),
                                tail=lambda y: c * base._tail(y),
                                tail_inverse=lambda v: base.tail_inverse(np.asarray(v) / c),
-                               unit_beta_terms=(BetaTerm(t.coef, 1.0, t.b - 1.0),),
-                               tail_index=g)
+                               unit_beta_terms=terms, tail_index=g)
     else:
         rho = mu.density
-
-        def dens(y):
-            y = np.asarray(y, dtype=float)
-            x = np.exp(-y)
-            # x underflows to 0 at large y, where rho(x) * x is inf * 0 when
-            # sing0 > 0; the true limit there is 0 because sing0 < 1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(x > 0.0, rho(x) * x / (-np.expm1(-y)), 0.0)
 
         def tail(y0):
             # mass above y0 equals the (1-x)^-1-weighted mass of rho below e^-y0
@@ -503,9 +552,7 @@ def levy_triple(mu: FiniteMeasure) -> LevyTriple:
                                min(0.999, mu.sing1 + 1.0), upper=upper)
             return val
 
-        part = LevyMeasure(density=dens, small_order=1.0 + mu.sing1, tail=tail,
-                           unit_beta_terms=tuple(BetaTerm(t.coef, t.a, t.b - 1.0)
-                                                 for t in mu.beta_terms))
+        part = LevyMeasure(density=_image_density(terms), tail=tail, unit_beta_terms=terms)
     jumps = LevyMeasure(atoms=tuple((-math.log(loc), mass / (1.0 - loc))
                                     for loc, mass in mu.interior_atoms))
     return LevyTriple(mu.atom0, mu.atom1, part + jumps)

@@ -451,7 +451,6 @@ def test_composition_barrier_tail_matches_heavy_walk_target():
     # the same jump measure by its density alone has no closed-form rows
     with pytest.raises(ValueError, match="unit_beta_terms"):
         K.composition_kernel(M.LevyMeasure(density=omega.density,
-                                           small_order=omega.small_order,
                                            tail_index=omega.tail_index))
 
 

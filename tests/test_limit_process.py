@@ -1,6 +1,10 @@
 """Subordinator paths, the exponential clock change, and limit functionals."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,11 +147,38 @@ def test_small_jump_constants_are_computed_once_per_cutoff(monkeypatch):
     assert counts[0] == counts[1]
 
 
+BARRIER_SAMPLERS_SCRIPT = """
+import sys
+from sschain import limit_process as LP, measures as M
+
+tr = M.levy_triple(M.barrier_measure(0.5))
+LP.sample_z_marginals(tr, [0.5, 1.0], 20, 7)
+LP.sample_exponential_functional(tr, 0.5, 20, 7)
+LP.sample_y_marginals(tr, 0.5, [0.5, 1.0], 20, 7)
+LP.sample_gap_compositions(M.LevyTriple(0.0, 0.1, tr.levy), 3, 5, 7)
+loaded = [m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg") if m in sys.modules]
+assert not loaded, loaded
+print("ok")
+"""
+
+
+def test_barrier_limit_samplers_never_load_scipy_integrate():
+    # the small-jump moments, the cutoff bisection and psi are closed forms
+    # in the Beta terms and the barrier's tail inverse is exact, so nothing
+    # on these paths integrates
+    src = str(Path(M.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", BARRIER_SAMPLERS_SCRIPT], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
+
+
 def test_spline_inverse_matches_exact_inverse():
     levy = M.barrier_levy_measure(GAMMA)
     eps = 1e-3
-    plain = M.LevyMeasure(density=levy.density, small_order=levy.small_order,
-                          tail=levy._tail)  # closed tail, no exact inverse
+    plain = M.LevyMeasure(density=levy.density, tail=levy._tail,
+                          unit_beta_terms=levy.unit_beta_terms)  # closed tail, no exact inverse
     sampler = LP._JumpSampler(plain, eps)
     u = np.linspace(1e-6, 1 - 1e-6, 200)
     got = sampler.sample(u.copy())

@@ -1,5 +1,6 @@
 """Measures on [0,1], the bracket transform, Laplace exponents, Levy triples."""
 
+import functools
 import math
 import os
 import re
@@ -275,6 +276,21 @@ def test_triple_interior_atom_maps_to_log_coordinates():
     assert mass == pytest.approx(0.3 / 0.75)
 
 
+def quad_triple_exponent(tr, lam):
+    # the triple's exponent from its jump density by quadrature, independent
+    # of the Beta-term closed forms; y = u^2 on (0, 1) tames the y^(b-1) blow-up
+    lm = tr.levy
+    val = tr.killing + tr.drift * lam + sum(m * -math.expm1(-lam * y) for y, m in lm.atoms)
+    if lm.density is None:
+        return val
+
+    def f(y):
+        return -math.expm1(-lam * y) * float(lm.density(y))
+
+    return val + quad_oracle(lambda u: f(u * u) * 2 * u, 0.0, 1.0) + \
+        quad_oracle(f, 1.0, math.inf)
+
+
 def test_triple_roundtrip_laplace_exponent():
     # the y-side exponent must reproduce the x-side one for mixed measures
     cases = [
@@ -287,19 +303,40 @@ def test_triple_roundtrip_laplace_exponent():
         assert tr.killing == mu.atom0
         assert tr.drift == mu.atom1
         for lam in (0.5, 1.0, 2.0, 4.0):
-            assert tr.laplace_exponent(lam) == pytest.approx(
-                M.laplace_exponent(mu, lam), rel=1e-7)
+            oracle = quad_triple_exponent(tr, lam)
+            assert tr.laplace_exponent(lam) == pytest.approx(oracle, rel=1e-7)
+            assert M.laplace_exponent(mu, lam) == pytest.approx(oracle, rel=1e-7)
 
 
 def test_triple_roundtrip_density_singular_at_zero():
     # e^-y underflows to 0 at large y, where x^-0.3 is inf: the jump
-    # density must take its limit 0 there, not inf * 0 = NaN
+    # density c e^(-a y) (1 - e^-y)^(b-1) must take its limit 0 there,
+    # not inf * 0 = NaN, and keep full precision where it is representable
     mu = M.FiniteMeasure(beta_terms=(M.BetaTerm(1.0, 0.7, 0.8),))
     assert (mu.sing0, mu.sing1) == pytest.approx((0.3, 0.2))
     tr = M.levy_triple(mu)
-    assert float(tr.levy.density(800.0)) == 0.0
+    assert float(tr.levy.density(800.0)) == pytest.approx(math.exp(-0.7 * 800.0), rel=1e-14,
+                                                          abs=0.0)
+    assert float(tr.levy.density(2000.0)) == 0.0
     for lam in (0.5, 2.0):
-        assert tr.laplace_exponent(lam) == pytest.approx(M.laplace_exponent(mu, lam), rel=1e-8)
+        oracle = quad_triple_exponent(tr, lam)
+        assert tr.laplace_exponent(lam) == pytest.approx(oracle, rel=1e-8)
+        assert M.laplace_exponent(mu, lam) == pytest.approx(oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize("mu", [M.beta_density(1.5, 0.5), M.beta_density(0.7, 0.8),
+                                M.barrier_measure(GAMMA).scaled(3.0)],
+                         ids=["beta(1.5,0.5)", "beta(0.7,0.8)", "scaled-barrier"])
+def test_levy_density_near_zero_matches_mpmath(mu):
+    # rho(e^-y) e^-y / (1 - e^-y) lost 1e-5 relative at y = 1e-12 and read
+    # inf below y ~ 1.1e-16, where e^-y rounds to 1; the unit terms do not
+    (t,) = mu.beta_terms
+    lm = M.levy_triple(mu).levy
+    with mpmath.workdps(30):
+        for y in (1e-20, 1e-12, 1e-3, 1.0, 30.0):
+            y_mp = mpmath.mpf(y)
+            ref = t.coef * mpmath.exp(-t.a * y_mp) * (-mpmath.expm1(-y_mp)) ** (t.b - 2)
+            assert float(lm.density(y)) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
 
 def test_levy_measure_sum_keeps_the_density_part_closed_forms():
@@ -307,8 +344,7 @@ def test_levy_measure_sum_keeps_the_density_part_closed_forms():
     total = M.levy_atom(0.3, 2.0) + bar + M.levy_atom(0.1, 0.5)
     assert total.atoms == ((2.0, 0.3), (0.5, 0.1))
     assert total.density is bar.density and total.tail_inverse is bar.tail_inverse
-    assert (total.unit_beta_terms, total.tail_index, total.small_order) == \
-        (bar.unit_beta_terms, bar.tail_index, bar.small_order)
+    assert (total.unit_beta_terms, total.tail_index) == (bar.unit_beta_terms, bar.tail_index)
     # the closed-form tail covers the density part; atoms above the level add to it
     assert total.tail(1.0) == bar.tail(1.0) + 0.3
     assert (M.levy_atom(1.0, 1.0) + M.levy_atom(2.0, 3.0)).atoms == ((1.0, 1.0), (3.0, 2.0))
@@ -343,6 +379,61 @@ def test_levy_measure_moments_below_cutoff():
         lambda u: (u ** 2) ** 2 * float(lm.density(u * u)) * 2 * u, 0.0, math.sqrt(eps))
     assert lm.mean_below(eps) == pytest.approx(mean_oracle, rel=1e-8)
     assert lm.variance_below(eps) == pytest.approx(var_oracle, rel=1e-8)
+
+
+GATE_MEASURES = {
+    "barrier": M.barrier_measure(GAMMA),
+    "scaled-barrier": M.barrier_measure(GAMMA).scaled(2.0),
+    "beta(1.5,0.5)": M.beta_density(1.5, 0.5),
+    "beta(0.7,0.8)": M.beta_density(0.7, 0.8),
+    "two-terms+atom": M.beta_density(2.0, 1.6) + M.beta_density(0.7, 0.8, 0.3) + M.atom(0.2, 0.4),
+}
+GATE_CUTOFFS = (1e-14, 1e-5, 0.1, 1.9, 2.0, 2.1, 10.0, math.inf)
+
+
+@functools.cache
+def _unit_term_moment(a, b, eps, p):
+    # integral of (-log(1-v))^p (1-v)^(a-1) v^(b-1) over (0, 1 - e^-eps) at
+    # 40 digits; 30-digit tanh-sinh misses by 1.9e-14 at a v^-0.6 endpoint
+    with mpmath.workdps(40):
+        a_mp, b_mp = mpmath.mpf(a), mpmath.mpf(b)
+        top = mpmath.mpf(1) if math.isinf(eps) else -mpmath.expm1(-mpmath.mpf(eps))
+        pts = [0, top] if top < 0.5 else [0, 0.5, 0.9, 0.99, top] if top > 0.99 else [0, 0.5, top]
+        return mpmath.quad(
+            lambda v: (-mpmath.log1p(-v)) ** p * (1 - v) ** (a_mp - 1) * v ** (b_mp - 1), pts)
+
+
+@pytest.mark.parametrize("name", list(GATE_MEASURES))
+def test_small_jump_moments_and_exponent_match_mpmath(name):
+    # closed forms on both sides of the y = 2 split of the moment series;
+    # worst measured relative error 4.5e-16 for the moments (beta(0.7,0.8),
+    # eps = 2.1, p = 2) and 3.6e-15 for the exponent (beta(0.7,0.8), lam = 7.5)
+    tr = M.levy_triple(GATE_MEASURES[name])
+    lm = tr.levy
+    for eps in GATE_CUTOFFS:
+        for p, got in ((1, lm.mean_below(eps)), (2, lm.variance_below(eps))):
+            with mpmath.workdps(40):
+                ref = sum(t.coef * _unit_term_moment(t.a, t.b, eps, p) for t in lm.unit_beta_terms)
+                ref += sum(mpmath.mpf(y) ** p * m for y, m in lm.atoms if y <= eps)
+                assert abs(got - ref) <= 1e-15 * ref, (eps, p, got, ref)
+    for lam in (0.25, 0.5, 1.0, 2.0, 7.5):
+        with mpmath.workdps(40):
+            # c (B(a, b) - B(a + lam, b)), continued to b in (-1, 0)
+            ref = sum(t.coef * (mpmath.beta(t.a, t.b) - mpmath.beta(t.a + lam, t.b))
+                      for t in lm.unit_beta_terms)
+            ref += sum(m * -mpmath.expm1(-lam * mpmath.mpf(y)) for y, m in lm.atoms)
+            assert abs(lm.exponent_integral(lam) - ref) <= 1e-14 * ref, (lam, ref)
+
+
+def test_small_jump_closed_forms_refuse_a_density_without_beta_terms():
+    bare = M.LevyMeasure(density=M.barrier_levy_measure(GAMMA).density, atoms=((1.0, 0.5),))
+    for call in (bare.mean_below, bare.variance_below, bare.exponent_integral):
+        with pytest.raises(M.MeasureError, match=r"LevyMeasure\(density part: a callable"):
+            call(0.5)
+    # atoms alone need no terms
+    assert M.levy_atom(0.5, 1.0).mean_below(2.0) == 0.5
+    with pytest.raises(M.MeasureError, match="b > -1"):
+        M.LevyMeasure(density=bare.density, unit_beta_terms=(M.BetaTerm(1.0, 1.0, -1.0),))
 
 
 def test_tail_inverse_consistency():
