@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import betainc, zeta
 
@@ -242,16 +243,17 @@ class Kernel:
         self._absorbing_cache[n] = bool(row[n] >= 1.0 - ABSORB_TOL)
         return row
 
-    def _checked_row(self, n: int) -> np.ndarray:
-        """``build_row(n)`` under validated_row's entry and sum tests, neither copied nor clipped.
+    def _checked_row(self, n: int, row: np.ndarray | None = None) -> np.ndarray:
+        """``build_row(n)``, or the given row n, under validated_row's entry and sum tests.
 
-        For the DP oracle, which reads every row once.  Both comparisons let
-        NaN through, so the oracle's own finiteness checks name it.  Like
-        ``validated_row`` it records ``absorbing(n)`` (False on a NaN
-        diagonal), so a generic ``absorbing_mask`` after the generic
-        ``pushforward`` builds no row again.
+        For the DP oracle, which reads every row once: the row is neither
+        copied nor clipped.  Both comparisons let NaN through, so the
+        oracle's own finiteness checks name it.  Like ``validated_row`` it
+        records ``absorbing(n)`` (False on a NaN diagonal), so a generic
+        ``absorbing_mask`` after ``pushforward`` builds no row again.
         """
-        row = self.build_row(n)
+        if row is None:
+            row = self.build_row(n)
         if row.min() < _NEG_CLIP:
             k = int(np.argmin(row))
             raise KernelConstructionError(
@@ -315,11 +317,23 @@ class Kernel:
         above c0 are zero there, so each output is the dense ``pi @ m``
         without its leading exact-zero terms; with every panel starting on
         a 64-aligned column, single-threaded OpenBLAS gives the same bits.
-        Each row is built once, and one that is not finite is refused.
+        ``_panels`` fills them, every row checked as ``_checked_row`` checks
+        it, and refuses a row that is not finite.
         """
         if (n + 1) ** 2 > budget_ops:
             raise CostGuardError(
                 f"dense pushforward at n={n} exceeds the operation budget")
+        panels = self._panels(n)
+
+        def step(pi: np.ndarray) -> np.ndarray:
+            out = np.empty(n + 1)
+            for c0, panel in panels:
+                out[c0:c0 + panel.shape[1]] = pi[c0:] @ panel
+            return out
+        return step
+
+    def _panels(self, n: int) -> list[tuple[int, np.ndarray]]:
+        """``pushforward``'s column panels of rows 0..n, each row built once and checked."""
         panels = [(c0, np.zeros((n + 1 - c0, min(PANEL_COLUMNS, n + 1 - c0))))
                   for c0 in range(0, n + 1, PANEL_COLUMNS)]
         for j in range(n + 1):
@@ -329,13 +343,7 @@ class Kernel:
             for c0, panel in panels[:j // PANEL_COLUMNS + 1]:
                 part = row[c0:c0 + PANEL_COLUMNS]
                 panel[j - c0, :part.size] = part
-
-        def step(pi: np.ndarray) -> np.ndarray:
-            out = np.empty(n + 1)
-            for c0, panel in panels:
-                out[c0:c0 + panel.shape[1]] = pi[c0:] @ panel
-            return out
-        return step
+        return panels
 
     def toeplitz(self, n: int):
         """Rows 1..n as one step law plus boundary terms, or None (the generic rows).
@@ -399,6 +407,8 @@ class _BarrierFamily(Kernel):
     The truncated and ignored walks keep the generic ``pushforward``, the
     lower triangle in column panels: a correlation moves their tails at
     n = 3000 by 4e-14, past the oracle values pinned in ``bench/pinned.json``.
+    Their ``_panels`` fills those panels from q and the triple, with no
+    row built and the same bits.
     """
 
     walk = "walk"
@@ -441,6 +451,57 @@ class _BarrierFamily(Kernel):
         row[0] += zero[n]
         row[n] = diag[n]
         return row
+
+    def _panels(self, n: int) -> list[tuple[int, np.ndarray]]:
+        """``Kernel._panels`` filled from q, with no row built.
+
+        Entry (i, c) of panel c0 is q_{i-c} (zero for c > i) before the
+        boundary, so the panel is one copy of the first n + 1 - c0 windows
+        of q reversed.  Then ``build_row``'s operations run on whole panels
+        in its order: each row over its norm, zero_m added to column 0,
+        diag_m on the diagonal, row 0 set to (1).  A row whose panel
+        minimum and panel-order sum leave no doubt passes ``_checked_row``'s
+        tests; any other row is read back from its panels and tested by it.
+        """
+        norm, zero, diag = (part[:n + 1] for part in self._boundary_table(n))
+        padded = np.zeros(n + PANEL_COLUMNS)
+        padded[PANEL_COLUMNS - 1:] = self.q.pmf_upto(n)
+        windows = sliding_window_view(padded, PANEL_COLUMNS)[:, ::-1]
+        scaled = bool(np.any(norm != 1.0))  # x / 1.0 is x: dividing every row is exact
+        low, total = np.full(n + 1, np.inf), np.zeros(n + 1)
+        panels = []
+        for c0 in range(0, n + 1, PANEL_COLUMNS):
+            width = min(PANEL_COLUMNS, n + 1 - c0)
+            panel = windows[:n + 1 - c0, :width].copy()  # C order
+            if scaled:
+                panel /= norm[c0:, None]
+            d = np.arange(width)
+            if c0 == 0:
+                panel[:, 0] += zero
+                panel[d, d] = diag[:width]
+                panel[0] = 0.0
+                panel[0, 0] = 1.0
+            else:
+                panel[d, d] = diag[c0:c0 + width]
+            np.minimum(low[c0:], panel.min(axis=1), out=low[c0:])
+            total[c0:] += panel.sum(axis=1)
+            panels.append((c0, panel))
+        # a summation order moves a sum near 1 by about m * 1e-16, far inside
+        # half the tolerance; NaN lands in doubt
+        tol = ROW_SUM_TOL * np.maximum(1, np.arange(n + 1))
+        doubt = ~(low >= _NEG_CLIP) | ~(np.abs(total - 1.0) <= 0.5 * tol)
+        flags = (diag >= 1.0 - ABSORB_TOL).tolist()
+        flags[0] = True
+        done = 0
+        for j in np.flatnonzero(doubt).tolist():
+            self._absorbing_cache.update(zip(range(done, j), flags[done:j]))
+            row = np.concatenate([panel[j - c0, :j + 1 - c0]
+                                  for c0, panel in panels[:j // PANEL_COLUMNS + 1]])
+            if not np.isfinite(self._checked_row(j, row)).all():
+                raise DPError(f"{self.name}: row {j} is not finite")
+            done = j + 1
+        self._absorbing_cache.update(zip(range(done, n + 1), flags[done:]))
+        return panels
 
     def scaling(self, n: int) -> float:
         if n == 0:

@@ -222,6 +222,9 @@ from sschain import kernels as K
 W = K.PANEL_COLUMNS
 makes = [lambda: K.truncated_kernel(K.power_tail(0.5)),
          lambda: K.ignored_jump_kernel(K.power_tail(0.5)),
+         # q_0 > 0, a support shorter than n and a diagonal that is not constant
+         lambda: K.truncated_kernel(K.finite_step([0.2, 0.5, 0.3])),
+         lambda: K.ignored_jump_kernel(K.finite_step([0.2, 0.5, 0.3])),
          lambda: K.collapse_absorbing(K.beta_coalescent_kernel(1.5, 1.0)),
          lambda: K.ExplicitKernel(lambda n: np.arange(1.0, n + 2) / ((n + 1) * (n + 2) / 2),
                                   name="ramp")]
@@ -292,6 +295,73 @@ def test_panel_pushforward_stores_about_half_the_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 0.55 * (n + 1) ** 2 * 8, peak / ((n + 1) ** 2 * 8)
+
+
+@pytest.mark.parametrize("make", [K.barrier_kernel, K.truncated_kernel,
+                                  K.ignored_jump_kernel],
+                         ids=["barrier", "truncated", "ignored"])
+@pytest.mark.parametrize("q", [K.power_tail(0.5), K.finite_step([0.2, 0.5, 0.3]),
+                               K.finite_step([0.0, 0.0, 1.0])], ids=["power", "finite", "gap"])
+def test_barrier_family_panels_are_the_row_fill_bytes(monkeypatch, make, q):
+    # the barrier's own pushforward never asks for panels, but its fill
+    # divides by norm != 1, so it is checked here too; the gap law's
+    # ignored walk has the absorbing state 1
+    for n in (0, 1, K.PANEL_COLUMNS - 1, K.PANEL_COLUMNS, K.PANEL_COLUMNS + 1, 777):
+        rows, fill = make(q), make(q)
+        expect = K.Kernel._panels(rows, n)
+        monkeypatch.setattr(fill, "build_row", _refuse_row)
+        got = fill._panels(n)
+        assert [c0 for c0, _ in got] == [c0 for c0, _ in expect]
+        for (_, a), (_, b) in zip(got, expect):
+            assert a.flags.c_contiguous and a.flags.writeable
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (fill.name, n)
+        assert fill._absorbing_cache == rows._absorbing_cache
+        assert [fill.absorbing(m) for m in range(n + 1)] == \
+            [bool(r[m] >= 1.0 - K.ABSORB_TOL) for m, r in enumerate(map(rows.row, range(n + 1)))]
+
+
+def _refuse_row(n):
+    raise AssertionError(f"row {n} was built")
+
+
+def _tail_walk(make, tail):
+    return make(K.StepDistribution(tail=tail, gamma=0.5, name="bent"))
+
+
+def _nan_tail(k):
+    k = np.asarray(k, dtype=float)
+    return np.where(k <= 50, (k + 1.0) ** -0.5, np.nan)
+
+
+def _rising_tail(k):
+    # probed at 0, 1, 10, 100, 10^4 and 2^40 it falls, but it doubles past 50:
+    # q_51 clips to 0 and the rows from 51 on sum to about 1.14
+    k = np.asarray(k, dtype=float)
+    return np.where(k <= 50, 1.0, 2.0) * (k + 1.0) ** -0.5
+
+
+@pytest.mark.parametrize("make", [K.truncated_kernel, K.ignored_jump_kernel],
+                         ids=["truncated", "ignored"])
+@pytest.mark.parametrize("tail, error, message", [
+    (_nan_tail, K.DPError, "row 51 is not finite"),
+    (_rising_tail, K.KernelConstructionError, "row 51 sums to 1.1"),
+], ids=["nan", "rising"])
+def test_panel_fill_refuses_bad_rows_as_the_row_fill_does(monkeypatch, make, tail, error,
+                                                          message):
+    n = 80
+    rows = _tail_walk(make, tail)
+    with pytest.raises(error) as generic:
+        K.Kernel._panels(rows, n)
+    fill = _tail_walk(make, tail)
+    monkeypatch.setattr(fill, "build_row", _refuse_row)
+    with pytest.raises(error) as fast:
+        fill.pushforward(n)
+    assert type(fast.value) is type(generic.value)
+    assert str(fast.value) == str(generic.value)
+    assert str(fast.value).startswith(f"{fill.name}: {message}")
+    # both record the rows before the bad one, and the NaN row itself
+    assert fill._absorbing_cache == rows._absorbing_cache
+    assert sorted(fill._absorbing_cache) == list(range(51 + (error is K.DPError)))
 
 
 DKW_CASES = ([(K.barrier_kernel, n) for n in (250, 1000, 4000)]
@@ -378,6 +448,33 @@ def test_nan_row_fails_absorption_distribution_drift_check():
     # the generic pushforward names the row while it stores the rows
     with pytest.raises(DP.DPError, match="nan-row: row 3 is not finite"):
         DP.absorption_distribution(k, 4, k_max=6)
+
+
+def _one_step_down(n):
+    r = np.zeros(n + 1)
+    r[max(n - 1, 0)] = 1.0
+    return r
+
+
+class _BrokenStep(K.ExplicitKernel):
+    # valid rows, but a pushforward that scales the pmf (a mass leak, or NaN)
+    def __init__(self, factor, name):
+        super().__init__(_one_step_down, scaling=lambda n: float(n), name=name)
+        self.factor = factor
+
+    def pushforward(self, n, budget_ops=math.inf):
+        return lambda pi: pi * self.factor
+
+
+@pytest.mark.parametrize("factor, name, drift", [(1.0 - 1e-9, "leaky", r"-9\.9999\d*e-10"),
+                                                 (np.nan, "nan-step", "nan")],
+                         ids=["leak", "nan"])
+def test_distribution_refuses_a_pmf_whose_mass_drifts(factor, name, drift):
+    with pytest.raises(DP.DPError, match=rf"^{name}: pmf mass drifted by {drift} at step 1$"):
+        DP.absorption_distribution(_BrokenStep(factor, name), 5, k_max=8)
+    # a drift inside 1e-12 per step passes
+    pmf, tail = DP.absorption_distribution(_BrokenStep(1.0 - 1e-13, "tiny-leak"), 5, k_max=8)
+    assert pmf.tolist() == [0.0] * 9 and tail == 1.0
 
 
 def test_dense_distribution_builds_each_row_once_and_keeps_none():
