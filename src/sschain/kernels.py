@@ -72,6 +72,8 @@ class StepDistribution:
     mean is infinite.  ``max_step`` is the last k with q_k > 0 of a finite
     vector (None for a tail): its running sums can round below 1, so
     ``quantile``, the one inverse CDF of the law, clamps its draws there.
+    A tail is checked where it is tabulated: ``quantile`` refuses to reach
+    the first k where qbar is not finite, leaves [0, 1] or rises.
     """
 
     def __init__(self, pmf=None, tail=None, gamma: float | None = None,
@@ -113,6 +115,7 @@ class StepDistribution:
             self._q = None
             self._qbar = None
         self._cache_n = -1
+        self._bad_k = None  # first tabulated k whose qbar is not a law's tail
 
     def _ensure(self, n: int):
         if self.max_step is not None:
@@ -132,6 +135,11 @@ class StepDistribution:
         np.clip(q, 0.0, None, out=q)
         self._q, self._qbar, self._cache_n = q, qbar, m
         self._cdf = np.cumsum(q)
+        # written so that NaN is bad; rises within the constructor's slack pass
+        bad = ~((qbar >= 0.0) & (qbar <= 1.0))
+        bad[1:] |= qbar[1:] - qbar[:-1] > 1e-15
+        first = np.flatnonzero(bad)
+        self._bad_k = int(first[0]) if first.size else None
 
     def pmf_upto(self, n: int) -> np.ndarray:
         """q_0, ..., q_n."""
@@ -159,7 +167,13 @@ class StepDistribution:
         A finite vector's running sums can round below 1, so a u past the
         last of them is clamped to ``max_step``, a step the law makes.
         """
-        k = np.searchsorted(self.cdf_upto(n), u, side="right")
+        cdf = self.cdf_upto(n)
+        if self._bad_k is not None and self._bad_k <= n:
+            k = self._bad_k
+            raise ValueError(f"step law {self.name}: qbar({k}) = {self._qbar[k]!r} after "
+                             f"qbar({k - 1}) = {self._qbar[k - 1]!r} is not the tail of "
+                             "a probability law")
+        k = np.searchsorted(cdf, u, side="right")
         if self.max_step is not None:
             np.minimum(k, self.max_step, out=k)
         return k

@@ -13,7 +13,14 @@ of a sampled path (clock change, exponential functional, gap structure)
 is closed-form segment algebra, never numerical integration.
 
 Every sampler draws from a generator made by ``philox_rng(seed, stream)``,
-so a path is a function of that generator's (seed, stream) pair.
+so a path is a function of that generator's (seed, stream) pair.  The
+batch samplers take BATCH_REPLICATES replicates at a time, replicate i on
+``philox_rng(seed, stream0 + i)``, and advance them in lockstep rounds:
+every live replicate draws its next path from its own generator with
+``sample_subordinator``, then one clock change runs over the round's
+paths, padded into a (paths x segments) grid, and the restart and stop
+rules act on whole rows.  A replicate's numbers are those of a batch of
+one, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .streams import philox_rng
 
 SMALL_JUMP_VARIANCE_BUDGET = 1e-6
 RESTART_BLOCK = 4.0  # ξ-time per Markov-restart block of the I and Y samplers
+BATCH_REPLICATES = 64  # replicates whose generators and paths are alive together
 
 
 class InsufficientHorizonError(RuntimeError):
@@ -64,15 +72,21 @@ class _JumpSampler:
     def sample(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms to jump sizes; u is consumed one value per jump."""
         r = u * self.rate
+        if not self.atoms:  # r < rate for every u < 1: all from the density
+            return self._inverse(r)
+        if self.dens_rate <= 0.0:  # r >= 0: all atoms
+            return self._atom_sizes(r)
         out = np.empty_like(r)
         dens = r < self.dens_rate
         if np.any(dens):
             out[dens] = self._inverse(r[dens])
         if np.any(~dens):
-            idx = np.searchsorted(self._atom_cum, (r[~dens] - self.dens_rate))
-            idx = np.minimum(idx, len(self.atoms) - 1)
-            out[~dens] = self._atom_y[idx]
+            out[~dens] = self._atom_sizes(r[~dens])
         return out
+
+    def _atom_sizes(self, r: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(self._atom_cum, r - self.dens_rate)
+        return self._atom_y[np.minimum(idx, len(self.atoms) - 1)]
 
 
 def _spline_tail_inverse(levy: LevyMeasure, eps: float, rate: float) -> Callable:
@@ -150,21 +164,14 @@ class SubordinatorPath:
     def xi_at(self, t) -> np.ndarray | float:
         """Path value at ξ-clock times t <= horizon (inf past the killing time)."""
         t = np.asarray(t, dtype=float)
-        if np.any(t > self.horizon * (1 + 1e-12)):
-            raise InsufficientHorizonError("path evaluated past its horizon")
-        cum = np.concatenate([[0.0], np.cumsum(self.jump_sizes)])
-        val = self.drift * t + cum[np.searchsorted(self.jump_times, t, side="right")]
-        out = np.where(t < self.killing_time, val, math.inf)
+        out = _xi_grid([self], t.ravel())[0].reshape(t.shape)
         return float(out) if out.ndim == 0 else out
 
     def segments(self) -> tuple[np.ndarray, np.ndarray]:
         """(xi0, dt): start value and length of each affine piece up to
         min(horizon, killing_time); coincident jumps give pieces of length 0."""
-        t_end = min(self.horizon, self.killing_time)
-        keep = self.jump_times < t_end
-        dt = np.diff(np.concatenate([[0.0], self.jump_times[keep], [t_end]]))
-        xi0 = np.concatenate([[0.0], np.cumsum(self.drift * dt[:-1] + self.jump_sizes[keep])])
-        return xi0, dt
+        xi0, dt, _ends, _drift = _segment_grid([self])
+        return xi0[0], dt[0]
 
     def to_csv(self) -> str:
         """Event-time dump: (t, value just after t) at 0, each jump, and the end."""
@@ -219,14 +226,108 @@ def _jump_sampler(levy: LevyMeasure, eps: float) -> _JumpSampler:
 
 
 # ---------------------------------------------------------------------------
+# a batch of paths on one padded (path x jump) grid
+# ---------------------------------------------------------------------------
+#
+# Row i of a grid holds path i's numbers at the columns the path alone
+# would give them, then padding: pieces of length 0, whose clock length is
+# exactly 0.  Row-wise np.cumsum adds sequentially, as a 1-d one does, so
+# every value at a path's own columns, and its running clock, are bit for
+# bit what the path gives alone.  Jump times are sorted.
+
+def _xi_grid(paths, t: np.ndarray) -> np.ndarray:
+    """ξ of each path at the flat ξ-clock times t, one row per path; inf
+    from the path's killing time on."""
+    horizon = np.array([p.horizon for p in paths])
+    if np.any(t > horizon[:, None] * (1 + 1e-12)):
+        raise InsufficientHorizonError("path evaluated past its horizon")
+    cum = np.zeros((len(paths), 1 + max(p.jump_sizes.size for p in paths)))
+    idx = np.empty((len(paths), t.size), dtype=np.intp)
+    for i, p in enumerate(paths):
+        cum[i, 1:p.jump_sizes.size + 1] = p.jump_sizes
+        idx[i] = np.searchsorted(p.jump_times, t, side="right")
+    np.cumsum(cum, axis=1, out=cum)
+    drift = np.array([p.drift for p in paths])
+    val = drift[:, None] * t + np.take_along_axis(cum, idx, axis=1)
+    killing = np.array([p.killing_time for p in paths])
+    return np.where(t < killing[:, None], val, math.inf)
+
+
+def _segment_grid(paths):
+    """(xi0, dt, ends, drift): the affine pieces of each path up to
+    min(horizon, killing_time), piece k of path i at (i, k).
+
+    Row i holds ``ends[i] + 1`` pieces, then padding pieces of length 0.
+    """
+    t_end = np.array([min(p.horizon, p.killing_time) for p in paths])
+    # the jumps before t_end, a prefix of the sorted times
+    ends = [int(np.searchsorted(p.jump_times, te)) for p, te in zip(paths, t_end.tolist())]
+    width = max(ends) + 1
+    bounds = np.empty((len(paths), width + 1))
+    bounds[:, 0] = 0.0
+    bounds[:, 1:] = t_end[:, None]
+    xi0 = np.zeros((len(paths), width))
+    for i, (p, k) in enumerate(zip(paths, ends)):
+        bounds[i, 1:k + 1] = p.jump_times[:k]
+        xi0[i, 1:k + 1] = p.jump_sizes[:k]
+    dt = np.diff(bounds, axis=1)
+    drift = np.array([p.drift for p in paths])
+    xi0[:, 1:] += drift[:, None] * dt[:, :-1]
+    np.cumsum(xi0, axis=1, out=xi0)
+    return xi0, dt, np.array(ends), drift
+
+
+# ---------------------------------------------------------------------------
 # the exponential clock change
 # ---------------------------------------------------------------------------
 
-def _segment_lengths(xi0: np.ndarray, dt: np.ndarray, b: float, gamma: float):
-    """Clock-change length of each affine ξ-segment, in closed form."""
-    if b == 0.0:
-        return dt * np.exp(-gamma * xi0)
-    return np.exp(-gamma * xi0) * (-np.expm1(-gamma * b * dt)) / (gamma * b)
+def _segment_lengths(xi0: np.ndarray, dt: np.ndarray, b: np.ndarray, gamma: float):
+    """Clock-change length of each affine ξ-segment, in closed form; b is
+    the drift of each row.  A segment of length 0 gets exactly 0."""
+    decay = np.exp(-gamma * xi0)
+    flat = b == 0.0
+    if not flat.any():
+        return decay * (-np.expm1(-gamma * b * dt)) / (gamma * b)
+    b = np.where(flat, 1.0, b)  # any b > 0 keeps the unused formula finite
+    return np.where(flat, dt * decay, decay * (-np.expm1(-gamma * b * dt)) / (gamma * b))
+
+
+def _clock(xi0, dt, ends, drift, killed, gamma):
+    """The clock change of rows of affine segments, padded or not.
+
+    Returns the segments' clock lengths, the running clock ``y_bounds``
+    (a leading 0, then the running sums of the lengths, so the last
+    column is I), ξ at the end of segment ``ends[i]`` and the tail weight
+    exp(-γ ξ(end)) of each row (0 when killed).
+    """
+    lengths = _segment_lengths(xi0, dt, drift[:, None], gamma)
+    y_bounds = np.zeros((lengths.shape[0], lengths.shape[1] + 1))
+    y_bounds[:, 1:] = lengths
+    np.cumsum(y_bounds, axis=1, out=y_bounds)
+    rows = np.arange(len(ends))
+    xi_end = (xi0[rows, ends] + drift * dt[rows, ends]).tolist()
+    tail_weight = [0.0 if k else math.exp(-gamma * x) for k, x in zip(killed, xi_end)]
+    return lengths, y_bounds, xi_end, tail_weight
+
+
+class _ClockChange:
+    """The clock change of a batch of paths on one padded segment grid.
+
+    Row i carries what ``lamperti(paths[i], gamma)`` gives: ``I[i]``,
+    ``xi_end[i]``, ``tail_weight[i]``, ``killed[i]`` and ``segments(i)``.
+    """
+
+    def __init__(self, paths, gamma: float):
+        self.xi0, self.dt, ends, self.drift = _segment_grid(paths)
+        self.killed = [p.killing_time <= p.horizon for p in paths]
+        _lengths, y_bounds, self.xi_end, self.tail_weight = _clock(
+            self.xi0, self.dt, ends, self.drift, self.killed, gamma)
+        self.I = y_bounds[:, -1].copy()  # a view would keep the grid alive
+
+    def segments(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(xi0, dt) of path i's segments of positive length."""
+        pos = self.dt[i] > 0.0
+        return self.xi0[i, pos], self.dt[i, pos]
 
 
 class LimitSample:
@@ -247,12 +348,17 @@ class LimitSample:
         self.seg_xi0 = seg_xi0
         self.seg_dt = seg_dt
         self.t_bounds = np.concatenate([[0.0], np.cumsum(seg_dt)])
-        self.lengths = _segment_lengths(seg_xi0, seg_dt, drift, gamma)
-        self.y_bounds = np.concatenate([[0.0], np.cumsum(self.lengths)])
+        n = seg_dt.size
+        # a path killed at time 0 has no segment: clock one of length 0
+        grid = (seg_xi0, seg_dt) if n else (np.zeros(1), np.zeros(1))
+        lengths, y_bounds, xi_end, tail_weight = _clock(
+            grid[0][None], grid[1][None], np.array([grid[1].size - 1]),
+            np.array([drift]), [killed], gamma)
+        self.lengths = lengths[0, :n]
+        self.y_bounds = y_bounds[0, :n + 1]
         self.I = float(self.y_bounds[-1])
-        xi_end = (seg_xi0[-1] + drift * seg_dt[-1]) if len(seg_xi0) else 0.0
-        self.xi_end = float(xi_end)
-        self.tail_weight = 0.0 if killed else math.exp(-gamma * xi_end)
+        self.xi_end = xi_end[0]
+        self.tail_weight = tail_weight[0]
 
     @property
     def sigma(self) -> float:
@@ -266,6 +372,8 @@ class LimitSample:
         if np.any(beyond) and not self.killed and self.tail_weight > 1e-9:
             raise InsufficientHorizonError(
                 "Y evaluated past the simulated clock range")
+        if not self.seg_dt.size:  # killed at time 0: Y is 0 from the start
+            return 0.0 if t.ndim == 0 else np.zeros(t.shape)
         tt = np.minimum(t, self.I)
         idx = np.minimum(np.searchsorted(self.y_bounds, tt, side="right") - 1,
                          len(self.seg_dt) - 1)
@@ -328,6 +436,14 @@ def analytic_moments(psi, gamma: float, p_max: int) -> list[float]:
 # batch samplers with Markov-restart horizon control
 # ---------------------------------------------------------------------------
 
+def _batches(replicates: int, seed: int, stream0: int):
+    """(first replicate, generators) of each batch of BATCH_REPLICATES
+    replicates in turn, replicate i on ``philox_rng(seed, stream0 + i)``."""
+    for b0 in range(0, replicates, BATCH_REPLICATES):
+        yield b0, [philox_rng(seed, stream0 + i)
+                   for i in range(b0, min(b0 + BATCH_REPLICATES, replicates))]
+
+
 def sample_z_marginals(triple: LevyTriple, t_grid: Sequence[float], replicates: int,
                        seed: int, stream0: int = 0) -> np.ndarray:
     """Matrix of Z(t) = exp(-ξ_t) samples, killed paths contributing 0."""
@@ -335,21 +451,10 @@ def sample_z_marginals(triple: LevyTriple, t_grid: Sequence[float], replicates: 
     horizon = float(t[-1])
     eps_cut = default_cutoff(triple.levy, horizon)
     out = np.empty((replicates, t.size))
-    for i in range(replicates):
-        path = sample_subordinator(triple, horizon, philox_rng(seed, stream0 + i), eps_cut)
-        out[i] = np.exp(-path.xi_at(t))
+    for b0, gens in _batches(replicates, seed, stream0):
+        paths = [sample_subordinator(triple, horizon, gen, eps_cut) for gen in gens]
+        out[b0:b0 + len(gens)] = np.exp(-_xi_grid(paths, t))
     return out
-
-
-def _restart_blocks(triple: LevyTriple, gamma: float, rng: np.random.Generator,
-                    eps: float):
-    """Clock-changed RESTART_BLOCK pieces of one path, drawn in turn from
-    ``rng`` (Markov restarts); the first killed piece is the last."""
-    while True:
-        block = lamperti(sample_subordinator(triple, RESTART_BLOCK, rng, eps), gamma)
-        yield block
-        if block.killed:
-            return
 
 
 def sample_exponential_functional(triple: LevyTriple, gamma: float,
@@ -363,15 +468,19 @@ def sample_exponential_functional(triple: LevyTriple, gamma: float,
     expected_I = 1.0 / psi_g
     eps = default_cutoff(triple.levy, RESTART_BLOCK)
     out = np.empty(replicates)
-    for i in range(replicates):
-        total = 0.0
-        weight = 1.0
-        for block in _restart_blocks(triple, gamma, philox_rng(seed, stream0 + i), eps):
-            total += weight * block.I
-            weight *= block.tail_weight  # 0 on a killed block
-            if weight * expected_I <= 1e-4 * max(total, 1e-300):
-                break
-        out[i] = total
+    for b0, gens in _batches(replicates, seed, stream0):
+        total = np.zeros(len(gens))
+        weight = np.ones(len(gens))
+        live = np.arange(len(gens))
+        while live.size:
+            # one restart block of every live replicate, each on its own stream
+            clock = _ClockChange([sample_subordinator(triple, RESTART_BLOCK, gens[i], eps)
+                                  for i in live.tolist()], gamma)
+            total[live] += weight[live] * clock.I
+            weight[live] *= clock.tail_weight  # 0 on a killed block
+            small = weight[live] * expected_I <= 1e-4 * np.maximum(total[live], 1e-300)
+            live = live[~(small | clock.killed)]
+        out[b0:b0 + len(gens)] = total
     return out
 
 
@@ -387,24 +496,35 @@ def sample_y_marginals(triple: LevyTriple, gamma: float, t_grid: Sequence[float]
     t_max = float(t[-1])
     eps = default_cutoff(triple.levy, RESTART_BLOCK)
     out = np.empty((replicates, t.size))
-    for i in range(replicates):
-        xi0_parts, dt_parts = [], []
-        offset = 0.0
-        covered = 0.0
-        for block in _restart_blocks(triple, gamma, philox_rng(seed, stream0 + i), eps):
-            xi0_parts.append(block.seg_xi0 + offset)
-            dt_parts.append(block.seg_dt)
-            covered += math.exp(-gamma * offset) * block.I
-            offset += block.xi_end
-            if covered >= t_max or math.exp(-gamma * offset) <= 1e-9:
-                break
-        sample = LimitSample(np.concatenate(xi0_parts), np.concatenate(dt_parts),
-                             block.drift, gamma, block.killed)
-        vals = np.zeros(t.size)
-        inside = t < sample.I
-        if inside.any():
-            vals[inside] = np.atleast_1d(sample.Y(t[inside]))
-        out[i] = vals
+    for b0, gens in _batches(replicates, seed, stream0):
+        parts = [([], []) for _ in gens]
+        offset = [0.0] * len(gens)
+        covered = [0.0] * len(gens)
+        last = [None] * len(gens)  # (drift, killed) of the latest block
+        live = list(range(len(gens)))
+        while live:
+            clock = _ClockChange([sample_subordinator(triple, RESTART_BLOCK, gens[i], eps)
+                                  for i in live], gamma)
+            more = []
+            for j, (i, I) in enumerate(zip(live, clock.I.tolist())):
+                xi0, dt = clock.segments(j)
+                parts[i][0].append(xi0 + offset[i])
+                parts[i][1].append(dt)
+                covered[i] += math.exp(-gamma * offset[i]) * I
+                offset[i] += clock.xi_end[j]
+                last[i] = (float(clock.drift[j]), clock.killed[j])
+                if not (covered[i] >= t_max or math.exp(-gamma * offset[i]) <= 1e-9
+                        or clock.killed[j]):
+                    more.append(i)
+            live = more
+        for i, (xi0_parts, dt_parts) in enumerate(parts):
+            sample = LimitSample(np.concatenate(xi0_parts), np.concatenate(dt_parts),
+                                 last[i][0], gamma, last[i][1])
+            vals = np.zeros(t.size)
+            inside = t < sample.I
+            if inside.any():
+                vals[inside] = np.atleast_1d(sample.Y(t[inside]))
+            out[b0 + i] = vals
     return out
 
 
@@ -428,25 +548,16 @@ def limit_record(psi_id: str, gamma: float, path: SubordinatorPath,
 # compositions from the gap structure of the range
 # ---------------------------------------------------------------------------
 
-def balls_in_gaps(path: SubordinatorPath, n: int, rng: np.random.Generator):
-    """Throw n uniforms from ``rng`` into the gaps of the closed range of 1 - exp(-ξ).
+def _covered(xi0: np.ndarray, dt: np.ndarray, drift) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the stretch of 1 - exp(-ξ) each affine segment covers."""
+    return 1.0 - np.exp(-xi0), 1.0 - np.exp(-(xi0 + drift * dt))
 
-    Balls sharing an open gap form one block; balls landing on a covered
-    stretch (positive drift) are singletons.  Blocks are returned in
-    left-to-right order as a composition of n.  Raises when a ball falls
-    beyond the range the path resolves.
-    """
+
+def _gap_composition(u: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The composition the sorted balls u make in the gaps between the
+    covered stretches [lo, hi]; raises when a ball falls beyond hi[-1]."""
     from .chain_engine import Composition
 
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    if path.killing_time <= path.horizon:
-        raise ValueError("balls_in_gaps needs an unkilled path")
-    u = np.sort(rng.random(n))
-    # covered stretches of 1 - e^-xi, one per affine segment
-    xi0, dt = path.segments()
-    lo = 1.0 - np.exp(-xi0)
-    hi = 1.0 - np.exp(-(xi0 + path.drift * dt))
     if u[-1] >= hi[-1]:
         raise InsufficientHorizonError(
             f"a ball at {u[-1]:.6g} falls beyond the resolved range {hi[-1]:.6g}")
@@ -478,28 +589,62 @@ def balls_in_gaps(path: SubordinatorPath, n: int, rng: np.random.Generator):
     return Composition(tuple(parts))
 
 
+def _check_gap_args(path: SubordinatorPath, n: int):
+    if n < 1:
+        raise ValueError("needs n >= 1")
+    if path.killing_time <= path.horizon:
+        raise ValueError("balls_in_gaps needs an unkilled path")
+
+
+def balls_in_gaps(path: SubordinatorPath, n: int, rng: np.random.Generator):
+    """Throw n uniforms from ``rng`` into the gaps of the closed range of 1 - exp(-ξ).
+
+    Balls sharing an open gap form one block; balls landing on a covered
+    stretch (positive drift) are singletons.  Blocks are returned in
+    left-to-right order as a composition of n.  Raises when a ball falls
+    beyond the range the path resolves.
+    """
+    _check_gap_args(path, n)
+    u = np.sort(rng.random(n))
+    return _gap_composition(u, *_covered(*path.segments(), path.drift))
+
+
 def sample_gap_compositions(triple: LevyTriple, n: int, replicates: int,
                             seed: int, stream0: int = 0) -> list:
     """Independent balls-in-gaps compositions, one per replicate stream.
 
     Paths run to horizon 64.  The horizon doubles (on the same stream, up
     to 2**20) in the rare event that a ball falls beyond the resolved
-    range, so results stay deterministic.
+    range, so results stay deterministic.  Each replicate draws its path,
+    then its balls, and again after each doubling, from its own stream.
     """
     out = []
     cutoffs = {}  # one default_cutoff bisection per horizon, not per path
-    for i in range(replicates):
-        gen = philox_rng(seed, stream0 + i)
-        T = 64.0
-        while True:
-            if T not in cutoffs:
-                cutoffs[T] = default_cutoff(triple.levy, T)
-            path = sample_subordinator(triple, T, gen, cutoffs[T])
-            try:
-                out.append(balls_in_gaps(path, n, gen))
-                break
-            except InsufficientHorizonError:
-                T *= 2.0
-                if T > 2 ** 20:
-                    raise
+    for _b0, gens in _batches(replicates, seed, stream0):
+        comps = [None] * len(gens)
+        horizon = [64.0] * len(gens)
+        live = list(range(len(gens)))
+        while live:
+            paths, balls = [], []
+            for i in live:
+                T = horizon[i]
+                if T not in cutoffs:
+                    cutoffs[T] = default_cutoff(triple.levy, T)
+                paths.append(sample_subordinator(triple, T, gens[i], cutoffs[T]))
+                _check_gap_args(paths[-1], n)
+                balls.append(np.sort(gens[i].random(n)))
+            xi0, dt, ends, drift = _segment_grid(paths)
+            lo, hi = _covered(xi0, dt, drift[:, None])
+            more = []
+            for j, i in enumerate(live):
+                m = ends[j] + 1
+                try:
+                    comps[i] = _gap_composition(balls[j], lo[j, :m], hi[j, :m])
+                except InsufficientHorizonError:
+                    horizon[i] *= 2.0
+                    if horizon[i] > 2 ** 20:
+                        raise
+                    more.append(i)
+            live = more
+        out += comps
     return out

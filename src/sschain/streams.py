@@ -5,7 +5,8 @@ of its own stream.  Philox is counter-based: each counter value under key
 (seed, stream) gives four 64-bit words, one double each, and a stream's
 first draw is counter 1.  So ``BlockUniforms`` reaches any block of any
 stream by setting one bit generator's key and counter, with no generator
-object per stream.
+object per stream.  ``philox_rng`` sets a fresh bit generator's key the
+same way, so making a generator reads no OS entropy.
 """
 
 from __future__ import annotations
@@ -20,10 +21,23 @@ _U64 = (1 << 64) - 1
 STREAM_BLOCK = 10_000_000
 
 
+# Seeds the bit generator before its key is set.  ``Philox(key=...)`` would
+# make a SeedSequence from fresh OS entropy and then ignore it.
+_FIXED_SEED = np.random.SeedSequence(0)
+
+
 def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Independent generator for the given (seed, stream) pair."""
-    key = np.array([seed & _U64, stream & _U64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Independent generator for the given (seed, stream) pair.
+
+    Its draws are those of ``Generator(Philox(key=[seed, stream]))``, with
+    both words taken mod 2**64: the key and a zero counter are set through
+    the state setter, with the buffer marked spent as the constructor does.
+    """
+    bits = np.random.Philox(_FIXED_SEED)
+    bits.state = {"bit_generator": "Philox",
+                  "state": {"counter": [0, 0, 0, 0], "key": [seed & _U64, stream & _U64]},
+                  "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
 
 
 class BlockUniforms:
@@ -43,9 +57,8 @@ class BlockUniforms:
     def __init__(self, seed: int, stream0: int, count: int):
         self._seed = seed & _U64
         self._stream0 = stream0
-        self._bits = np.random.Philox(key=np.array([self._seed, stream0 & _U64],
-                                                   dtype=np.uint64))
-        self._gen = np.random.Generator(self._bits)
+        self._gen = philox_rng(seed, stream0)
+        self._bits = self._gen.bit_generator
         self._buf = np.empty((count, self.BLOCK))
         self._block = np.full(count, -1, dtype=np.int64)
 

@@ -11,7 +11,7 @@ from sschain import chain_engine as CE
 from sschain import kernels as K
 from sschain import measures as M
 from sschain.stats import empirical_moment
-from sschain.streams import BlockUniforms, philox_rng
+from sschain.streams import STREAM_BLOCK, BlockUniforms, philox_rng
 
 SEED = 1234
 
@@ -161,6 +161,21 @@ def test_block_uniforms_follow_each_stream_as_rows_die():
     for j in range(cols):
         live = np.flatnonzero(death > j)
         assert np.array_equal(uniforms.draws(live, j), ref[live, j])
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2 ** 64 - 1])
+@pytest.mark.parametrize("stream", [0, 7 * STREAM_BLOCK, 2 ** 63])
+def test_philox_rng_draws_as_the_keyed_constructor(seed, stream):
+    # philox_rng sets the key through the state setter instead of building
+    # Philox(key=...), whose throwaway SeedSequence reads OS entropy
+    u64 = (1 << 64) - 1
+    key = np.array([seed & u64, stream & u64], dtype=np.uint64)
+    keyed = np.random.Generator(np.random.Philox(key=key))
+    gen = philox_rng(seed, stream)
+    assert gen.random(9).tobytes() == keyed.random(9).tobytes()
+    assert gen.poisson(3.5, 9).tobytes() == keyed.poisson(3.5, 9).tobytes()
+    assert gen.integers(0, 1000, 9).tobytes() == keyed.integers(0, 1000, 9).tobytes()
+    assert gen.random() == keyed.random()
 
 
 def test_block_uniforms_serve_rows_at_their_own_draws():
@@ -576,3 +591,28 @@ def test_collapse_coupling_shifts_absorption_by_at_most_one():
         a = CE.sample_path(co, 40, SEED, stream=i).absorption_time
         b = CE.sample_path(cc, 40, SEED, stream=i).absorption_time
         assert b - a == 1  # state 1 takes exactly one extra hop to 0
+
+
+def _nan_past_50(k):
+    k = np.asarray(k, dtype=float)
+    return np.where(k <= 50, (k + 1.0) ** -0.5, np.nan)
+
+
+def _doubled_past_50(k):
+    # falls at every probe of the constructor, but rises from 50 to 51
+    k = np.asarray(k, dtype=float)
+    return np.where(k <= 50, 1.0, 2.0) * (k + 1.0) ** -0.5
+
+
+@pytest.mark.parametrize("tail", [_nan_past_50, _doubled_past_50], ids=["nan", "rising"])
+@pytest.mark.parametrize("run", [
+    lambda q: CE.sample_absorption_times(K.truncated_kernel(q), 80, 2000, 1),
+    lambda q: CE.sample_marginal_states(K.truncated_kernel(q), 80, [5], 200, 1),
+    lambda q: CE.coupled_barrier_triple(q, 80, 1),
+], ids=["absorption", "marginal", "coupled"])
+def test_step_samplers_refuse_a_tail_that_is_no_law(tail, run):
+    q = K.StepDistribution(tail=tail, gamma=0.5, name="bent")
+    with pytest.raises(ValueError, match=r"step law bent: qbar\(51\) = "):
+        run(q)
+    # below the bad k the law is a law's tail, and draws go on
+    assert q.quantile(np.array([0.5]), 50).tolist() == [4]

@@ -1,5 +1,6 @@
 """Subordinator paths, the exponential clock change, and limit functionals."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from sschain import limit_process as LP
 from sschain import measures as M
 from sschain.stats import empirical_moment
-from sschain.streams import philox_rng
+from sschain.streams import STREAM_BLOCK, philox_rng
 
 SEED = 31415
 GAMMA = 0.5
@@ -253,6 +254,68 @@ def _invert_clock(ls, t):
     return ls.t_bounds[j] - math.log1p(-rel * g * b * math.exp(g * a)) / (g * b)
 
 
+def _hand_built_paths():
+    tr = M.LevyTriple(0.0, 0.3, M.levy_atom(1.0, 0.5))  # the clock change never reads it
+    path = LP.SubordinatorPath
+    return [
+        path(tr, np.empty(0), np.empty(0), 0.3, math.inf, 2.0, 1e-3, 0.0),  # no jumps
+        path(tr, np.array([0.5, 1.0]), np.array([0.2, 0.4]), 0.3, 0.0, 2.0, 1e-3,
+             0.0),  # killed at time 0
+        path(tr, np.array([0.25, 0.5, 1.5, 1.75]), np.array([0.1, 0.7, 0.2, 0.3]), 0.3,
+             1.2, 2.0, 1e-3, 0.0),  # killed inside the horizon
+        path(tr, np.array([0.4, 0.9, 0.9, 1.3]), np.array([0.2, 0.1, 0.3, 0.5]), 0.3,
+             math.inf, 2.0, 1e-3, 0.0),  # two jumps at one time
+        path(tr, np.array([0.1, 0.6, 1.1]), np.array([0.5, 0.25, 0.125]), 0.0,
+             math.inf, 2.0, 1e-3, 0.0),  # no drift
+        LP.sample_subordinator(M.levy_triple(M.barrier_measure(GAMMA)), 2.0,
+                               philox_rng(SEED, 8)),  # hundreds of jumps
+    ]
+
+
+def _per_path_clock(p, gamma):
+    # the clock change of one path, written out piece by piece
+    t_end = min(p.horizon, p.killing_time)
+    keep = p.jump_times < t_end
+    dt = np.diff(np.concatenate([[0.0], p.jump_times[keep], [t_end]]))
+    xi0 = np.concatenate([[0.0], np.cumsum(p.drift * dt[:-1] + p.jump_sizes[keep])])
+    pos = dt > 0.0
+    xi0, dt, b = xi0[pos], dt[pos], p.drift
+    if b == 0.0:
+        lengths = dt * np.exp(-gamma * xi0)
+    else:
+        lengths = np.exp(-gamma * xi0) * (-np.expm1(-gamma * b * dt)) / (gamma * b)
+    I = float(np.concatenate([[0.0], np.cumsum(lengths)])[-1])
+    xi_end = float(xi0[-1] + b * dt[-1]) if xi0.size else 0.0
+    return xi0, dt, I, xi_end
+
+
+def test_clock_change_padding_does_not_leak_between_paths():
+    paths = _hand_built_paths()
+    gamma = 0.7
+    clock = LP._ClockChange(paths, gamma)
+    t = np.array([0.0, 0.3, 0.9, 1.2, 1.9])
+    xi = LP._xi_grid(paths, t)
+    for i, p in enumerate(paths):
+        alone = LP.lamperti(p, gamma)
+        xi0, dt = clock.segments(i)
+        ref_xi0, ref_dt, ref_I, ref_xi_end = _per_path_clock(p, gamma)
+        for got in (alone.seg_xi0, xi0):
+            assert got.tobytes() == ref_xi0.tobytes(), i
+        for got in (alone.seg_dt, dt):
+            assert got.tobytes() == ref_dt.tobytes(), i
+        assert clock.I[i] == alone.I == ref_I, i
+        assert clock.xi_end[i] == alone.xi_end == ref_xi_end, i
+        assert clock.killed[i] == alone.killed
+        assert clock.tail_weight[i] == alone.tail_weight
+        assert clock.tail_weight[i] == (0.0 if alone.killed else math.exp(-gamma * ref_xi_end))
+        y_t = alone.I * np.array([0.0, 0.2, 0.5, 0.9])
+        batch_sample = LP.LimitSample(xi0, dt, float(clock.drift[i]), gamma, clock.killed[i])
+        assert batch_sample.Y(y_t).tobytes() == alone.Y(y_t).tobytes(), i
+        assert xi[i].tobytes() == p.xi_at(t).tobytes(), i
+    assert clock.I[1] == 0.0 and clock.killed[1]  # killed at time 0: no segment
+    assert clock.segments(3)[0].size == 4  # the coincident jumps leave one piece of 0
+
+
 def test_analytic_moments():
     assert LP.analytic_moments(lambda lam: 1.0, 1.0, 3) == [1.0, 1.0, 2.0, 6.0]
     mu = M.barrier_measure(GAMMA)
@@ -341,3 +404,89 @@ def test_z_marginals_match_exponent_for_barrier_plus_interior_atom():
         for lam in (0.5, 1.0, 2.0):
             target = math.exp(-M.laplace_exponent(mu, lam) * t)
             assert empirical_moment(z[:, j], lam).within(target, 4.0), (t, lam)
+
+
+# ---------------------------------------------------------------------------
+# pinned sampler outputs
+# ---------------------------------------------------------------------------
+
+PIN_SEED = 20260809
+PIN_REPLICATES = 150  # straddles the samplers' batch size
+PIN_T = (0.5, 1.0)
+
+
+def _pinned_samplers():
+    barrier = M.levy_triple(M.barrier_measure(GAMMA))
+    killing = M.levy_triple(M.atom(1.0, 0.0))
+    atomic = M.LevyTriple(0.0, 0.0, M.levy_atom(1.0, math.log(2.0)))
+    killed = M.LevyTriple(0.2, 0.3, M.levy_atom(1.0, 0.7))  # killed, drift, atoms
+    samplers = {
+        "z_barrier": lambda reps, s0: LP.sample_z_marginals(barrier, PIN_T, reps, PIN_SEED, s0),
+        "z_killing": lambda reps, s0: LP.sample_z_marginals(
+            killing, PIN_T, reps, PIN_SEED, STREAM_BLOCK + s0),
+        "exp_functional": lambda reps, s0: LP.sample_exponential_functional(
+            barrier, GAMMA, reps, PIN_SEED, 2 * STREAM_BLOCK + s0),
+        "y_marginals": lambda reps, s0: LP.sample_y_marginals(
+            barrier, GAMMA, PIN_T, reps, PIN_SEED, 3 * STREAM_BLOCK + s0),
+        "exp_functional_killed": lambda reps, s0: LP.sample_exponential_functional(
+            killed, 0.7, reps, PIN_SEED, 4 * STREAM_BLOCK + s0),
+        "y_marginals_killed": lambda reps, s0: LP.sample_y_marginals(
+            killed, 0.7, (0.5, 1.0, 2.0), reps, PIN_SEED, 5 * STREAM_BLOCK + s0),
+    }
+    for n in (2, 3, 4):
+        samplers[f"gaps_{n}"] = lambda reps, s0, n=n: LP.sample_gap_compositions(
+            atomic, n, reps, PIN_SEED, (4 + n) * STREAM_BLOCK + s0)
+    # drift covers stretches, and the range resolves so slowly that about
+    # one replicate in ten doubles its horizon
+    slow = M.LevyTriple(0.0, 0.02, M.levy_atom(0.1, 0.5))
+    samplers["gaps_doubling"] = lambda reps, s0: LP.sample_gap_compositions(
+        slow, 3, reps, PIN_SEED, 9 * STREAM_BLOCK + s0)
+    return samplers
+
+
+def _sample_digest(out) -> str:
+    if isinstance(out, np.ndarray):
+        return hashlib.sha256(np.ascontiguousarray(out, dtype=float).tobytes()).hexdigest()
+    return hashlib.sha256(repr([c.parts for c in out]).encode()).hexdigest()
+
+
+# SHA-256 of each sampler's output at PIN_SEED.  Every sample is a function
+# of its replicate's (seed, stream) pair alone; a change that moves one
+# must say so and re-pin.
+PINNED_LIMIT_DIGESTS = {
+    "z_barrier": "79e2a683c313d5ca0117f4fd559dae6e684586ae8734c72b7b26c656c9a521dc",
+    "z_killing": "f54d6a39f51ca7c78b9d5d7d787e0b5b526ee09210fafe91e1103ca19c855b70",
+    "exp_functional": "284323524e7daf2ed7eaaf79e35eee230e5985b85f70e0d93492f113a461832e",
+    "y_marginals": "5948595274bfc05fd0a6422cafae4921462f4e165edd9a46b3de29449e0692ef",
+    "exp_functional_killed": "c0d240c8fabb64a4898073a9913c525aece2ffbb781db41230ff8ec0fc6be250",
+    "y_marginals_killed": "e76006d181e4905e42750d2b8ab92f0a0951e92287f211d6eb2495e6a78dc9a4",
+    "gaps_2": "d50b450436e1207b5736420d0a5047ac9044412a052b45a2aaa94f9da756e8a2",
+    "gaps_3": "13c06d375ef9bd8bdbbc62240b43027df1c8bd9144ad73a5f71d70872d3636f7",
+    "gaps_4": "fc43b20d5030f44c733cdefec3b5b1f612fc34d8501e5fb8c14025d01d2959c0",
+    "gaps_doubling": "7394632d415923285ad94e41d400d084cdd3d6031f80221964d1fd87b6c0c7cd",
+}
+
+
+def test_limit_samples_are_pinned():
+    got = {name: _sample_digest(fn(PIN_REPLICATES, 0))
+           for name, fn in _pinned_samplers().items()}
+    assert got == PINNED_LIMIT_DIGESTS
+
+
+@pytest.fixture(scope="module")
+def single_replicates():
+    # row i of any batch must be what a batch of one at stream0 + i gives
+    return {name: [fn(1, i) for i in range(65)] for name, fn in _pinned_samplers().items()}
+
+
+@pytest.mark.parametrize("reps", [0, 1, 63, 64, 65])
+def test_batch_rows_equal_single_replicates(reps, single_replicates):
+    for name, fn in _pinned_samplers().items():
+        out = fn(reps, 0)
+        assert len(out) == reps, name
+        for i in range(reps):
+            single = single_replicates[name][i]
+            if isinstance(out, np.ndarray):
+                assert out[i].tobytes() == single[0].tobytes(), (name, i)
+            else:
+                assert out[i] == single[0], (name, i)
