@@ -8,9 +8,9 @@ a statistics harness that verifies the limit theorems at desk scale.
 __version__ = "0.1.0"
 
 from .measures import (BetaTerm, FiniteMeasure, LevyMeasure, LevyTriple,
-                       MeasureError, QuadratureError, atom, barrier_levy_measure,
-                       barrier_measure, beta_density, bracket, laplace_exponent,
-                       lebesgue, levy_atom, levy_triple)
+                       MeasureError, atom, barrier_levy_measure, barrier_measure,
+                       beta_density, bracket, laplace_exponent, lebesgue, levy_atom,
+                       levy_triple)
 from .kernels import (CoalescentKernel, CompositionKernel, ExplicitKernel, Kernel,
                       KernelConstructionError, StepDistribution, barrier_kernel,
                       beta_coalescent_kernel, canonical_kernel, coalescent_kernel,

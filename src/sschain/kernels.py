@@ -13,8 +13,8 @@ which ``_beta_term_entries`` builds as the product of two slices of the
 kept Gamma-ratio tables Gamma(j + s) / j! (``special``), with no log
 space.  Everything else goes through ``_binomial_mixture`` in log space,
 bit for bit from kept log-Gamma tables: the canonical kernel's Beta terms
-(times a regularized incomplete Beta) and interior atoms.  No row entry is
-a quadrature.
+(times a regularized incomplete Beta) and interior atoms.  Every row
+entry, and the coalescent's scaling h(1/n), is a closed form.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from scipy.special import betainc, zeta
 
 from . import measures
 from .measures import (BetaTerm, FiniteMeasure, LevyMeasure, atom,
-                       barrier_measure, laplace_exponent, quad)
+                       barrier_measure, laplace_exponent)
 from .special import betaln_shifted, gamma_ratio_table, log_binom
 from .stats import TrendReport, trend_verdict
 
@@ -763,8 +763,11 @@ class CoalescentKernel(Kernel):
                     val += t.coef * (-math.log(u))
                 else:
                     val += t.coef * (u ** (t.a - 2.0) - 1.0) / (2.0 - t.a)
-            else:
-                val += _incomplete_power_integral(t.coef, t.a, t.b, u)
+            elif u < 1.0:
+                # coef B_{1-u}(b, a - 2): the jump tail of the unit term
+                # (coef, b, a - 2) at the level y with e^-y = 1 - u
+                unit = BetaTerm(t.coef, t.b, t.a - 2.0)
+                val += float(measures._beta_image_tail(unit, -math.log1p(-u)))
         return val
 
     def scaling(self, n: int) -> float:
@@ -816,28 +819,6 @@ class CoalescentKernel(Kernel):
         weight[1:] = gamma_ratio_table(t.b, n)[:n]
         q = gamma_ratio_table(t.a - 2.0, n + 2)[1:n + 2]
         return q, weight, None, np.zeros(n + 1), (np.arange(n + 1) <= 1).astype(float)
-
-
-def _incomplete_power_integral(coef, a, b, u):
-    # integral of coef * x^(a-3) (1-x)^(b-1) over [u, 1]
-    def left(y):  # x = e^y on [u, 1/2]
-        x = math.exp(y)
-        return coef * x ** (a - 2.0) * (1.0 - x) ** (b - 1.0)
-
-    val = 0.0
-    if u < 0.5:
-        val += quad(left, math.log(u), math.log(0.5), limit=400)[0]
-        lo = 0.5
-    else:
-        lo = u
-
-    p = 1.0 / b if b < 1.0 else 1.0
-
-    def right(w):  # 1 - x = w^p on [lo, 1]
-        x = 1.0 - w ** p
-        return coef * x ** (a - 3.0) * p * w ** (p * b - 1.0) if x > 0.0 else 0.0
-
-    return val + quad(right, 0.0, (1.0 - lo) ** (1.0 / p), limit=400)[0]
 
 
 def coalescent_kernel(lam_measure: FiniteMeasure) -> CoalescentKernel:

@@ -4,100 +4,32 @@ A measure is stored as two exact atoms (at 0 and at 1), an optional list
 of interior atoms, and a density on (0, 1) given as Beta terms,
 ``sum_i c_i x^(a_i-1) (1-x)^(b_i-1)``.  The atoms at the endpoints map to
 the killing rate and drift of a subordinator, the rest maps to its jump
-measure; keeping them separate means those two numbers are never
-quadrature artifacts.  The Beta terms give the mass, the Laplace exponent
-and the kernel rows in closed form through Gamma functions, and their
-images under y = -log x give a ``LevyMeasure``'s small-jump moments and
-exponent in closed form too.  Only the jump side still integrates: the
-tail that ``levy_triple`` gives a density other than a scaled barrier.
-
-Every integral in the package goes through ``quad``, the one call into
-scipy's adaptive routine: it owns the tolerances, the subdivision limit
-and the substitution y = u**p at a declared endpoint order.  Only
-``quad_unit`` raises on a poor error estimate.  ``quad`` imports
-``scipy.integrate`` on its first call, not this module: that import brings
-scipy.optimize and scipy.linalg along (about 25 MB and 0.3 s), and the
-chain samplers and DP oracles, which never integrate, should not pay it.
+measure; keeping them separate means those two numbers are exact.  The
+Beta terms give the mass, the Laplace exponent and the kernel rows in
+closed form through Gamma functions, and their images under y = -log x
+give a ``LevyMeasure``'s jump tail, small-jump moments and exponent in
+closed form too: the tail and the moments each sum a power series in
+1 - e**-y for small jumps and one in e**-y for large ones.  Nothing in the
+package integrates numerically.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import betaln, digamma, polygamma
+from scipy.special import betaln, digamma, exprel, polygamma
 
 from .special import gamma_ratio
-
-#: absolute / relative targets of ``quad``
-QUAD_ABS_TOL = 1e-10
-QUAD_REL_TOL = 1e-9
 
 _CHECK_GRID = np.linspace(1e-4, 1.0 - 1e-4, 41)
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested accuracy."""
-
-    def __init__(self, message: str, value: float = math.nan, error: float = math.nan):
-        super().__init__(f"{message} (value={value!r}, error estimate={error!r})")
-        self.value = value
-        self.error = error
-
-
 class MeasureError(ValueError):
     """Invalid measure specification."""
-
-
-# ---------------------------------------------------------------------------
-# quadrature: the one call into scipy.integrate, imported on first use
-# ---------------------------------------------------------------------------
-
-def quad(fn, lo: float, hi: float, order: float = 0.0, limit: int = 200):
-    """Integrate ``fn`` over (lo, hi); returns (value, error_estimate).
-
-    ``order`` declares an integrable blow-up fn(y) ~ y**-order at y = 0
-    (``lo`` >= 0 then).  For order > 0 the substitution y = u**p with
-    p = 1/(1-order) makes the integrand bounded; the bounds become
-    lo**(1/p) and hi**(1/p).  No error policy here: callers decide what
-    to do with the estimate.
-    """
-    if order >= 1.0:
-        raise MeasureError(f"non-integrable endpoint order {order}")
-    if order > 0.0:
-        p = 1.0 / (1.0 - order)
-        g = fn
-        fn = lambda u: g(u ** p) * p * u ** (p - 1.0)
-        lo, hi = lo ** (1.0 / p), hi ** (1.0 / p)
-    from scipy import integrate as _sciint  # on first use; see the module docstring
-    return _sciint.quad(fn, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=limit)
-
-
-def quad_unit(fn, sing0: float = 0.0, sing1: float = 0.0, upper: float = 1.0):
-    """Integrate ``fn`` over (0, upper) <= (0, 1).
-
-    ``sing0`` and ``sing1`` declare integrable algebraic blow-ups:
-    fn(x) ~ x**-sing0 near 0 and fn(x) ~ (1-x)**-sing1 near 1, both < 1.
-    The pieces (0, 1/2) and (1/2, upper) go to ``quad`` with those orders,
-    the right one in the variable 1 - x.  Returns (value, error_estimate)
-    and raises QuadratureError past 10x the tolerance.
-    """
-    if not (sing0 < 1.0 and sing1 < 1.0):
-        raise MeasureError(f"non-integrable endpoint orders ({sing0}, {sing1})")
-    if upper <= 0.0:
-        return 0.0, 0.0
-    upper = min(upper, 1.0)
-    split = min(0.5, upper)
-    total, err = quad(fn, 0.0, split, sing0)
-    if upper > split:
-        v, e = quad(lambda w: fn(1.0 - w), 1.0 - upper, split, sing1)
-        total += v
-        err += e
-    if err > 10.0 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total)):
-        raise QuadratureError("quadrature did not converge", total, err)
-    return total, err
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +70,7 @@ def bracket_beta_integral(lam: float, a: float, b: float) -> float:
     b = 1, where it degenerates to a digamma difference.  Within
     |b - 1| < 1e-5 the direct form cancels, so the digamma difference plus
     its first-order term in b - 1 is used instead (worst error about 6e-10,
-    at the switch, below QUAD_REL_TOL; exactly the digamma difference at b = 1).
+    at the switch; exactly the digamma difference at b = 1).
     """
     if not (a > 0.0 and b > 0.0 and lam > 0.0):
         raise ValueError("bracket_beta_integral needs a, b, lam > 0")
@@ -186,9 +118,8 @@ class FiniteMeasure:
     beta_terms : sequence of BetaTerm
         The density on (0, 1), their sum.
 
-    ``density`` (None without terms) is the sum as a callable on numpy
-    arrays, and ``sing0 = max(0, 1 - a)``, ``sing1 = max(0, 1 - b)`` over
-    the terms are its algebraic orders at the endpoints (density ~
+    ``sing0 = max(0, 1 - a)`` and ``sing1 = max(0, 1 - b)`` over the terms
+    are the density's algebraic orders at the endpoints (density ~
     x**-sing0 near 0 and ~ (1-x)**-sing1 near 1), both < 1.
     """
 
@@ -207,8 +138,7 @@ class FiniteMeasure:
                 raise MeasureError(f"interior atom at {loc} not inside (0, 1)")
             if mass <= 0.0:
                 raise MeasureError("interior atom masses must be positive")
-        self.density = (lambda x: sum(t(x) for t in beta_terms)) if beta_terms else None
-        if beta_terms and np.any(self.density(_CHECK_GRID) < 0.0):
+        if np.any(sum(t(_CHECK_GRID) for t in beta_terms) < 0.0):
             raise MeasureError("density takes negative values")
         self.atom0 = float(atom0)
         self.atom1 = float(atom1)
@@ -293,8 +223,7 @@ def laplace_exponent(mu: FiniteMeasure, lam: float) -> float:
     """Integral of the bracket function against mu: the subordinator exponent.
 
     Non-negative, non-decreasing and concave in lam.  At lam = 0 the
-    continuity extension returns the mass at 0 directly; no quadrature of
-    a 0/0 integrand happens there.
+    continuity extension returns the mass at 0 directly.
     """
     if lam < 0.0:
         raise ValueError("laplace_exponent requires lam >= 0")
@@ -329,6 +258,58 @@ def _image_density(terms: Sequence[BetaTerm]) -> Callable:
 #: a series in e**-y; at the split v = 0.865 and e**-y = 0.135
 MOMENT_SPLIT = 2.0
 _TAIL_TERMS = 40  # 0.135**40 ~ 1e-35
+#: the jump tail splits its two series at e**-y = 1 - e**-y = 1/2 instead,
+#: where (1-v)**(a-1) and (1-x)**(b-1) cancel least in their power series;
+#: 0.5**64 ~ 5e-20
+_HALF_TERMS = 64
+
+
+def _power_series(s: float, n: int) -> np.ndarray:
+    """g_0 ... g_{n-1} of (1-x)**(s-1) = sum_k g_k x**k."""
+    k = np.arange(1, n)
+    return np.concatenate([[1.0], np.cumprod((k - s) / k)])
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_series(t: BetaTerm):
+    """The series of ``_beta_image_tail`` for c = 1: the x-side coefficients
+    w_j / (a+j), highest first; the exponents k+b and weights g_k 2**-(k+b)
+    for k >= 1; and the tail at x = 1/2."""
+    k = np.arange(_HALF_TERMS)
+    far = (_power_series(t.b, _HALF_TERMS) / (k + t.a))[::-1]
+    m = k[1:] + t.b
+    near = _power_series(t.a, _HALF_TERMS)[1:] * 0.5 ** m
+    return far, m, near, 0.5 ** t.a * np.polyval(far, 0.5)
+
+
+def _beta_image_tail(t: BetaTerm, y) -> np.ndarray:
+    """Mass of c e**(-a y) (1 - e**-y)**(b-1) above each y > 0, c B_{e**-y}(a, b).
+
+    Vectorized in ``y``.  With x = e**-y it is c times the integral of
+    u**(a-1) (1-u)**(b-1) over (0, x): for x <= 1/2, sum_j w_j x**(a+j) / (a+j)
+    from (1-u)**(b-1) = sum_j w_j u**j.  For x > 1/2 it is that sum at 1/2
+    plus the mass between v = 1 - x and 1/2, sum_k g_k (2**-(k+b) - v**(k+b))
+    / (k+b) from (1-v)**(a-1) = sum_k g_k v**k.  Each difference is written
+    max(2**-(k+b), v**(k+b)) L exprel(-|k+b| L) with L = log(1 / (2 v)), so
+    no term cancels, exprel's argument is never positive, and b = 0, a log
+    tail, takes the same path.
+    """
+    shape = np.shape(y)
+    y = np.asarray(y, dtype=float).ravel()
+    far, m, near, at_half = _tail_series(t)
+    v = -np.expm1(-y)
+    small = v < 0.5
+    out = np.empty_like(y)
+    if not small.all():
+        x = np.exp(-y[~small])
+        out[~small] = x ** t.a * np.polyval(far, x)
+    if small.any():
+        v = v[small]
+        log_ratio = -math.log(2.0) - np.log(v)
+        span = log_ratio * (np.maximum(0.5 ** t.b, v ** t.b) * exprel(-abs(t.b) * log_ratio)
+                            + exprel(-np.multiply.outer(log_ratio, m)) @ near)
+        out[small] = at_half + span
+    return t.coef * out.reshape(shape)
 
 
 def _beta_image_moment(t: BetaTerm, eps: float, p: int) -> float:
@@ -343,8 +324,7 @@ def _beta_image_moment(t: BetaTerm, eps: float, p: int) -> float:
     lo = min(eps, MOMENT_SPLIT)
     v = -math.expm1(-lo)
     n = p + 1 + math.ceil(45.0 / -math.log(v))  # v**n < e**-45
-    k = np.arange(1, n)
-    g = np.concatenate([[1.0], np.cumprod((k - t.a) / k)])  # (1-v)**(a-1)
+    g = _power_series(t.a, n)  # (1-v)**(a-1)
     log_series = 1.0 / np.arange(1.0, n + 1.0)  # -log(1-v) / v = sum_j v**j / (j+1)
     for _ in range(p):
         g = np.convolve(g, log_series)[:n]
@@ -352,9 +332,8 @@ def _beta_image_moment(t: BetaTerm, eps: float, p: int) -> float:
     val = t.coef * v ** (p + t.b) * math.fsum(g * v ** k / (k + p + t.b))
     if eps <= MOMENT_SPLIT:
         return val
-    j = np.arange(_TAIL_TERMS)
-    w = t.coef * np.concatenate([[1.0], np.cumprod((j[1:] - t.b) / j[1:])])
-    s = t.a + j
+    w = t.coef * _power_series(t.b, _TAIL_TERMS)  # (1 - e**-y)**(b-1)
+    s = t.a + np.arange(_TAIL_TERMS)
 
     def beyond(y):  # integral of u**p e**(-s u) over (y, inf), one entry per s
         if math.isinf(y):
@@ -370,12 +349,13 @@ class LevyMeasure:
 
     ``unit_beta_terms`` are the image of the density part under x = e**-y,
     as Beta terms c x**(a-1) (1-x)**(b-1) with b > -1 (b <= 0 is allowed:
-    the image need not be finite).  The small-jump moments and the
-    exponent are closed forms in them, so a density part without them is
-    refused there.  ``tail`` and ``tail_inverse``, when supplied, are the
-    exact upper tail of the density part and its inverse, used by the path
-    sampler; otherwise the tail is integrated numerically and inverted
-    through a monotone log-grid interpolant.
+    the image need not be finite).  The tail, the small-jump moments and
+    the exponent are closed forms in them, so a density part without them
+    is refused there.  ``tail`` and ``tail_inverse``, when supplied, are
+    the exact upper tail of the density part and its inverse: the tail then
+    replaces the series in the terms, and the path sampler uses the inverse
+    instead of inverting the tail itself.  ``density`` stays a callable:
+    that inversion's Newton steps read it.
     """
 
     def __init__(self, density: Callable | None = None,
@@ -429,6 +409,12 @@ class LevyMeasure:
                                "unit_beta_terms, its image under x = e^-y")
         return self.unit_beta_terms if self.density is not None else ()
 
+    def _density_tail(self, y):
+        """Mass of the density part above each level y > 0; vectorized in ``y``."""
+        if self._tail is not None:
+            return self._tail(y)
+        return sum(_beta_image_tail(t, y) for t in self._density_terms("tail"))
+
     def tail(self, y: float) -> float:
         """Mass above level y > 0."""
         if y <= 0.0:
@@ -436,12 +422,7 @@ class LevyMeasure:
         val = sum(m for loc, m in self.atoms if loc > y)
         if self.density is None:
             return val
-        if self._tail is not None:
-            return val + self._tail(y)
-        if y < 1.0:
-            val += quad(self.density, y, 1.0)[0]
-            y = 1.0
-        return val + quad(self.density, y, np.inf)[0]
+        return val + float(self._density_tail(y))
 
     def _moment_below(self, eps: float, power: int) -> float:
         """Integral of y**power over (0, eps]; power >= 1, eps <= inf."""
@@ -527,11 +508,11 @@ def levy_triple(mu: FiniteMeasure) -> LevyTriple:
     is evaluated from them.  A density that is a single beta term with
     a = 1 is a scaled barrier and keeps the barrier's closed-form tail, its
     inverse and its tail index, interior atoms or not; any other density
-    gets a quadrature tail.
+    part takes its tail from the unit terms (``LevyMeasure.tail``).
     """
     terms = tuple(BetaTerm(t.coef, t.a, t.b - 1.0) for t in mu.beta_terms)
     t = mu.beta_terms[0] if len(mu.beta_terms) == 1 else None
-    if mu.density is None:
+    if not mu.beta_terms:
         part = LevyMeasure()
     elif t is not None and t.a == 1.0 and t.b < 1.0:
         g = 1.0 - t.b
@@ -543,16 +524,7 @@ def levy_triple(mu: FiniteMeasure) -> LevyTriple:
                                tail_inverse=lambda v: base.tail_inverse(np.asarray(v) / c),
                                unit_beta_terms=terms, tail_index=g)
     else:
-        rho = mu.density
-
-        def tail(y0):
-            # mass above y0 equals the (1-x)^-1-weighted mass of rho below e^-y0
-            upper = math.exp(-y0)
-            val, _ = quad_unit(lambda x: rho(x) / (1.0 - x), mu.sing0,
-                               min(0.999, mu.sing1 + 1.0), upper=upper)
-            return val
-
-        part = LevyMeasure(density=_image_density(terms), tail=tail, unit_beta_terms=terms)
+        part = LevyMeasure(density=_image_density(terms), unit_beta_terms=terms)
     jumps = LevyMeasure(atoms=tuple((-math.log(loc), mass / (1.0 - loc))
                                     for loc, mass in mu.interior_atoms))
     return LevyTriple(mu.atom0, mu.atom1, part + jumps)

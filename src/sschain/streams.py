@@ -21,9 +21,19 @@ _U64 = (1 << 64) - 1
 STREAM_BLOCK = 10_000_000
 
 
-# Seeds the bit generator before its key is set.  ``Philox(key=...)`` would
-# make a SeedSequence from fresh OS entropy and then ignore it.
-_FIXED_SEED = np.random.SeedSequence(0)
+class _ZeroSeed(np.random.bit_generator.ISeedSequence):
+    """Seeds a bit generator whose key is set right after.
+
+    ``Philox(key=...)`` would make a SeedSequence from fresh OS entropy and
+    then ignore it; a real SeedSequence would hash a key that the state
+    setter then overwrites.  This one hands out zeros.
+    """
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+_ZERO_SEED = _ZeroSeed()
 
 
 def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -33,7 +43,7 @@ def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
     both words taken mod 2**64: the key and a zero counter are set through
     the state setter, with the buffer marked spent as the constructor does.
     """
-    bits = np.random.Philox(_FIXED_SEED)
+    bits = np.random.Philox(_ZERO_SEED)
     bits.state = {"bit_generator": "Philox",
                   "state": {"counter": [0, 0, 0, 0], "key": [seed & _U64, stream & _U64]},
                   "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}

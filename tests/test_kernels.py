@@ -380,12 +380,9 @@ def test_coalescent_h_generic_beta_b_not_one():
 def test_coalescent_h_matches_mpmath(a, b):
     """h(1/n) against coef * B(a - 2, b; 1/n, 1), the incomplete Beta integral, in mpmath.
 
-    Over n = 2 ... 10^6 the worst measured relative error was 5.8e-11, at
-    u = 1/2 for b = 1 + 2e-6 (quadrature near b = 1); b = 1 is a closed form
-    (2.3e-16), the other two 6.6e-13.  The tolerance is twice the worst.
-    Toward u = 1 the error grows (7.1e-9 at u = 0.999 for Beta(1.7, 2.5)),
-    as scipy's default absolute quadrature tolerance comes to dominate the
-    small value of h; u = 1/n <= 1/2 never gets there.
+    Over n = 2 ... 10^6 the worst measured relative error was 3.7e-16 (b != 1,
+    the jump-tail series of the unit term (coef, b, a - 2) at y = -log(1 - u));
+    b = 1 is a closed form (1.8e-16).  The tolerance is twice the worst.
     """
     co = K.beta_coalescent_kernel(a, b)
     for n in (2, 3, 5, 10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6):
@@ -393,7 +390,7 @@ def test_coalescent_h_matches_mpmath(a, b):
         with mpmath.workdps(30):
             A, B = mpmath.mpf(a), mpmath.mpf(b)
             ref = mpmath.betainc(A - 2, B, mpmath.mpf(u), 1) / mpmath.beta(A, B)
-        assert abs(co.h(u) - float(ref)) <= 1.2e-10 * float(ref), (n, co.h(u), ref)
+        assert abs(co.h(u) - float(ref)) <= 7.5e-16 * float(ref), (n, co.h(u), ref)
 
 
 def test_coalescent_psi_quadrature_oracle(beta_co):

@@ -187,6 +187,35 @@ def test_spline_inverse_matches_exact_inverse():
     assert np.allclose(got, expect, rtol=1e-7)
 
 
+def test_tail_inverse_of_a_log_tail_matches_its_closed_inverse():
+    # lebesgue maps to the unit term (1, 1, 0), an infinite measure with
+    # tail -log(1 - e^-y): one sample call inverts 20000 jumps at once.
+    # Worst measured relative error 7.7e-15; the tolerance is twice that
+    lm = M.levy_triple(M.lebesgue()).levy
+    assert lm.tail_inverse is None
+    sampler = LP._JumpSampler(lm, 1e-4)
+    u = np.random.default_rng(SEED).random(20_000)
+    exact = -np.log1p(-np.exp(-u * sampler.rate))
+    assert np.allclose(sampler.sample(u), exact, rtol=1.5e-14, atol=0.0)
+
+
+def test_tail_inverse_of_a_beta_term_with_negative_b_on_a_whole_array():
+    # beta(1.5, 0.5) maps to the unit term (c, 1.5, -0.5), whose tail is
+    # c (2 sqrt(x / (1-x)) - 2 asin(sqrt(x))) at x = e^-y.  The sampler
+    # refuses a residual above 1e-8 rate; the worst measured is 4.5e-16 rate
+    lm = M.levy_triple(M.beta_density(1.5, 0.5)).levy
+    (t,) = lm.unit_beta_terms
+    eps = 1e-4
+    sampler = LP._JumpSampler(lm, eps)
+    u = np.random.default_rng(SEED).random(20_000)
+    r = u * sampler.rate
+    y = sampler.sample(u)
+    x = np.exp(-y)
+    tail = t.coef * (2 * np.sqrt(x / -np.expm1(-y)) - 2 * np.arcsin(np.sqrt(x)))
+    assert np.all(y > eps)
+    assert np.max(np.abs(tail - r)) <= 1e-15 * sampler.rate
+
+
 # ---------------------------------------------------------------------------
 # the clock change
 # ---------------------------------------------------------------------------
@@ -333,6 +362,17 @@ def test_analytic_moments():
 def test_exponential_functional_moments(barrier_triple):
     samples = LP.sample_exponential_functional(barrier_triple, GAMMA, 6000, SEED)
     mom = LP.analytic_moments(M.barrier_measure(GAMMA), GAMMA, 2)
+    assert empirical_moment(samples, 1.0).within(mom[1], 4.0)
+    assert empirical_moment(samples, 2.0).within(mom[2], 4.0)
+
+
+def test_exponential_functional_moments_beta_density():
+    # a non-barrier limit: the Beta(1.5, 0.5) image has unit term b = -0.5,
+    # and its jumps invert the closed-form tail.  300 replicates take
+    # 2.2-3.5 s on a 2-CPU host
+    mu = M.beta_density(1.5, 0.5)
+    samples = LP.sample_exponential_functional(M.levy_triple(mu), GAMMA, 300, SEED)
+    mom = LP.analytic_moments(mu, GAMMA, 2)
     assert empirical_moment(samples, 1.0).within(mom[1], 4.0)
     assert empirical_moment(samples, 2.0).within(mom[2], 4.0)
 

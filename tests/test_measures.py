@@ -164,75 +164,46 @@ def test_exponent_scaling_linearity():
 
 
 # ---------------------------------------------------------------------------
-# quad
+# no quadrature in the package
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=200, deadline=None)
-@given(order=st.floats(-0.9, 0.9), hi=st.floats(1e-6, 1.0), at_zero=st.booleans())
-def test_quad_power_closed_form(order, hi, at_zero):
-    lo = 0.0 if at_zero else hi / 10
-    val, _ = M.quad(lambda y: y ** -order, lo, hi, order)
-    exact = (hi ** (1 - order) - lo ** (1 - order)) / (1 - order)
-    # y^-order with order <= 0 is not smooth at 0 and meets the absolute target
-    assert val == pytest.approx(exact, rel=1e-9, abs=M.QUAD_ABS_TOL)
-
-
-def test_quad_rejects_non_integrable_order():
-    for order in (1.0, 1.5):
-        with pytest.raises(M.MeasureError):
-            M.quad(lambda y: y ** -order, 0.0, 1.0, order)
-
-
-def test_quad_unit_raises_on_poor_error_estimate():
-    with pytest.raises(M.QuadratureError):
-        with pytest.warns(sciint.IntegrationWarning):
-            M.quad_unit(lambda x: math.sin(1e4 * x))
-
-
-def test_only_measures_calls_scipy_integrate():
+def test_no_src_module_imports_scipy_integrate_or_interpolate():
+    # every tail, moment and exponent is a closed form; only the tests integrate
     src = Path(M.__file__).parent
-    pattern = re.compile(r"_sciint|scipy\.integrate|scipy import integrate")
-    callers = sorted(f.name for f in src.glob("*.py") if pattern.search(f.read_text()))
-    assert callers == ["measures.py"]
-    assert (src / "measures.py").read_text().count("_sciint.quad(") == 1
+    pattern = re.compile(r"scipy\.(integrate|interpolate)|scipy import (integrate|interpolate)")
+    assert sorted(f.name for f in src.glob("*.py") if pattern.search(f.read_text())) == []
 
 
-QUAD_ON_FIRST_USE_SCRIPT = """
+NO_QUADRATURE_SCRIPT = """
 import sys
-import numpy as np
-from sschain import chain_engine as CE, exact_dp as DP, kernels as K, measures as M
+from sschain import chain_engine as CE, exact_dp as DP, kernels as K, limit_process as LP
+from sschain import measures as M
 
 barrier = K.barrier_kernel(K.power_tail(0.5))
 DP.absorption_moments(barrier, 500, 2)
 DP.marginal_moment(barrier, 500, 0.5, 1.0)
 CE.sample_absorption_times(K.beta_coalescent_kernel(1.5, 1.0), 200, 50, 7)
 CE.sample_path(barrier, 500, 7)
-assert "scipy.integrate" not in sys.modules, "the chain side loaded scipy.integrate"
-got = M.quad(lambda x: x * x, 0.0, 1.0)
-from scipy import integrate
-want = integrate.quad(lambda x: x * x, 0.0, 1.0, epsabs=M.QUAD_ABS_TOL,
-                      epsrel=M.QUAD_REL_TOL, limit=200)
-assert got == want, (got, want)
+K.beta_coalescent_kernel(1.3, 0.7).scaling(1000)
+LP.sample_exponential_functional(M.levy_triple(M.beta_density(1.5, 0.5)), 0.5, 5, 7)
+LP.sample_z_marginals(M.levy_triple(M.lebesgue() + M.atom(0.2, 0.5)), [0.5, 1.0], 5, 7)
+loaded = [m for m in ("scipy.integrate", "scipy.interpolate") if m in sys.modules]
+assert not loaded, loaded
 print("ok")
 """
 
 
-def test_quad_imports_scipy_integrate_on_first_use():
-    # the DP oracles and the chain samplers never integrate, so a process
-    # that only runs them never loads scipy.integrate (about 25 MB)
+def test_non_barrier_sampling_loads_no_quadrature_or_interpolation():
+    # the chain samplers, the DP oracles, a coalescent h with b != 1 and the
+    # limit samplers on non-barrier Beta terms (b = -0.5, and b = 0 beside
+    # an atom) run on closed forms: scipy.integrate (about 25 MB) and
+    # scipy.interpolate stay out of the process
     src = str(Path(M.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", QUAD_ON_FIRST_USE_SCRIPT], env=env,
+    out = subprocess.run([sys.executable, "-c", NO_QUADRATURE_SCRIPT], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
-
-
-def test_only_measures_names_quad_unit():
-    # no kernel row entry is a quadrature: rows are Beta terms and atoms
-    src = Path(M.__file__).parent
-    assert sorted(f.name for f in src.glob("*.py") if "quad_unit" in f.read_text()) == \
-        ["measures.py"]
 
 
 def test_measure_validation():
@@ -425,9 +396,46 @@ def test_small_jump_moments_and_exponent_match_mpmath(name):
             assert abs(lm.exponent_integral(lam) - ref) <= 1e-14 * ref, (lam, ref)
 
 
+TAIL_B = (-0.9, -0.5, -0.2, -1e-7, 0.0, 3e-6, 0.6, 0.8)
+TAIL_Y = np.concatenate([np.geomspace(1e-14, 50.0, 40), [0.69, math.log(2.0), 0.7, 2.0]])
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 1.5, 3.0])
+def test_jump_tail_matches_mpmath(a):
+    """The jump tail of the unit term (1, a, b), B_{e^-y}(a, b), against 40-digit mpmath.
+
+    Over b in TAIL_B (b <= 0 is an infinite measure), y from 1e-14 to 50 and
+    both sides of the series split at e^-y = 1/2, the worst measured
+    relative error was 7.1e-16 (a = 3, b = -0.2, y = 0.49); the tolerance
+    is twice that.  mpmath's betainc is the reference: x^a hyp2f1(a, 1-b;
+    a+1; x) / a missed by a fixed 2.4e-15 near x = 1 whatever the precision.
+    """
+    for b in TAIL_B:
+        got = M._beta_image_tail(M.BetaTerm(1.0, a, b), TAIL_Y)
+        with mpmath.workdps(40):
+            for y, g in zip(TAIL_Y, got):
+                ref = mpmath.betainc(a, b, 0, mpmath.exp(-mpmath.mpf(float(y))))
+                assert abs(g - ref) <= 1.5e-15 * ref, (b, y, g, ref)
+
+
+def test_levy_tail_of_a_beta_density_is_the_unit_term_tail():
+    # beta(1.5, 0.5) maps to the unit term (c, 1.5, -0.5), whose tail is
+    # c (2 sqrt(x / (1-x)) - 2 asin(sqrt(x))) at x = e^-y; the atom maps to
+    # mass 0.4 at y = log 2.  Worst measured relative error 2.4e-16 (y = 5)
+    mu = M.beta_density(1.5, 0.5) + M.atom(0.2, 0.5)
+    lm = M.levy_triple(mu).levy
+    (t,) = lm.unit_beta_terms
+    with mpmath.workdps(40):
+        for y in (1e-9, 0.3, 0.7, 5.0):
+            x = mpmath.exp(-mpmath.mpf(y))
+            ref = t.coef * (2 * mpmath.sqrt(x / (1 - x)) - 2 * mpmath.asin(mpmath.sqrt(x)))
+            ref += 0.4 if y < math.log(2.0) else 0
+            assert abs(lm.tail(y) - ref) <= 5e-16 * ref, (y, lm.tail(y), ref)
+
+
 def test_small_jump_closed_forms_refuse_a_density_without_beta_terms():
     bare = M.LevyMeasure(density=M.barrier_levy_measure(GAMMA).density, atoms=((1.0, 0.5),))
-    for call in (bare.mean_below, bare.variance_below, bare.exponent_integral):
+    for call in (bare.tail, bare.mean_below, bare.variance_below, bare.exponent_integral):
         with pytest.raises(M.MeasureError, match=r"LevyMeasure\(density part: a callable"):
             call(0.5)
     # atoms alone need no terms
