@@ -761,6 +761,8 @@ class CoalescentKernel(Kernel):
             if t.b == 1.0:
                 if t.a == 2.0:
                     val += t.coef * (-math.log(u))
+                elif u > 0.5:  # u^(a-2) - 1 cancels as u -> 1
+                    val += t.coef * math.expm1((t.a - 2.0) * math.log(u)) / (2.0 - t.a)
                 else:
                     val += t.coef * (u ** (t.a - 2.0) - 1.0) / (2.0 - t.a)
             elif u < 1.0:

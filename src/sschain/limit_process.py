@@ -19,8 +19,10 @@ batch samplers take BATCH_REPLICATES replicates at a time, replicate i on
 every live replicate draws its next path from its own generator with
 ``sample_subordinator``, then one clock change runs over the round's
 paths, padded into a (paths x segments) grid, and the restart and stop
-rules act on whole rows.  A replicate's numbers are those of a batch of
-one, bit for bit.
+rules act on whole rows.  Y(t) and the gap compositions are read off the
+round's arrays too: the Y sampler carries each replicate's running clock
+from round to round, and one gap readout takes every row's balls at
+once.  A replicate's numbers are those of a batch of one, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .streams import philox_rng
 
 SMALL_JUMP_VARIANCE_BUDGET = 1e-6
 RESTART_BLOCK = 4.0  # ξ-time per Markov-restart block of the I and Y samplers
-BATCH_REPLICATES = 64  # replicates whose generators and paths are alive together
+BATCH_REPLICATES = 32  # replicates whose generators and paths are alive together
 
 
 class InsufficientHorizonError(RuntimeError):
@@ -85,7 +87,7 @@ class _JumpSampler:
         return out
 
     def _atom_sizes(self, r: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._atom_cum, r - self.dens_rate)
+        idx = self._atom_cum.searchsorted(r - self.dens_rate)
         return self._atom_y[np.minimum(idx, len(self.atoms) - 1)]
 
 
@@ -207,7 +209,9 @@ def sample_subordinator(triple: LevyTriple, horizon: float, rng: np.random.Gener
     else:
         sampler = _jump_sampler(levy, eps_cut)
         n_jumps = int(rng.poisson(sampler.rate * horizon))
-        times = np.sort(rng.random(n_jumps)) * horizon
+        times = rng.random(n_jumps)
+        times.sort()
+        times *= horizon
         sizes = sampler.sample(rng.random(n_jumps)) if n_jumps else np.empty(0)
         neglected = sampler.variance_below
         drift = triple.drift + sampler.mean_below
@@ -242,7 +246,7 @@ def _xi_grid(paths, t: np.ndarray) -> np.ndarray:
     idx = np.empty((len(paths), t.size), dtype=np.intp)
     for i, p in enumerate(paths):
         cum[i, 1:p.jump_sizes.size + 1] = p.jump_sizes
-        idx[i] = np.searchsorted(p.jump_times, t, side="right")
+        idx[i] = p.jump_times.searchsorted(t, side="right")
     np.cumsum(cum, axis=1, out=cum)
     drift = np.array([p.drift for p in paths])
     val = drift[:, None] * t + np.take_along_axis(cum, idx, axis=1)
@@ -257,8 +261,10 @@ def _segment_grid(paths):
     Row i holds ``ends[i] + 1`` pieces, then padding pieces of length 0.
     """
     t_end = np.array([min(p.horizon, p.killing_time) for p in paths])
-    # the jumps before t_end, a prefix of the sorted times
-    ends = [int(np.searchsorted(p.jump_times, te)) for p, te in zip(paths, t_end.tolist())]
+    # the jumps before t_end, a prefix of the sorted times: all of them
+    # unless the last is not before t_end
+    ends = [int(tm.searchsorted(te)) if tm.size and tm[-1] >= te else tm.size
+            for tm, te in zip((p.jump_times for p in paths), t_end.tolist())]
     width = max(ends) + 1
     bounds = np.empty((len(paths), width + 1))
     bounds[:, 0] = 0.0
@@ -267,7 +273,7 @@ def _segment_grid(paths):
     for i, (p, k) in enumerate(zip(paths, ends)):
         bounds[i, 1:k + 1] = p.jump_times[:k]
         xi0[i, 1:k + 1] = p.jump_sizes[:k]
-    dt = np.diff(bounds, axis=1)
+    dt = bounds[:, 1:] - bounds[:, :-1]
     drift = np.array([p.drift for p in paths])
     xi0[:, 1:] += drift[:, None] * dt[:, :-1]
     np.cumsum(xi0, axis=1, out=xi0)
@@ -311,7 +317,8 @@ class _ClockChange:
     """The clock change of a batch of paths on one padded segment grid.
 
     Row i carries what ``lamperti(paths[i], gamma)`` gives: ``I[i]``,
-    ``xi_end[i]``, ``tail_weight[i]``, ``killed[i]`` and ``segments(i)``.
+    ``xi_end[i]``, ``tail_weight[i]`` and ``killed[i]``; its pieces of
+    positive length in ``xi0[i]`` and ``dt[i]`` are the sample's segments.
     """
 
     def __init__(self, paths, gamma: float):
@@ -320,11 +327,6 @@ class _ClockChange:
         _lengths, y_bounds, self.xi_end, self.tail_weight = _clock(
             self.xi0, self.dt, ends, self.drift, self.killed, gamma)
         self.I = y_bounds[:, -1].copy()  # a view would keep the grid alive
-
-    def segments(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(xi0, dt) of path i's segments of positive length."""
-        pos = self.dt[i] > 0.0
-        return self.xi0[i, pos], self.dt[i, pos]
 
 
 class LimitSample:
@@ -374,18 +376,22 @@ class LimitSample:
         tt = np.minimum(t, self.I)
         idx = np.minimum(np.searchsorted(self.y_bounds, tt, side="right") - 1,
                          len(self.seg_dt) - 1)
-        a = self.seg_xi0[idx]
-        rel = tt - self.y_bounds[idx]
-        g, b = self.gamma, self.drift
-        if b == 0.0:
-            xi = a
-        else:
-            # invert rel = e^{-g a} (1 - e^{-g b s})/(g b) for the in-segment time s
-            arg = np.minimum(rel * g * b * np.exp(g * a), np.nextafter(1.0, 0.0))
-            s = -np.log1p(-arg) / (g * b)
-            xi = a + b * s
-        out = np.where(beyond, 0.0, np.exp(-xi))
+        y = _y_in_segment(tt - self.y_bounds[idx], self.seg_xi0[idx], self.drift, self.gamma)
+        out = np.where(beyond, 0.0, y)
         return float(out) if out.ndim == 0 else out
+
+
+def _y_in_segment(rel, a, b: float, gamma: float):
+    """exp(-ξ) at clock time ``rel`` into affine ξ-segments that start at
+    ξ = a with slope b: inverts rel = e^{-γa} (1 - e^{-γbs})/(γb) for the
+    in-segment time s (rel e^{γa} when b = 0)."""
+    if b == 0.0:
+        xi = a
+    else:
+        arg = np.minimum(rel * gamma * b * np.exp(gamma * a), np.nextafter(1.0, 0.0))
+        s = -np.log1p(-arg) / (gamma * b)
+        xi = a + b * s
+    return np.exp(-xi)
 
 
 def lamperti(path: SubordinatorPath, gamma: float) -> LimitSample:
@@ -488,40 +494,46 @@ def sample_y_marginals(triple: LevyTriple, gamma: float, t_grid: Sequence[float]
     Paths are extended block by block (Markov restarts on one stream)
     until the requested Y-times are covered or the leftover weight
     exp(-γ ξ) is at most 1e-9; Y is 0 beyond the first zero.
+
+    Each round carries its replicates' running clock: the block's pieces,
+    ξ shifted by the replicate's offset, are summed on from the clock so
+    far, exactly the running sums of the concatenated blocks, and Y(t) is
+    read in the block where that clock first passes t.
     """
     t = np.asarray(sorted(t_grid), dtype=float)
     t_max = float(t[-1])
     eps = default_cutoff(triple.levy, RESTART_BLOCK)
-    out = np.empty((replicates, t.size))
+    out = np.zeros((replicates, t.size))
     for b0, gens in _batches(replicates, seed, stream0):
-        parts = [([], []) for _ in gens]
+        vals = out[b0:b0 + len(gens)]
         offset = [0.0] * len(gens)
         covered = [0.0] * len(gens)
-        last = [None] * len(gens)  # (drift, killed) of the latest block
+        clock_so_far = np.zeros(len(gens))
         live = list(range(len(gens)))
         while live:
-            clock = _ClockChange([sample_subordinator(triple, RESTART_BLOCK, gens[i], eps)
-                                  for i in live], gamma)
+            paths = [sample_subordinator(triple, RESTART_BLOCK, gens[i], eps) for i in live]
+            clock = _ClockChange(paths, gamma)
+            rows = np.array(live)
+            xi0 = clock.xi0 + np.array([offset[i] for i in live])[:, None]
+            run = np.empty((rows.size, xi0.shape[1] + 1))
+            run[:, 0] = clock_so_far[rows]
+            run[:, 1:] = _segment_lengths(xi0, clock.dt, clock.drift[:, None], gamma)
+            np.cumsum(run, axis=1, out=run)
+            clock_so_far[rows] = run[:, -1]
+            r, k = np.nonzero((run[:, :1] <= t) & (t < run[:, -1:]))
+            if r.size:
+                # the last piece starting at or before t
+                idx = np.count_nonzero(run[r, 1:-1] <= t[k, None], axis=1)
+                vals[rows[r], k] = _y_in_segment(  # every block has one drift
+                    t[k] - run[r, idx], xi0[r, idx], paths[0].drift, gamma)
             more = []
             for j, (i, I) in enumerate(zip(live, clock.I.tolist())):
-                xi0, dt = clock.segments(j)
-                parts[i][0].append(xi0 + offset[i])
-                parts[i][1].append(dt)
                 covered[i] += math.exp(-gamma * offset[i]) * I
                 offset[i] += clock.xi_end[j]
-                last[i] = (float(clock.drift[j]), clock.killed[j])
                 if not (covered[i] >= t_max or math.exp(-gamma * offset[i]) <= 1e-9
                         or clock.killed[j]):
                     more.append(i)
             live = more
-        for i, (xi0_parts, dt_parts) in enumerate(parts):
-            sample = LimitSample(np.concatenate(xi0_parts), np.concatenate(dt_parts),
-                                 last[i][0], gamma, last[i][1])
-            vals = np.zeros(t.size)
-            inside = t < sample.I
-            if inside.any():
-                vals[inside] = np.atleast_1d(sample.Y(t[inside]))
-            out[b0 + i] = vals
     return out
 
 
@@ -550,40 +562,35 @@ def _covered(xi0: np.ndarray, dt: np.ndarray, drift) -> tuple[np.ndarray, np.nda
     return 1.0 - np.exp(-xi0), 1.0 - np.exp(-(xi0 + drift * dt))
 
 
-def _gap_composition(u: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """The composition the sorted balls u make in the gaps between the
-    covered stretches [lo, hi]; raises when a ball falls beyond hi[-1]."""
+def _gap_compositions(u: np.ndarray, lo: np.ndarray, hi: np.ndarray, ends: np.ndarray) -> list:
+    """The composition each row's sorted balls u[i] make in the gaps between
+    the covered stretches [lo[i, k], hi[i, k]], k <= ends[i]; None for a
+    row whose last ball falls at or beyond hi[i, ends[i]].
+
+    A ball's position is the count of stretch ends (lo and hi) below it:
+    odd inside a covered stretch, where it is its own singleton block, even
+    in gap pos // 2.  A block starts at the first ball, at every ball on a
+    stretch, and wherever the position changes.  The padding stretches
+    past ends[i] sit at hi[i, ends[i]], so they count below no ball in range.
+    """
     from .chain_engine import Composition
 
-    if u[-1] >= hi[-1]:
-        raise InsufficientHorizonError(
-            f"a ball at {u[-1]:.6g} falls beyond the resolved range {hi[-1]:.6g}")
-    flat = np.empty(2 * lo.size)
-    flat[0::2] = lo
-    flat[1::2] = hi
-    idx = np.searchsorted(flat, u, side="left")
-    parts = []
-    current_gap = None
-    count = 0
-    for pos in idx:
-        if pos % 2 == 1:  # inside a covered stretch: its own singleton block
-            if count:
-                parts.append(count)
-            parts.append(1)
-            current_gap = None
-            count = 0
-        else:
-            gap = pos // 2
-            if gap == current_gap:
-                count += 1
-            else:
-                if count:
-                    parts.append(count)
-                current_gap = gap
-                count = 1
-    if count:
-        parts.append(count)
-    return Composition(tuple(parts))
+    rows, n = u.shape
+    # a stable row-wise sort puts each ball before the stretch ends equal to it
+    is_end = np.argsort(np.concatenate([u, lo, hi], axis=1), axis=1, kind="stable") >= n
+    pos = np.cumsum(is_end, axis=1)[~is_end].reshape(rows, n)
+    starts = np.ones((rows, n), dtype=bool)
+    starts[:, 1:] = (pos[:, 1:] % 2 == 1) | (pos[:, 1:] != pos[:, :-1])
+    r, k = np.nonzero(starts)
+    stops = np.append(k[1:], n)
+    stops[np.append(r[1:] != r[:-1], True)] = n  # a row's last block runs to n
+    sizes = (stops - k).tolist()
+    resolved = (u[:, -1] < hi[np.arange(rows), ends]).tolist()
+    out, b = [], 0
+    for ok, m in zip(resolved, np.count_nonzero(starts, axis=1).tolist()):
+        out.append(Composition(tuple(sizes[b:b + m])) if ok else None)
+        b += m
+    return out
 
 
 def _check_gap_args(path: SubordinatorPath, n: int):
@@ -603,7 +610,13 @@ def balls_in_gaps(path: SubordinatorPath, n: int, rng: np.random.Generator):
     """
     _check_gap_args(path, n)
     u = np.sort(rng.random(n))
-    return _gap_composition(u, *_covered(*path.segments(), path.drift))
+    xi0, dt, ends, drift = _segment_grid([path])
+    lo, hi = _covered(xi0, dt, drift[:, None])
+    comp, = _gap_compositions(u[None], lo, hi, ends)
+    if comp is None:
+        raise InsufficientHorizonError(
+            f"a ball at {u[-1]:.6g} falls beyond the resolved range {hi[0, ends[0]]:.6g}")
+    return comp
 
 
 def sample_gap_compositions(triple: LevyTriple, n: int, replicates: int,
@@ -631,17 +644,16 @@ def sample_gap_compositions(triple: LevyTriple, n: int, replicates: int,
                 _check_gap_args(paths[-1], n)
                 balls.append(np.sort(gens[i].random(n)))
             xi0, dt, ends, drift = _segment_grid(paths)
-            lo, hi = _covered(xi0, dt, drift[:, None])
+            got = _gap_compositions(np.array(balls), *_covered(xi0, dt, drift[:, None]), ends)
             more = []
-            for j, i in enumerate(live):
-                m = ends[j] + 1
-                try:
-                    comps[i] = _gap_composition(balls[j], lo[j, :m], hi[j, :m])
-                except InsufficientHorizonError:
+            for i, comp in zip(live, got):
+                if comp is None:
                     horizon[i] *= 2.0
                     if horizon[i] > 2 ** 20:
-                        raise
+                        raise InsufficientHorizonError(
+                            f"a ball falls beyond the range resolved at horizon {2 ** 20}")
                     more.append(i)
+                comps[i] = comp
             live = more
         out += comps
     return out

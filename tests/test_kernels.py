@@ -378,19 +378,23 @@ def test_coalescent_h_generic_beta_b_not_one():
 
 @pytest.mark.parametrize("a, b", [(1.5, 1.0), (1.3, 0.7), (1.7, 2.5), (1.2, 1.0 + 2e-6)])
 def test_coalescent_h_matches_mpmath(a, b):
-    """h(1/n) against coef * B(a - 2, b; 1/n, 1), the incomplete Beta integral, in mpmath.
+    """h(u) against coef * B(a - 2, b; u, 1), the incomplete Beta integral, in mpmath.
 
-    Over n = 2 ... 10^6 the worst measured relative error was 3.7e-16 (b != 1,
-    the jump-tail series of the unit term (coef, b, a - 2) at y = -log(1 - u));
-    b = 1 is a closed form (1.8e-16).  The tolerance is twice the worst.
+    At u = 1/n, n = 2 ... 10^6, the worst measured relative error was 3.7e-16
+    (b != 1, the jump-tail series of the unit term (coef, b, a - 2) at
+    y = -log(1 - u)); b = 1 is a closed form (1.8e-16).  Above u = 1/2, which
+    no ``scaling(n)`` reads, the worst was 6.5e-16 (b = 2.5 at u = 0.999);
+    there b = 1 takes expm1, 1.3e-16, where u^(a-2) - 1 was off by 1.8e-14
+    at u = 0.999.  Each tolerance is twice its worst.
     """
     co = K.beta_coalescent_kernel(a, b)
-    for n in (2, 3, 5, 10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6):
-        u = 1.0 / n
+    points = [(1.0 / n, 7.5e-16) for n in (2, 3, 5, 10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6)]
+    points += [(u, 1.3e-15) for u in (0.6, 0.9, 0.999)]
+    for u, rel in points:
         with mpmath.workdps(30):
             A, B = mpmath.mpf(a), mpmath.mpf(b)
             ref = mpmath.betainc(A - 2, B, mpmath.mpf(u), 1) / mpmath.beta(A, B)
-        assert abs(co.h(u) - float(ref)) <= 7.5e-16 * float(ref), (n, co.h(u), ref)
+        assert abs(co.h(u) - float(ref)) <= rel * float(ref), (u, co.h(u), ref)
 
 
 def test_coalescent_psi_quadrature_oracle(beta_co):

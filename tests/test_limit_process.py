@@ -128,6 +128,42 @@ def test_gap_compositions_compute_the_cutoff_once_per_horizon(monkeypatch):
     assert 1 <= calls["cutoff"] <= 1 + doublings
 
 
+def test_batch_samplers_read_whole_rounds(monkeypatch):
+    # no LimitSample rebuild, no per-path readout and no per-replicate gap
+    # readout: each drawn path is one SubordinatorPath, read off the round's grid
+    calls = {"paths": 0, "built": 0, "limit_samples": 0, "readouts": 0, "gap_rounds": 0}
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(LP, "sample_subordinator", count("paths", LP.sample_subordinator))
+    monkeypatch.setattr(LP.SubordinatorPath, "__init__",
+                        count("built", LP.SubordinatorPath.__init__))
+    monkeypatch.setattr(LP.LimitSample, "__init__", count("limit_samples", LP.LimitSample.__init__))
+    for method in ("segments", "xi_at"):
+        monkeypatch.setattr(LP.SubordinatorPath, method,
+                            count("readouts", getattr(LP.SubordinatorPath, method)))
+    monkeypatch.setattr(LP, "_gap_compositions", count("gap_rounds", LP._gap_compositions))
+    barrier = M.levy_triple(M.barrier_measure(GAMMA))
+    killed = M.LevyTriple(0.2, 0.3, M.levy_atom(1.0, 0.7))
+    reps = 70
+    LP.sample_z_marginals(barrier, (0.5, 1.0), reps, SEED)
+    LP.sample_exponential_functional(killed, 0.7, reps, SEED)
+    LP.sample_y_marginals(barrier, GAMMA, (0.5, 1.0), reps, SEED)
+    LP.sample_y_marginals(killed, 0.7, (0.5, 1.0, 2.0), reps, SEED)
+    assert calls["gap_rounds"] == 0
+    LP.sample_gap_compositions(M.LevyTriple(0.0, 0.0, M.levy_atom(1.0, math.log(2.0))), 3,
+                               reps, SEED)
+    assert calls["paths"] > 6 * reps
+    assert calls["built"] == calls["paths"]
+    assert calls["limit_samples"] == calls["readouts"] == 0
+    rounds = -(-reps // LP.BATCH_REPLICATES)
+    assert rounds <= calls["gap_rounds"] < reps
+
+
 def test_small_jump_constants_are_computed_once_per_cutoff(monkeypatch):
     calls = {"n": 0}
     mean_below, variance_below = M.LevyMeasure.mean_below, M.LevyMeasure.variance_below
@@ -326,7 +362,8 @@ def test_clock_change_padding_does_not_leak_between_paths():
     xi = LP._xi_grid(paths, t)
     for i, p in enumerate(paths):
         alone = LP.lamperti(p, gamma)
-        xi0, dt = clock.segments(i)
+        pos = clock.dt[i] > 0.0
+        xi0, dt = clock.xi0[i, pos], clock.dt[i, pos]
         ref_xi0, ref_dt, ref_I, ref_xi_end = _per_path_clock(p, gamma)
         for got in (alone.seg_xi0, xi0):
             assert got.tobytes() == ref_xi0.tobytes(), i
@@ -342,7 +379,48 @@ def test_clock_change_padding_does_not_leak_between_paths():
         assert batch_sample.Y(y_t).tobytes() == alone.Y(y_t).tobytes(), i
         assert xi[i].tobytes() == p.xi_at(t).tobytes(), i
     assert clock.I[1] == 0.0 and clock.killed[1]  # killed at time 0: no segment
-    assert clock.segments(3)[0].size == 4  # the coincident jumps leave one piece of 0
+    assert np.count_nonzero(clock.dt[3] > 0.0) == 4  # the coincident jumps leave one piece of 0
+
+
+def _y_by_concatenated_blocks(triple, gamma, t, seed, stream):
+    # one replicate of sample_y_marginals, written out with lamperti and one
+    # LimitSample over the ξ-shifted blocks of its stream
+    gen = philox_rng(seed, stream)
+    eps = LP.default_cutoff(triple.levy, LP.RESTART_BLOCK)
+    xi0s, dts = [], []
+    offset = covered = 0.0
+    while True:
+        block = LP.lamperti(LP.sample_subordinator(triple, LP.RESTART_BLOCK, gen, eps), gamma)
+        xi0s.append(block.seg_xi0 + offset)
+        dts.append(block.seg_dt)
+        covered += math.exp(-gamma * offset) * block.I
+        offset += block.xi_end
+        if covered >= t[-1] or math.exp(-gamma * offset) <= 1e-9 or block.killed:
+            break
+    sample = LP.LimitSample(np.concatenate(xi0s), np.concatenate(dts), block.drift,
+                            gamma, block.killed)
+    inside = t < sample.I
+    vals = np.zeros(t.size)
+    if inside.any():
+        vals[inside] = sample.Y(t[inside])
+    return vals, sample.I
+
+
+@pytest.mark.parametrize("triple, gamma, t", [
+    (M.levy_triple(M.barrier_measure(GAMMA)), GAMMA, (0.5, 1.0, 40.0)),
+    (M.LevyTriple(0.2, 0.3, M.levy_atom(1.0, 0.7)), 0.7, (0.5, 1.0, 2.0)),
+    (M.LevyTriple(0.0, 0.0, M.levy_atom(1.0, 0.7)), 0.7, (0.5, 1.0, 2.0, 30.0)),
+], ids=["barrier", "killed", "zero-drift"])
+def test_y_rows_equal_the_clock_change_of_the_concatenated_blocks(triple, gamma, t):
+    t = np.array(t)
+    reps = 40  # straddles the batch size
+    y = LP.sample_y_marginals(triple, gamma, t, reps, SEED, stream0=11)
+    beyond = 0
+    for i in range(reps):
+        ref, I = _y_by_concatenated_blocks(triple, gamma, t, SEED, 11 + i)
+        assert y[i].tobytes() == ref.tobytes(), i
+        beyond += t[-1] >= I
+    assert beyond >= 1  # some row is read past its first zero
 
 
 def test_analytic_moments():
@@ -405,6 +483,25 @@ def test_balls_in_gaps_share_probability_geometric_oracle():
     assert all(c.total == 2 for c in comps)
 
 
+def test_balls_in_gaps_equals_the_batch_row_it_reads():
+    # about one replicate in ten doubles its horizon; every other row is
+    # what balls_in_gaps reads off the replicate's first path and balls
+    slow = M.LevyTriple(0.0, 0.02, M.levy_atom(0.1, 0.5))
+    reps = 60
+    comps = LP.sample_gap_compositions(slow, 3, reps, SEED, stream0=5)
+    compared = 0
+    for i in range(reps):
+        gen = philox_rng(SEED, 5 + i)
+        path = LP.sample_subordinator(slow, 64.0, gen)
+        try:
+            single = LP.balls_in_gaps(path, 3, gen)
+        except LP.InsufficientHorizonError:
+            continue  # this row doubled its horizon
+        assert single == comps[i], i
+        compared += 1
+    assert reps // 2 <= compared < reps
+
+
 def test_balls_in_gaps_requires_unkilled_path():
     tr = M.LevyTriple(5.0, 0.0, M.levy_atom(1.0, 1.0))
     rng = philox_rng(SEED, 0)
@@ -460,6 +557,7 @@ def _pinned_samplers():
     killing = M.levy_triple(M.atom(1.0, 0.0))
     atomic = M.LevyTriple(0.0, 0.0, M.levy_atom(1.0, math.log(2.0)))
     killed = M.LevyTriple(0.2, 0.3, M.levy_atom(1.0, 0.7))  # killed, drift, atoms
+    zero_drift = M.LevyTriple(0.0, 0.0, M.levy_atom(1.0, 0.7))  # Y is flat between jumps
     samplers = {
         "z_barrier": lambda reps, s0: LP.sample_z_marginals(barrier, PIN_T, reps, PIN_SEED, s0),
         "z_killing": lambda reps, s0: LP.sample_z_marginals(
@@ -472,6 +570,8 @@ def _pinned_samplers():
             killed, 0.7, reps, PIN_SEED, 4 * STREAM_BLOCK + s0),
         "y_marginals_killed": lambda reps, s0: LP.sample_y_marginals(
             killed, 0.7, (0.5, 1.0, 2.0), reps, PIN_SEED, 5 * STREAM_BLOCK + s0),
+        "y_marginals_zero_drift": lambda reps, s0: LP.sample_y_marginals(
+            zero_drift, 0.7, (0.5, 1.0, 2.0), reps, PIN_SEED, 10 * STREAM_BLOCK + s0),
     }
     for n in (2, 3, 4):
         samplers[f"gaps_{n}"] = lambda reps, s0, n=n: LP.sample_gap_compositions(
@@ -500,6 +600,7 @@ PINNED_LIMIT_DIGESTS = {
     "y_marginals": "5948595274bfc05fd0a6422cafae4921462f4e165edd9a46b3de29449e0692ef",
     "exp_functional_killed": "c0d240c8fabb64a4898073a9913c525aece2ffbb781db41230ff8ec0fc6be250",
     "y_marginals_killed": "e76006d181e4905e42750d2b8ab92f0a0951e92287f211d6eb2495e6a78dc9a4",
+    "y_marginals_zero_drift": "dbd0ad72a53a9049bcc78598666d3d2b48c7d30509cf8e3e6b4cbf6bc7f26a9c",
     "gaps_2": "d50b450436e1207b5736420d0a5047ac9044412a052b45a2aaa94f9da756e8a2",
     "gaps_3": "13c06d375ef9bd8bdbbc62240b43027df1c8bd9144ad73a5f71d70872d3636f7",
     "gaps_4": "fc43b20d5030f44c733cdefec3b5b1f612fc34d8501e5fb8c14025d01d2959c0",
@@ -519,7 +620,7 @@ def single_replicates():
     return {name: [fn(1, i) for i in range(65)] for name, fn in _pinned_samplers().items()}
 
 
-@pytest.mark.parametrize("reps", [0, 1, 63, 64, 65])
+@pytest.mark.parametrize("reps", [0, 1, 31, 32, 33, 63, 64, 65])
 def test_batch_rows_equal_single_replicates(reps, single_replicates):
     for name, fn in _pinned_samplers().items():
         out = fn(reps, 0)
