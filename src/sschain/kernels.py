@@ -12,9 +12,10 @@ of a coalescent or composition row is C(n, i) B(i + alpha, n - i + beta),
 which ``_beta_term_entries`` builds as the product of two slices of the
 kept Gamma-ratio tables Gamma(j + s) / j! (``special``), with no log
 space.  Everything else goes through ``_binomial_mixture`` in log space,
-bit for bit from kept log-Gamma tables: the canonical kernel's Beta terms
-(times a regularized incomplete Beta) and interior atoms.  Every row
-entry, and the coalescent's scaling h(1/n), is a closed form.
+with log C(n, k) from the kept log-Gamma table: the canonical kernel's
+Beta terms (scipy's ``betaln`` times a regularized incomplete Beta) and
+interior atoms.  Every row entry, and the coalescent's scaling h(1/n), is
+a closed form.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import betainc, zeta
+from scipy.special import betainc, betaln, zeta
 
 from . import measures
 from .measures import (BetaTerm, FiniteMeasure, LevyMeasure, atom,
                        barrier_measure, laplace_exponent)
-from .special import betaln_shifted, gamma_ratio_table, log_binom
+from .special import gamma_ratio_table, log_binom
 from .stats import TrendReport, trend_verdict
 
 ROW_SUM_TOL = 1e-12
@@ -636,7 +637,7 @@ def _binomial_mixture(log_c, p, q, terms, atoms, upper=1.0) -> np.ndarray:
     """
     out = np.zeros(len(log_c))
     for t in terms:
-        val = t.coef * np.exp(log_c + betaln_shifted(p, q, t.a, t.b))
+        val = t.coef * np.exp(log_c + betaln(p + t.a, q + t.b))
         out += val * betainc(p + t.a, q + t.b, upper)
     for loc, mass in atoms:
         if loc < upper:

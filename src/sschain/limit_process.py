@@ -313,22 +313,6 @@ def _clock(xi0, dt, ends, drift, killed, gamma):
     return lengths, y_bounds, xi_end, tail_weight
 
 
-class _ClockChange:
-    """The clock change of a batch of paths on one padded segment grid.
-
-    Row i carries what ``lamperti(paths[i], gamma)`` gives: ``I[i]``,
-    ``xi_end[i]``, ``tail_weight[i]`` and ``killed[i]``; its pieces of
-    positive length in ``xi0[i]`` and ``dt[i]`` are the sample's segments.
-    """
-
-    def __init__(self, paths, gamma: float):
-        self.xi0, self.dt, ends, self.drift = _segment_grid(paths)
-        self.killed = [p.killing_time <= p.horizon for p in paths]
-        _lengths, y_bounds, self.xi_end, self.tail_weight = _clock(
-            self.xi0, self.dt, ends, self.drift, self.killed, gamma)
-        self.I = y_bounds[:, -1].copy()  # a view would keep the grid alive
-
-
 class LimitSample:
     """A sampled limit path: Y (changed clock), I and σ.
 
@@ -477,12 +461,15 @@ def sample_exponential_functional(triple: LevyTriple, gamma: float,
         live = np.arange(len(gens))
         while live.size:
             # one restart block of every live replicate, each on its own stream
-            clock = _ClockChange([sample_subordinator(triple, RESTART_BLOCK, gens[i], eps)
-                                  for i in live.tolist()], gamma)
-            total[live] += weight[live] * clock.I
-            weight[live] *= clock.tail_weight  # 0 on a killed block
+            paths = [sample_subordinator(triple, RESTART_BLOCK, gens[i], eps)
+                     for i in live.tolist()]
+            xi0, dt, ends, drift = _segment_grid(paths)
+            killed = np.array([p.killing_time <= p.horizon for p in paths])
+            _lengths, y_bounds, _xi_end, tail_weight = _clock(xi0, dt, ends, drift, killed, gamma)
+            total[live] += weight[live] * y_bounds[:, -1]
+            weight[live] *= tail_weight  # 0 on a killed block
             small = weight[live] * expected_I <= 1e-4 * np.maximum(total[live], 1e-300)
-            live = live[~(small | clock.killed)]
+            live = live[~(small | killed)]
         out[b0:b0 + len(gens)] = total
     return out
 
@@ -492,13 +479,15 @@ def sample_y_marginals(triple: LevyTriple, gamma: float, t_grid: Sequence[float]
     """Matrix of Y(t) samples of the clock-changed limit path.
 
     Paths are extended block by block (Markov restarts on one stream)
-    until the requested Y-times are covered or the leftover weight
-    exp(-γ ξ) is at most 1e-9; Y is 0 beyond the first zero.
+    until the running clock passes every requested Y-time or the leftover
+    weight exp(-γ ξ) is at most 1e-9; Y is 0 beyond the first zero.
 
-    Each round carries its replicates' running clock: the block's pieces,
-    ξ shifted by the replicate's offset, are summed on from the clock so
-    far, exactly the running sums of the concatenated blocks, and Y(t) is
-    read in the block where that clock first passes t.
+    Each round carries its replicates' one running clock: the block's
+    pieces, ξ shifted by the replicate's offset, are summed on from the
+    clock so far, exactly the running sums of the concatenated blocks, and
+    Y(t) is read in the block where that clock first passes t.  A
+    replicate stops once its clock is past the last t, so a t at a block's
+    end is read at the start of the next block.
     """
     t = np.asarray(sorted(t_grid), dtype=float)
     t_max = float(t[-1])
@@ -506,34 +495,31 @@ def sample_y_marginals(triple: LevyTriple, gamma: float, t_grid: Sequence[float]
     out = np.zeros((replicates, t.size))
     for b0, gens in _batches(replicates, seed, stream0):
         vals = out[b0:b0 + len(gens)]
-        offset = [0.0] * len(gens)
-        covered = [0.0] * len(gens)
+        offset = np.zeros(len(gens))
         clock_so_far = np.zeros(len(gens))
-        live = list(range(len(gens)))
-        while live:
-            paths = [sample_subordinator(triple, RESTART_BLOCK, gens[i], eps) for i in live]
-            clock = _ClockChange(paths, gamma)
-            rows = np.array(live)
-            xi0 = clock.xi0 + np.array([offset[i] for i in live])[:, None]
-            run = np.empty((rows.size, xi0.shape[1] + 1))
-            run[:, 0] = clock_so_far[rows]
-            run[:, 1:] = _segment_lengths(xi0, clock.dt, clock.drift[:, None], gamma)
+        live = np.arange(len(gens))
+        while live.size:
+            paths = [sample_subordinator(triple, RESTART_BLOCK, gens[i], eps)
+                     for i in live.tolist()]
+            xi0, dt, ends, drift = _segment_grid(paths)
+            rows = np.arange(live.size)
+            xi_end = xi0[rows, ends] + drift * dt[rows, ends]  # as _clock takes it
+            xi0 += offset[live][:, None]
+            run = np.empty((live.size, xi0.shape[1] + 1))
+            run[:, 0] = clock_so_far[live]
+            run[:, 1:] = _segment_lengths(xi0, dt, drift[:, None], gamma)
             np.cumsum(run, axis=1, out=run)
-            clock_so_far[rows] = run[:, -1]
+            clock_so_far[live] = run[:, -1]
             r, k = np.nonzero((run[:, :1] <= t) & (t < run[:, -1:]))
             if r.size:
                 # the last piece starting at or before t
                 idx = np.count_nonzero(run[r, 1:-1] <= t[k, None], axis=1)
-                vals[rows[r], k] = _y_in_segment(  # every block has one drift
+                vals[live[r], k] = _y_in_segment(  # every block has one drift
                     t[k] - run[r, idx], xi0[r, idx], paths[0].drift, gamma)
-            more = []
-            for j, (i, I) in enumerate(zip(live, clock.I.tolist())):
-                covered[i] += math.exp(-gamma * offset[i]) * I
-                offset[i] += clock.xi_end[j]
-                if not (covered[i] >= t_max or math.exp(-gamma * offset[i]) <= 1e-9
-                        or clock.killed[j]):
-                    more.append(i)
-            live = more
+            offset[live] += xi_end
+            done = [clock > t_max or math.exp(-gamma * x) <= 1e-9 or p.killing_time <= p.horizon
+                    for clock, x, p in zip(run[:, -1].tolist(), offset[live].tolist(), paths)]
+            live = live[~np.array(done)]
     return out
 
 

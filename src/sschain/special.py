@@ -5,12 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betaln, gammaln, gammasgn
-
-# scipy's lbeta takes its log-Gamma branch above MAXGAM and an asymptotic
-# one once the larger argument passes 1e6 times the smaller and 1e6 itself
-MAXGAM = 171.6243769563027
-_ASYMPTOTIC = 1e6
+from scipy.special import gammaln, gammasgn
 
 # gammaln(j + shift) by shift: pure values, so every caller may share them
 _LGAMMA_TABLES: dict[float, np.ndarray] = {}
@@ -62,25 +57,6 @@ def log_binom(n, k):
         raise ValueError(f"log_binom needs integers 0 <= k <= n, got n={n}, k={k}")
     log_fact = _lgamma_table(1.0, int(n.max(initial=0)) + 1)
     return log_fact[n] - log_fact[k] - log_fact[n - k]
-
-
-def betaln_shifted(p: np.ndarray, q: np.ndarray, a: float, b: float) -> np.ndarray:
-    """betaln(p + a, q + b) for integer arrays p, q >= 0, bit for bit.
-
-    Where x = p + a and y = q + b are positive with one sum s = x + y in
-    (MAXGAM, 1e6), this is scipy's own branch, lgam(big) + (lgam(small) -
-    lgam(s)) with x big unless x < y, with lgam read from the kept tables
-    gammaln(j + a) and gammaln(j + b).  Anywhere else it is betaln itself.
-    """
-    x, y = p + a, q + b
-    s = x + y
-    if (s.size == 0 or not MAXGAM < s[0] < _ASYMPTOTIC or np.any(s != s[0])
-            or x.min() <= 0.0 or y.min() <= 0.0 or p.min() < 0 or q.min() < 0):
-        return betaln(x, y)
-    lx = _lgamma_table(a, int(p.max()) + 1)[p]
-    ly = _lgamma_table(b, int(q.max()) + 1)[q]
-    ls = gammaln(s[0])
-    return np.where(x < y, ly + (lx - ls), lx + (ly - ls))
 
 
 def gamma_ratio(u, v):

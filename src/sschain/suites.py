@@ -378,6 +378,29 @@ def criterion_10(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
 # criterion 11: exact clock-change calculus on random staircases
 # ---------------------------------------------------------------------------
 
+RIEMANN_CHUNK = 1 << 20  # grid points summed at a time by criterion 11
+
+
+def _running_sums_at(h, delta: float, n: int, idx: np.ndarray,
+                     chunk: int = RIEMANN_CHUNK) -> np.ndarray:
+    """``np.cumsum(h(i * delta for i < n))[idx]``, without the whole grid.
+
+    The grid is summed ``chunk`` points at a time; each chunk's running sum
+    starts from the one carried over, so every partial sum is the same
+    sequential addition one ``np.cumsum`` makes.
+    """
+    out = np.empty(idx.size)
+    carry = 0.0
+    for lo in range(0, n, chunk):
+        part = h(np.arange(lo, min(lo + chunk, n)) * delta)
+        part[0] += carry
+        np.cumsum(part, out=part)
+        mine = (lo <= idx) & (idx < lo + part.size)
+        out[mine] = part[idx[mine] - lo]
+        carry = float(part[-1])
+    return out
+
+
 def criterion_11(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     """Certify ``chain_engine.time_change``, the clock change criterion 6's paths run on."""
     rng = philox_rng(seed, 11)
@@ -402,14 +425,16 @@ def criterion_11(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
         if f.sigma < math.inf:
             sig = float(np.sum(tc.g.values[:-1] ** gamma * np.diff(tc.g.knots)))
             worst_sigma = max(worst_sigma, abs(sig - f.sigma))
-        # brute-force Riemann inversion of the forward clock
+        # brute-force Riemann inversion of the forward clock on the grid
+        # np.arange(0, end, delta) would make: ceil(end / delta) points
         delta = 1e-4
-        grid_t = np.arange(0.0, float(tc.g.knots[-1]), delta)
-        riemann = np.cumsum(np.asarray(tc.g(grid_t)) ** gamma) * delta
-        probe = rng.random(25) * float(tc.g.knots[-1]) * 0.98
+        end = float(tc.g.knots[-1])
+        n_grid = math.ceil(end / delta)
+        probe = rng.random(25) * end * 0.98
         exact = tc.tau_inv(probe)
-        idx = np.minimum((probe / delta).astype(int), riemann.size - 1)
-        brute = riemann[idx]
+        idx = np.minimum((probe / delta).astype(int), n_grid - 1)
+        brute = _running_sums_at(lambda x: np.asarray(tc.g(x)) ** gamma,
+                                 delta, n_grid, idx) * delta
         worst_brute = max(worst_brute, float(np.max(np.abs(exact - brute))))
     ok &= _check(lines, worst_round <= 1e-12,
                  f"round-trip tau_inv(tau(t)) = t: worst |diff| = {worst_round:.2e}")

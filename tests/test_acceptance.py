@@ -10,6 +10,9 @@ seed.  The check is implemented exactly as stated rather than loosened;
 see the repository README for the numbers.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from sschain import suites
@@ -69,3 +72,18 @@ def test_criterion_10_marginal_distribution_convergence():
 
 def test_criterion_11_time_change_calculus():
     assert _run("11").passed
+
+
+def test_criterion_11_chunked_running_sums_equal_one_cumsum():
+    # a grid small enough to hold whole, summed in chunks shorter than it
+    delta, end = 1e-4, 1.23456789
+    grid = np.arange(0.0, end, delta)
+    n = math.ceil(end / delta)
+    assert grid.size == n
+    gamma = 0.6180339887
+    h = lambda x: (2.0 + np.sin(7.0 * x)) ** gamma
+    whole = np.cumsum(h(grid))
+    idx = np.array([0, 1, 776, 777, 778, 5000, n - 2, n - 1, 3, 3])
+    for chunk in (777, 1000, 4096, n - 1, n, 2 * n):
+        got = suites._running_sums_at(h, delta, n, idx, chunk)
+        assert got.tobytes() == whole[idx].tobytes(), chunk

@@ -131,7 +131,8 @@ def test_gap_compositions_compute_the_cutoff_once_per_horizon(monkeypatch):
 def test_batch_samplers_read_whole_rounds(monkeypatch):
     # no LimitSample rebuild, no per-path readout and no per-replicate gap
     # readout: each drawn path is one SubordinatorPath, read off the round's grid
-    calls = {"paths": 0, "built": 0, "limit_samples": 0, "readouts": 0, "gap_rounds": 0}
+    calls = {"paths": 0, "built": 0, "limit_samples": 0, "readouts": 0, "gap_rounds": 0,
+             "grids": 0, "lengths": 0}
 
     def count(name, fn):
         def counted(*args, **kwargs):
@@ -152,8 +153,13 @@ def test_batch_samplers_read_whole_rounds(monkeypatch):
     reps = 70
     LP.sample_z_marginals(barrier, (0.5, 1.0), reps, SEED)
     LP.sample_exponential_functional(killed, 0.7, reps, SEED)
+    # the Y sampler sums each round's clock once
+    monkeypatch.setattr(LP, "_segment_grid", count("grids", LP._segment_grid))
+    monkeypatch.setattr(LP, "_segment_lengths", count("lengths", LP._segment_lengths))
     LP.sample_y_marginals(barrier, GAMMA, (0.5, 1.0), reps, SEED)
     LP.sample_y_marginals(killed, 0.7, (0.5, 1.0, 2.0), reps, SEED)
+    assert calls["grids"] >= 2 * -(-reps // LP.BATCH_REPLICATES)
+    assert calls["lengths"] == calls["grids"]
     assert calls["gap_rounds"] == 0
     LP.sample_gap_compositions(M.LevyTriple(0.0, 0.0, M.levy_atom(1.0, math.log(2.0))), 3,
                                reps, SEED)
@@ -357,29 +363,33 @@ def _per_path_clock(p, gamma):
 def test_clock_change_padding_does_not_leak_between_paths():
     paths = _hand_built_paths()
     gamma = 0.7
-    clock = LP._ClockChange(paths, gamma)
+    grid_xi0, grid_dt, ends, drift = LP._segment_grid(paths)
+    killed = [p.killing_time <= p.horizon for p in paths]
+    _lengths, y_bounds, xi_end, tail_weight = LP._clock(
+        grid_xi0, grid_dt, ends, drift, killed, gamma)
+    I = y_bounds[:, -1]
     t = np.array([0.0, 0.3, 0.9, 1.2, 1.9])
     xi = LP._xi_grid(paths, t)
     for i, p in enumerate(paths):
         alone = LP.lamperti(p, gamma)
-        pos = clock.dt[i] > 0.0
-        xi0, dt = clock.xi0[i, pos], clock.dt[i, pos]
+        pos = grid_dt[i] > 0.0
+        xi0, dt = grid_xi0[i, pos], grid_dt[i, pos]
         ref_xi0, ref_dt, ref_I, ref_xi_end = _per_path_clock(p, gamma)
         for got in (alone.seg_xi0, xi0):
             assert got.tobytes() == ref_xi0.tobytes(), i
         for got in (alone.seg_dt, dt):
             assert got.tobytes() == ref_dt.tobytes(), i
-        assert clock.I[i] == alone.I == ref_I, i
-        assert clock.xi_end[i] == alone.xi_end == ref_xi_end, i
-        assert clock.killed[i] == alone.killed
-        assert clock.tail_weight[i] == alone.tail_weight
-        assert clock.tail_weight[i] == (0.0 if alone.killed else math.exp(-gamma * ref_xi_end))
+        assert I[i] == alone.I == ref_I, i
+        assert xi_end[i] == alone.xi_end == ref_xi_end, i
+        assert killed[i] == alone.killed
+        assert tail_weight[i] == alone.tail_weight
+        assert tail_weight[i] == (0.0 if alone.killed else math.exp(-gamma * ref_xi_end))
         y_t = alone.I * np.array([0.0, 0.2, 0.5, 0.9])
-        batch_sample = LP.LimitSample(xi0, dt, float(clock.drift[i]), gamma, clock.killed[i])
+        batch_sample = LP.LimitSample(xi0, dt, float(drift[i]), gamma, killed[i])
         assert batch_sample.Y(y_t).tobytes() == alone.Y(y_t).tobytes(), i
         assert xi[i].tobytes() == p.xi_at(t).tobytes(), i
-    assert clock.I[1] == 0.0 and clock.killed[1]  # killed at time 0: no segment
-    assert np.count_nonzero(clock.dt[3] > 0.0) == 4  # the coincident jumps leave one piece of 0
+    assert I[1] == 0.0 and killed[1]  # killed at time 0: no segment
+    assert np.count_nonzero(grid_dt[3] > 0.0) == 4  # the coincident jumps leave one piece of 0
 
 
 def _y_by_concatenated_blocks(triple, gamma, t, seed, stream):
@@ -388,17 +398,17 @@ def _y_by_concatenated_blocks(triple, gamma, t, seed, stream):
     gen = philox_rng(seed, stream)
     eps = LP.default_cutoff(triple.levy, LP.RESTART_BLOCK)
     xi0s, dts = [], []
-    offset = covered = 0.0
+    offset = 0.0
     while True:
         block = LP.lamperti(LP.sample_subordinator(triple, LP.RESTART_BLOCK, gen, eps), gamma)
         xi0s.append(block.seg_xi0 + offset)
         dts.append(block.seg_dt)
-        covered += math.exp(-gamma * offset) * block.I
         offset += block.xi_end
-        if covered >= t[-1] or math.exp(-gamma * offset) <= 1e-9 or block.killed:
+        # the running clock of the blocks so far
+        sample = LP.LimitSample(np.concatenate(xi0s), np.concatenate(dts), block.drift,
+                                gamma, block.killed)
+        if sample.I > t[-1] or math.exp(-gamma * offset) <= 1e-9 or block.killed:
             break
-    sample = LP.LimitSample(np.concatenate(xi0s), np.concatenate(dts), block.drift,
-                            gamma, block.killed)
     inside = t < sample.I
     vals = np.zeros(t.size)
     if inside.any():
@@ -421,6 +431,19 @@ def test_y_rows_equal_the_clock_change_of_the_concatenated_blocks(triple, gamma,
         assert y[i].tobytes() == ref.tobytes(), i
         beyond += t[-1] >= I
     assert beyond >= 1  # some row is read past its first zero
+
+
+def test_y_at_a_block_end_is_read_in_the_next_block():
+    # pure drift 1/2 with gamma = 1/2: a block takes ξ from 0 to 2, so at its
+    # clock I1 = (1 - e^-1) / (1/4) the path is e^-2, not yet 0
+    triple = M.LevyTriple(0.0, 0.5, M.LevyMeasure())
+    gamma = 0.5
+    block = LP.lamperti(LP.sample_subordinator(triple, LP.RESTART_BLOCK, philox_rng(SEED, 0)),
+                        gamma)
+    I1 = block.I
+    assert I1 == 2.5284822353142307
+    y = LP.sample_y_marginals(triple, gamma, (I1 / 2, I1), 1, SEED)
+    assert y.tolist() == [[0.4677735413948743, math.exp(-2.0)]]
 
 
 def test_analytic_moments():

@@ -1,45 +1,12 @@
-"""The kept log-Gamma tables reproduce scipy's gammaln and betaln bit for bit;
-the kept Gamma-ratio tables match mpmath."""
+"""The kept log-Gamma table reproduces scipy's gammaln bit for bit; the kept
+Gamma-ratio tables match mpmath."""
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import betaln, gammaln
+from scipy.special import gammaln
 
 from sschain import special as S
-
-# (a, b) shifts of the Beta terms in the zoo: Beta(3/2, 1) and Beta(1.3, 0.7)
-# coalescents, a non-dyadic pair whose sums x + y can differ in the last bit,
-# the composition term with b = -0.5, and a = b for ties x = y
-SHIFTS = [(1.5, 1.0), (1.3, 0.7), (0.25, 3.3), (1.0, -0.5), (2.0, 2.0), (1.5, 0.5)]
-# rows below, across and well above scipy's MAXGAM = 171.62...
-NS = [2, 3, 50, 168, 169, 170, 171, 172, 173, 174, 300, 2000, 2001, 10_000]
-
-
-def _index_orders(n):
-    """(p, q) of the coalescent (p = n-k-1, q = k-1), canonical and composition rows."""
-    k = np.arange(1, n)
-    yield n - k - 1, k - 1
-    k = np.arange(n)
-    yield k, n - k - 1
-    yield k, n - k
-
-
-@pytest.mark.parametrize("a, b", SHIFTS)
-def test_betaln_shifted_is_betaln_bit_for_bit(a, b):
-    for n in NS:
-        for p, q in _index_orders(n):
-            assert np.array_equal(S.betaln_shifted(p, q, a, b), betaln(p + a, q + b)), (a, b, n)
-
-
-def test_betaln_shifted_reads_the_tables_on_a_tie():
-    n = 2000  # x = y at k = n/2 in the coalescent order with a = b
-    k = np.arange(1, n)
-    p, q = n - k - 1, k - 1
-    assert np.any(p == q) and (p + q + 4.0)[0] > S.MAXGAM
-    got = S.betaln_shifted(p, q, 2.0, 2.0)
-    assert np.array_equal(got, betaln(p + 2.0, q + 2.0))
-    assert S._LGAMMA_TABLES[2.0].size >= n - 1
 
 
 def test_log_binom_after_the_table_has_grown():
