@@ -67,8 +67,10 @@ def _suite_simulate_chain(cfg: ExperimentConfig):
 
 def _suite_exact_moments(cfg: ExperimentConfig):
     kernel = cfg.kernel()
-    n_max = max(cfg.n_grid)
-    table = dp.absorption_moments(kernel, n_max, 2)
+    try:  # an absorbing state past 0 is refused, not collapsed: that would change A_n
+        table = dp.absorption_moments(kernel, max(cfg.n_grid), 2)
+    except dp.DPError as exc:
+        raise ConfigError("kernel", str(exc)) from None
     lines = []
     for n in cfg.n_grid:
         a = kernel.scaling(n)

@@ -1,11 +1,10 @@
 """Exact absorption-time distributions, moments, and marginals.
 
-First-step analysis over the transition rows: no Monte Carlo anywhere in
-this module, so its outputs serve as the independent oracle against which
-both simulation and the asymptotic predictions are validated.  The only
-self-referential term in the moment recursion (the diagonal self-loop) is
-solved algebraically, which keeps the tables exact even for kernels with
-heavy diagonals.
+No Monte Carlo anywhere in this module, so its outputs serve as the
+independent oracle against which simulation and the asymptotic predictions
+are validated.  Moments are first-step analysis: ``_first_step`` forms each
+state's sums over the lower states, and a functional's ``finish`` solves the
+diagonal self-loop algebraically, which keeps it exact for heavy diagonals.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .kernels import ABSORB_TOL, DIRECT_SUPPORT, CostGuardError, DPError, Kernel
 # most operations the generic row-matrix pushforward may spend over one pmf
 # evolution, charged (n + 1)^2 per step
 DP_BUDGET_OPS = 4e9
-# the relaxed correlation of absorption_moments sums blocks of this many states directly
+# the relaxed correlation of _first_step sums blocks of this many states directly
 LEAF_STATES = 32
 
 
@@ -64,86 +63,84 @@ def _stuck(n: int) -> DPError:
 def absorption_moments(kernel: Kernel, n_max: int, p_max: int = 1) -> MomentTable:
     """E[A_n^p] for every start n <= n_max and order p <= p_max.
 
-    Requires a kernel whose only absorbing state is 0.  O(n_max * p_max)
-    memory.  The time depends on the kernel:
-
-    * with a ``toeplitz`` hook, no row is built: the sums over k < n of
-      p_{n,k} E[(1 + A_k)^p] are one online correlation of q with
-      weight_k E[(1 + A_k)^p].  The hook is there for the barrier family
-      (weight 1) and for a coalescent or composition kernel with one Beta
-      term and no atoms, collapsed or not (weight and q are two slices of
-      ``gamma_ratio_table``; one more column, the weight alone, gives each
-      row's normaliser).  A q whose last support point s is at most
-      DIRECT_SUPPORT is summed term by term, O(n_max * s * p_max);
-      otherwise relaxed multiplication (van der Hoeven, "Relax, but don't
-      be too lazy", 2002) splits the states in halves, adds each left
-      half into the right one by FFT and solves blocks of LEAF_STATES
-      directly, O(n_max log^2 n_max * p_max).
-    * any other kernel: each row is built once, checked and discarded,
-      O(n_max^2 * p_max).
+    Requires a kernel whose only absorbing state is 0.  ``_first_step``
+    carries W[k, p - 1] = E[(1 + A_k)^p] from W[0] = 1; O(n_max * p_max) memory.
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
     values = np.zeros((n_max + 1, p_max + 1))
     values[:, 0] = 1.0
-    # W[j, p] = E[(1 + A_j)^p]
-    W = np.zeros((n_max + 1, p_max + 1))
-    W[0, :] = 1.0
     choose = [[math.comb(p, r) for r in range(p + 1)] for p in range(p_max + 1)]
 
     def finish(n: int, sums, pnn: float):
-        # sums[p - 1] = sum over k < n of p_{n,k} W[k, p]
-        if pnn >= 1.0 - ABSORB_TOL:
-            raise _stuck(n)
+        # E[A_n^p] = sum_k p_{n,k} E[(1 + A_k)^p], solved for k = n order by order
         v = [1.0]  # E[A_n^r], r = 0..p
         for p in range(1, p_max + 1):
             lower = math.fsum([c * x for c, x in zip(choose[p], v)])
             v.append((sums[p - 1] + pnn * lower) / (1.0 - pnn))
         values[n] = v
-        W[n] = [math.fsum([c * x for c, x in zip(choose[p][:p], v)]) + v[p]
-                for p in range(p_max + 1)]
+        return [math.fsum([c * x for c, x in zip(choose[p][:p], v)]) + v[p]
+                for p in range(1, p_max + 1)]
+
+    _first_step(kernel, n_max, [1.0] * p_max, finish)
+    return MomentTable(kernel.name, values)
+
+
+def _first_step(kernel: Kernel, n_max: int, w0: Sequence[float], finish) -> np.ndarray:
+    """W[n] = finish(n, sums, p_nn) for n = 1..n_max in order, from W[0] = w0.
+
+    sums[j] = sum over k < n of p_{n,k} W[k, j]: a first-step functional is
+    one ``finish``, which solves for its k = n term.  An absorbing state
+    n >= 1 is refused, and so is the first state whose values are not
+    finite.  ``toeplitz`` rows are one ``_online_correlation`` of q with
+    weight_k W[k], building no row; other rows are built once each.
+    """
+    # a spare column keeps W's columns strided: np.dot's order is then one for any width
+    W = np.zeros((n_max + 1, len(w0) + 1))[:, :len(w0)]
+    W[0] = w0
+
+    def solve(n: int, sums, pnn: float):
+        if pnn >= 1.0 - ABSORB_TOL:
+            raise _stuck(n)
+        W[n] = finish(n, sums, pnn)
 
     parts = kernel.toeplitz(n_max)
     if parts is None:
         for n in range(1, n_max + 1):
             row = kernel._checked_row(n)
-            finish(n, [float(np.dot(row[:n], W[:n, p])) for p in range(1, p_max + 1)],
-                   float(row[n]))
+            solve(n, [float(np.dot(row[:n], W[:n, j])) for j in range(len(w0))], float(row[n]))
     else:
         q, weight, norm, zero, diag = parts
-        # V[k] = weight[k] W[k]; without given norms, V's column 0 is the
-        # weight alone, whose correlation is each row's Toeplitz mass
-        lead = 0 if norm is None else 1
-        V = np.zeros((n_max + 1, p_max + 1 - lead))
-        V[0] = weight[0] * W[0, lead:]
+        own = int(norm is None)  # the weight alone first: its correlation is each row's mass
+        V = np.column_stack([weight] * own + [weight[:, None] * W])
 
         def finish_row(n: int, corr: np.ndarray):
-            # W[0, p] = 1, so the mass sent to state 0 adds zero[n] to every sum
             corr = corr.tolist()
-            scale = corr.pop(0) if norm is None else float(norm[n])
+            scale = corr.pop(0) if own else float(norm[n])
             sent = float(zero[n])
-            finish(n, [c / scale + sent for c in corr] if scale else [sent] * p_max,
-                   float(diag[n]))
-            V[n] = weight[n] * W[n, lead:]
+            solve(n, [c / scale + sent * w for c, w in zip(corr, w0)] if scale
+                  else [sent * w for w in w0], float(diag[n]))
+            V[n, own:] = weight[n] * W[n]
 
         _online_correlation(q, V, finish_row)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise DPError(f"{kernel.name}: moments of A_n are not finite from state "
-                      f"{int(np.argmin(finite))} on")
-    return MomentTable(kernel.name, values)
+    bad = np.flatnonzero(~np.isfinite(W).all(axis=1))
+    if bad.size:
+        raise DPError(f"{kernel.name}: first-step values are not finite from state {bad[0]} on")
+    return W
 
 
 def _online_correlation(q: np.ndarray, W: np.ndarray, finish) -> None:
     """finish(n, sum over k < n of q[n - k] W[k]) for n = 1, 2, ... in order.
 
     ``finish`` fills W[n], which the sums of later states read; q[0] is
-    never used.  Direct sums cover a support up to DIRECT_SUPPORT, else
-    relaxed multiplication: solving states [lo, hi) is solving [lo, mid),
-    adding that half into acc[mid:top], top = min(hi, n_max + 1), as the
-    middle of one cyclic convolution of length at least top - lo (the
-    outputs that wrap around land below mid; with power-of-two halves, one
-    transform of q per length), then solving [mid, hi).
+    never used.  Direct sums cover a support s up to DIRECT_SUPPORT in
+    O(n_max * s) per column, else relaxed multiplication (van der Hoeven,
+    "Relax, but don't be too lazy", 2002) in O(n_max log^2 n_max): solving
+    states [lo, hi) is solving [lo, mid), adding that half into
+    acc[mid:top], top = min(hi, n_max + 1), as the middle of one cyclic
+    convolution of length at least top - lo (the outputs that wrap around
+    land below mid; with power-of-two halves, one transform of q per
+    length), then solving [mid, hi).
     """
     n_max = W.shape[0] - 1
     nz = np.flatnonzero(q[1:])

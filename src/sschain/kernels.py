@@ -300,12 +300,13 @@ class Kernel:
         return c
 
     def row_cumsum(self, n: int) -> np.ndarray:
-        """``cumulative_row(n)``, memoized for ``sample_path``, which revisits its states.
+        """``cumulative_row`` of the kept ``row(n)``, memoized: ``sample_path`` revisits states.
 
-        ``absorbing(n)`` and ``row_cumsum(n)`` share one build of row n.
+        ``absorbing(n)``, ``row_cumsum(n)`` and ``generating`` share one build of row n.
         """
         c = self._cumsum_cache.get(n)
         if c is None:
+            self.row(n)
             c = self._cumsum_cache[n] = self.cumulative_row(n)
         return c
 
@@ -366,10 +367,10 @@ class Kernel:
         A kernel whose row m is p_{m,k} = q_{m-k} weight_k / norm_m for
         0 <= k < m, plus zero_m more on k = 0, with p_{m,m} = diag_m, may
         return the arrays (q, weight, norm, zero, diag) over 0..n; the DP
-        oracle then runs its rows as one correlation with q and builds none
-        of them.  ``norm`` None is each row's
-        own Toeplitz mass, the sum over k < m of q_{m-k} weight_k; a row
-        whose Toeplitz part is empty is then its boundary terms alone.
+        engine ``exact_dp._first_step`` then runs its rows as one
+        correlation with q and builds none of them.  ``norm`` None is each
+        row's own Toeplitz mass, the sum over k < m of q_{m-k} weight_k; a
+        row whose Toeplitz part is empty is then its boundary terms alone.
         """
         return None
 

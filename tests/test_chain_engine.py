@@ -445,6 +445,24 @@ def test_martingale_means_are_unit(bk):
     assert empirical_moment(add, 1.0).within(1.0, 4.0)
 
 
+def test_paths_and_martingales_build_each_row_once(pt):
+    # sample_path's running sums come from the kept row(n), which generating reads too
+    kernel = K.barrier_kernel(pt)
+    build, calls = kernel.build_row, []
+
+    def counting(n):
+        calls.append(n)
+        return build(n)
+    kernel.build_row = counting
+    visited = set()
+    for i in range(50):
+        p = CE.sample_path(kernel, 300, SEED, stream=i)
+        CE.martingale_additive(p, 1.0, p.absorption_time)
+        CE.martingale_upsilon(p, 1.0, p.absorption_time - 1)
+        visited.update(p.states.tolist())
+    assert len(calls) == len(set(calls)) and set(calls) == visited - {0}
+
+
 def test_stopped_martingale_mean_and_bound(bk):
     reps, n, lam, eps = 3000, 400, 1.0, 0.1
     for t in (0.5, 1.0):

@@ -328,6 +328,15 @@ def test_cli_missing_kernel_field_is_named_from_root(tmp_path, capsys, block, fi
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
+def test_cli_exact_moments_refuses_an_absorbing_state_as_config_error(tmp_path, capsys):
+    # the coalescent waits at one block forever; collapsing it would change A_n
+    text = "seed = 5\n[kernel]\ntype = coalescent\nLambda = beta_density(1.5, 1)\n" \
+           "[grids]\nn = 16 32\n"
+    assert _run(tmp_path, "exact-moments", text) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: config field 'kernel': state 1 is absorbing"), line
+
+
 def test_cli_out_config_key(tmp_path):
     text = f"out = {tmp_path / 'o'}\n" + BASE
     cfg_path = tmp_path / "exp.cfg"

@@ -1,5 +1,6 @@
 """Exact absorption-time tables against enumeration, closed forms, and MC."""
 
+import ast
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
@@ -665,6 +667,105 @@ def test_toeplitz_moments_refuse_an_absorbing_state_as_the_row_loop_does():
     gap = K.barrier_kernel(K.finite_step([0.0, 0.0, 1.0]))
     with pytest.raises(DP.DPError, match="state 1 is absorbing"):
         DP.absorption_moments(gap, 5, 1)
+
+
+# ---------------------------------------------------------------------------
+# the first-step engine: a second finish, a 30-digit reference, one loop
+# ---------------------------------------------------------------------------
+
+# the truncated walk sends mass to 0 in every row: zero_n != 0, read against W[0]
+FIRST_STEP_KERNELS = [("barrier", lambda: K.barrier_kernel(K.power_tail(0.5))),
+                      ("truncated", lambda: K.truncated_kernel(K.power_tail(0.5))),
+                      BETA_TERM_DP[0], BETA_TERM_DP[2]]
+
+
+def _passage_times(kernel, n_max, level):
+    # E[steps until the chain is at or below level], from W[0] = 0
+    def finish(n, sums, pnn):
+        return [0.0 if n <= level else (1.0 + sums[0]) / (1.0 - pnn)]
+    return DP._first_step(kernel, n_max, [0.0], finish)[:, 0]
+
+
+@pytest.mark.parametrize("make", [pytest.param(make, id=name)
+                                  for name, make in FIRST_STEP_KERNELS])
+def test_first_step_runs_a_second_finish_on_either_path(make):
+    kernel, n_max = make(), 600  # supports past DIRECT_SUPPORT: the relaxed FFT correlation
+    assert kernel.toeplitz(n_max) is not None
+    for level in (0, 1, 37):
+        fast = _passage_times(kernel, n_max, level)
+        slow = _passage_times(rows_only(kernel), n_max, level)
+        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
+        assert not fast[:level + 1].any() and (fast[level + 1:] >= 1.0).all()
+    # passage to 0 is absorption
+    np.testing.assert_allclose(_passage_times(kernel, n_max, 0),
+                               DP.absorption_moments(kernel, n_max, 1).values[:, 1],
+                               rtol=1e-12, atol=0.0)
+
+
+def _mp_rows(family, n_max):
+    """Rows 0..n_max of a kernel family in 30-digit arithmetic, each over k = 0..n."""
+    mp = mpmath.mpf
+    if family == "barrier":  # power_tail(0.5): qbar_m = (m + 1)^(-1/2), divided by 1 - qbar_n
+        qbar = [1 / mpmath.sqrt(m + 1) for m in range(n_max + 1)]
+        q = [mp(0)] + [qbar[m - 1] - qbar[m] for m in range(1, n_max + 1)]
+        return [[mp(1)]] + [[q[n - k] / (1 - qbar[n]) for k in range(n + 1)]
+                            for n in range(1, n_max + 1)]
+    # both put C(n, i) B(i + 1, n - i - 1/2) on destination i + first (the coalescent's
+    # Beta(1.5, 1) and omega's unit term Beta(1, -1/2)): n! / Gamma(n + 1/2) cancels in
+    # each row, leaving Gamma(n - i - 1/2) / (n - i)!
+    first = {"collapsed-coalescent": 1, "composition": 0}[family]
+    v = [mp(0)] + [mpmath.gamma(j - mp(0.5)) / mpmath.factorial(j) for j in range(1, n_max + 1)]
+    rows = [[mp(1)], [mp(1), mp(0)]]  # row 1 of both, the collapsed state 1 sent to 0
+    for n in range(2, n_max + 1):
+        ent = [mp(0)] * first + [v[n - i] for i in range(n - first)] + [mp(0)]
+        z = mpmath.fsum(ent)
+        rows.append([e / z for e in ent])
+    return rows
+
+
+def _mp_moments(rows, p_max):
+    """E[A_n^p] = sum_k p_{n,k} E[(1 + A_k)^p], solved for the k = n term."""
+    one = mpmath.mpf(1)
+    m, shifted = [[one] + [0 * one] * p_max], [[one] * (p_max + 1)]
+    for n in range(1, len(rows)):
+        row, cur = rows[n], [one]
+        for p in range(1, p_max + 1):
+            rhs = mpmath.fsum(row[k] * shifted[k][p] for k in range(n)) \
+                + row[n] * mpmath.fsum(math.comb(p, r) * cur[r] for r in range(p))
+            cur.append(rhs / (1 - row[n]))
+        m.append(cur)
+        shifted.append([mpmath.fsum(math.comb(p, r) * cur[r] for r in range(p + 1))
+                        for p in range(p_max + 1)])
+    return m
+
+
+# twice the worst relative error of E[A_n^p], 1 <= n <= 200, p = 1, 2, measured
+# (correlation, row loop): barrier 3.6e-16, 3.3e-16; collapsed coalescent
+# 1.8e-15, 3.7e-16; composition 1.4e-15, 1.1e-15
+MP_BOUNDS = {"barrier": (7.3e-16, 6.6e-16), "collapsed-coalescent": (3.6e-15, 7.4e-16),
+             "composition": (2.9e-15, 2.3e-15)}
+
+
+@pytest.mark.parametrize("family", list(MP_BOUNDS))
+def test_moments_match_a_30_digit_first_step_recursion(family):
+    make = dict(FIRST_STEP_KERNELS)[family]
+    with mpmath.workdps(30):
+        ref = _mp_moments(_mp_rows(family, 200), 2)
+        for kernel, bound in zip((make(), rows_only(make())), MP_BOUNDS[family]):
+            got = DP.absorption_moments(kernel, 200, 2).values
+            worst = max(float(abs(got[n, p] - ref[n][p]) / ref[n][p])
+                        for n in range(1, 201) for p in (1, 2))
+            assert worst <= bound, (kernel.name, worst)
+
+
+def test_only_the_first_step_engine_forms_row_sums():
+    # a new exact functional is one more finish, not a second loop over the rows
+    tree = ast.parse(Path(DP.__file__).read_text(encoding="utf-8"))
+    callers = {getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call)
+               and (getattr(node.func, "id", None) == "_online_correlation"
+                    or getattr(node.func, "attr", None) in ("toeplitz", "_checked_row"))}
+    assert callers == {"_first_step"}
 
 
 # ---------------------------------------------------------------------------
