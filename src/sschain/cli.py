@@ -69,6 +69,9 @@ def _suite_exact_moments(cfg: ExperimentConfig):
     kernel = cfg.kernel()
     try:  # an absorbing state past 0 is refused, not collapsed: that would change A_n
         table = dp.absorption_moments(kernel, max(cfg.n_grid), 2)
+    except dp.AbsorbingStateError as exc:
+        raise ConfigError("kernel", f"state {exc.state} is absorbing; exact-moments needs 0 "
+                          "to be the only absorbing state") from None
     except dp.DPError as exc:
         raise ConfigError("kernel", str(exc)) from None
     lines = []

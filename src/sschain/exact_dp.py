@@ -5,6 +5,8 @@ independent oracle against which simulation and the asymptotic predictions
 are validated.  Moments are first-step analysis: ``_first_step`` forms each
 state's sums over the lower states, and a functional's ``finish`` solves the
 diagonal self-loop algebraically, which keeps it exact for heavy diagonals.
+Distributions evolve the pmf from delta_n in blocks of BLOCK_STEPS steps,
+each block one call of the kernel's ``pushforward`` stepper.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .kernels import ABSORB_TOL, DIRECT_SUPPORT, CostGuardError, DPError, Kernel
 DP_BUDGET_OPS = 4e9
 # the relaxed correlation of _first_step sums blocks of this many states directly
 LEAF_STATES = 32
+# a pmf evolution asks the kernel's pushforward for this many steps at a time
+BLOCK_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -55,9 +59,13 @@ class MomentTable:
         return "\n".join(lines) + "\n"
 
 
-def _stuck(n: int) -> DPError:
-    return DPError(f"state {n} is absorbing; collapse the kernel (collapse_absorbing) "
-                   "so 0 is the only absorbing state")
+class AbsorbingStateError(DPError):
+    """A state past 0 is absorbing, which the oracle refuses; ``state`` names it."""
+
+    def __init__(self, state: int):
+        super().__init__(f"state {state} is absorbing; collapse the kernel (collapse_absorbing) "
+                         "so 0 is the only absorbing state")
+        self.state = state
 
 
 def absorption_moments(kernel: Kernel, n_max: int, p_max: int = 1) -> MomentTable:
@@ -101,7 +109,7 @@ def _first_step(kernel: Kernel, n_max: int, w0: Sequence[float], finish) -> np.n
 
     def solve(n: int, sums, pnn: float):
         if pnn >= 1.0 - ABSORB_TOL:
-            raise _stuck(n)
+            raise AbsorbingStateError(n)
         W[n] = finish(n, sums, pnn)
 
     parts = kernel.toeplitz(n_max)
@@ -178,16 +186,32 @@ def _online_correlation(q: np.ndarray, W: np.ndarray, finish) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pmf evolution (one step is the kernel's pushforward)
+# pmf evolution (the kernel's pushforward advances it a block of steps at a time)
 # ---------------------------------------------------------------------------
+
+def _blocks(advance, n: int, steps: int):
+    """The pmfs of X_n after 0..steps steps, as (k, traj) per block of BLOCK_STEPS.
+
+    traj[i] is the pmf after k + i steps; a block's last row is the next
+    block's row 0, and the next block overwrites traj.
+    """
+    traj = np.zeros((BLOCK_STEPS + 1, n + 1))
+    traj[0, n] = 1.0
+    for k in range(0, steps, BLOCK_STEPS):
+        block = traj[:min(BLOCK_STEPS, steps - k) + 1]
+        advance(block)
+        yield k, block
+        traj[0] = block[-1]
+
 
 def absorption_distribution(kernel: Kernel, n: int, k_max: int | None = None):
     """pmf of A_n truncated at k_max, plus the unaccounted tail mass.
 
-    The state pmf is pushed forward step by step; the newly absorbed mass
-    at 0 after each step is recorded.  Requires a collapsed kernel.  A
-    row-matrix pushforward may cost at most DP_BUDGET_OPS operations over
-    the k_max steps.
+    The state pmf is pushed forward in blocks of BLOCK_STEPS steps; the
+    newly absorbed mass at 0 after each step is recorded, and each step's
+    total mass is checked.  Requires a collapsed kernel.  A row-matrix
+    pushforward may cost at most DP_BUDGET_OPS operations over the k_max
+    steps.
     Returns (pmf, tail_mass) with pmf[k] = P(A_n = k) for k <= k_max.
     """
     if k_max is None:
@@ -196,53 +220,47 @@ def absorption_distribution(kernel: Kernel, n: int, k_max: int | None = None):
     if n == 0:
         pmf[0] = 1.0
         return pmf, 0.0
-    step = kernel.pushforward(n, DP_BUDGET_OPS / max(1, k_max))
+    advance = kernel.pushforward(n, DP_BUDGET_OPS / max(1, k_max))
     stuck = np.nonzero(kernel.absorbing_mask(np.arange(1, n + 1)))[0]
     if stuck.size:
-        raise _stuck(int(stuck[0]) + 1)
-    pi = np.zeros(n + 1)
-    pi[n] = 1.0
+        raise AbsorbingStateError(int(stuck[0]) + 1)
     absorbed = 0.0
     prev_total = 1.0
-    for k in range(1, k_max + 1):
-        pi = step(pi)
-        # numpy's pairwise sum of 10^4 terms near 1 errs by about 2e-15, far inside the bound
-        total = float(np.sum(pi))
-        if not abs(total - prev_total) <= 1e-12:  # NaN fails it too
-            raise DPError(f"{kernel.name}: pmf mass drifted by {total - prev_total!r} "
-                          f"at step {k}")
-        prev_total = total
-        newly = float(pi[0]) - absorbed
-        pmf[k] = max(newly, 0.0)
-        absorbed = float(pi[0])
+    for k0, traj in _blocks(advance, n, k_max):
+        for k, pi in enumerate(traj[1:], k0 + 1):
+            # numpy's pairwise sum of 10^4 terms near 1 errs by about 2e-15, far inside the bound
+            total = float(np.sum(pi))
+            if not abs(total - prev_total) <= 1e-12:  # NaN fails it too
+                raise DPError(f"{kernel.name}: pmf mass drifted by {total - prev_total!r} "
+                              f"at step {k}")
+            prev_total = total
+            newly = float(pi[0]) - absorbed
+            pmf[k] = max(newly, 0.0)
+            absorbed = float(pi[0])
     return pmf, 1.0 - absorbed
 
 
 def marginal_distribution(kernel: Kernel, n: int, steps: Sequence[int]) -> np.ndarray:
-    """pmf of X_n after each step count in steps, from one pushforward loop.
+    """pmf of X_n after each step count in steps, from one pmf evolution.
 
     Returns an array of shape (len(steps), n + 1) whose row j is
     P(X_n(steps[j]) = k) for k = 0..n.  A row-matrix pushforward may cost
     at most DP_BUDGET_OPS operations over the longest run.
     """
-    steps = [int(s) for s in steps]
-    if any(s < 0 for s in steps):
+    at = np.array([int(s) for s in steps], dtype=np.int64)
+    if np.any(at < 0):
         raise ValueError("step counts must be >= 0")
-    last = max(steps, default=0)
-    step = kernel.pushforward(n, DP_BUDGET_OPS / last) if last > 0 else None
-    out = np.empty((len(steps), n + 1))
-    pi = np.zeros(n + 1)
-    pi[n] = 1.0
-    done = 0
-    for j in np.argsort(steps, kind="stable"):
-        for _ in range(steps[j] - done):
-            pi = step(pi)
-        done = steps[j]
-        out[j] = pi
+    out = np.zeros((at.size, n + 1))
+    out[:, n] = 1.0  # the pmf after 0 steps; every later row is overwritten
+    last = int(at.max(initial=0))
+    if last > 0:
+        advance = kernel.pushforward(n, DP_BUDGET_OPS / last)
+        for k, traj in _blocks(advance, n, last):
+            hit = (at > k) & (at < k + traj.shape[0])
+            out[hit] = traj[at[hit] - k]
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
-        first = min(s for s, ok in zip(steps, finite) if not ok)
-        raise DPError(f"{kernel.name}: the pmf is not finite at step {first}")
+        raise DPError(f"{kernel.name}: the pmf is not finite at step {int(at[~finite].min())}")
     return out
 
 

@@ -214,8 +214,10 @@ class Kernel:
     uncached ``cumulative_row`` at a time, unless the kernel samples a
     step law of its own (``step``); ``sample_path`` reads the memoized
     ``row_cumsum``.  ``absorbing_mask``, ``pushforward`` and ``toeplitz``
-    are generic here and overridable by faster equivalents.
-    Kernels are immutable once built; the caches are deterministic.
+    are generic here and overridable by faster equivalents; ``pushforward``
+    returns a block stepper, which fills a trajectory array a block of
+    steps at a time.  Kernels are immutable once built; the caches are
+    deterministic.
     """
 
     name = "kernel"
@@ -325,14 +327,20 @@ class Kernel:
         return np.array([self.absorbing(m) for m in distinct.tolist()], dtype=bool)[inverse]
 
     def pushforward(self, n: int, budget_ops: float = math.inf):
-        """The map pi -> pi P on states 0..n, from the lower triangle in column panels.
+        """``advance(traj)``: rows 1.. of traj become pi P, pi P^2, ... of its row 0.
 
-        The panel at c0 holds columns c0 .. c0 + PANEL_COLUMNS - 1 of rows
+        traj is a C-order (steps + 1, n + 1) float array of pmfs on 0..n.
+        The map pi -> pi P reads the lower triangle in column panels: the
+        panel at c0 holds columns c0 .. c0 + PANEL_COLUMNS - 1 of rows
         c0..n as one C-contiguous block, about (n+1)^2 / 2 entries in all,
         and a step sets out[c0:c0 + width] = pi[c0:] @ panel.  The rows
         above c0 are zero there, so each output is the dense ``pi @ m``
         without its leading exact-zero terms; with every panel starting on
         a 64-aligned column, single-threaded OpenBLAS gives the same bits.
+        Those outputs read only the states >= c0, so ``advance`` takes the
+        panels from the highest c0 down and runs every step on one panel
+        before the next (time skewing): a panel streams from memory once
+        per call, not once per step, and each product is the same call.
         ``_panels`` fills them, every row checked as ``_checked_row`` checks
         it, and refuses a row that is not finite.
         """
@@ -341,12 +349,11 @@ class Kernel:
                 f"dense pushforward at n={n} exceeds the operation budget")
         panels = self._panels(n)
 
-        def step(pi: np.ndarray) -> np.ndarray:
-            out = np.empty(n + 1)
-            for c0, panel in panels:
-                out[c0:c0 + panel.shape[1]] = pi[c0:] @ panel
-            return out
-        return step
+        def advance(traj: np.ndarray) -> None:
+            for c0, panel in reversed(panels):
+                for s in range(1, traj.shape[0]):
+                    np.dot(traj[s - 1, c0:], panel, out=traj[s, c0:c0 + panel.shape[1]])
+        return advance
 
     def _panels(self, n: int) -> list[tuple[int, np.ndarray]]:
         """``pushforward``'s column panels of rows 0..n, each row built once and checked."""
@@ -421,10 +428,10 @@ class _BarrierFamily(Kernel):
     sampled overflow lands on 0 and its limit measure has the killing atom;
     any other overflow waits in place (the barrier's ``step`` makes none).
     The truncated and ignored walks keep the generic ``pushforward``, the
-    lower triangle in column panels: a correlation moves their tails at
-    n = 3000 by 4e-14, past the oracle values pinned in ``bench/pinned.json``.
-    Their ``_panels`` fills those panels from q and the triple, with no
-    row built and the same bits.
+    lower triangle in column panels stepped as a wavefront: a correlation
+    moves their tails at n = 3000 by 4e-14, past the oracle values pinned
+    in ``bench/pinned.json``.  Their ``_panels`` fills those panels from q
+    and the triple, with no row built and the same bits.
     """
 
     walk = "walk"
@@ -558,36 +565,71 @@ class BarrierKernel(_BarrierFamily):
         return super().step(states, np.minimum(u * (1.0 - qbar), cap))
 
     def pushforward(self, n: int, budget_ops: float = math.inf):
-        """pi -> pi P as a correlation with q (direct up to DIRECT_SUPPORT, else FFT).
+        """``Kernel.pushforward``'s ``advance`` as a correlation with q.
 
-        The FFT path is scipy's ``fftconvolve(rho[::-1], q)`` with q
-        transformed once, so it gives the same numbers.  A dead state
-        (qbar_m = 1) keeps its mass and sends none.
+        Each step weighs rho = pi / norm (zero at a dead state, qbar_m = 1,
+        which keeps its mass and sends none) against q: term by term up to
+        DIRECT_SUPPORT, else by FFT.  Both divide only up to the last state
+        whose norm is not 1.0, since x / 1.0 is x.  The direct path starts
+        each step at the lowest state that can hold mass, minus the largest
+        step: below it every sum is of exact zeros, so those entries are set
+        to 0.0.  The FFT path is scipy's ``fftconvolve(rho[::-1], q)``, with
+        q transformed once and rho[::-1] written into one kept zero-padded
+        buffer whose spectrum is multiplied in place: the same numbers.
         """
         q = self.q.pmf_upto(n)
         qbar = self.q.tail_upto(n)
         norm = self._boundary(qbar)[0]
         dead = np.flatnonzero(qbar >= 1.0)
+        scaled = np.flatnonzero(norm != 1.0)
+        top = int(scaled[-1]) + 1 if scaled.size else 0
         nz = np.flatnonzero(q).tolist()
-        direct = not nz or nz[-1] <= DIRECT_SUPPORT
-        if not direct:
-            size = next_fast_len(2 * n + 1, real=True)
-            q_hat = rfft(q, size)
+        reach = nz[-1] if nz else 0
+        rho = np.empty(n + 1)
 
-        def step(pi: np.ndarray) -> np.ndarray:
-            rho = pi / norm
-            rho[dead] = 0.0
-            if direct:
-                out = q[0] * rho if q[0] != 0.0 else np.zeros_like(pi)
+        def weigh(pi: np.ndarray, lo: int) -> np.ndarray:
+            """rho[lo:] from pi[lo:]; returns the dead states from lo on."""
+            mid = max(lo, top)
+            np.divide(pi[lo:mid], norm[lo:mid], out=rho[lo:mid])
+            rho[mid:] = pi[mid:]
+            low = dead[dead >= lo]
+            rho[low] = 0.0
+            return low
+
+        def direct(traj: np.ndarray) -> None:
+            mass = np.flatnonzero(traj[0])
+            lo = int(mass[0]) if mass.size else n + 1
+            for s in range(1, traj.shape[0]):
+                pi, out = traj[s - 1], traj[s]
+                # lo bounds pi's lowest state with mass from below: no output under lo - reach
+                lo = max(lo - reach, 0)
+                low = weigh(pi, lo)
+                out[:lo] = 0.0
+                if q[0] != 0.0:
+                    np.multiply(rho[lo:], q[0], out=out[lo:])
+                else:
+                    out[lo:] = 0.0
                 for z in nz:
-                    if z:
-                        out[:n + 1 - z] += q[z] * rho[z:]
-            else:
-                out = irfft(rfft(rho[::-1], size) * q_hat, size)[:n + 1][::-1].copy()
-                np.clip(out, 0.0, None, out=out)
-            out[dead] += pi[dead]
-            return out
-        return step
+                    if 0 < z <= n - lo:
+                        out[lo:n + 1 - z] += q[z] * rho[lo + z:]
+                out[low] += pi[low]
+
+        if reach <= DIRECT_SUPPORT:
+            return direct
+        size = next_fast_len(2 * n + 1, real=True)
+        q_hat = rfft(q, size)
+        padded = np.zeros(size)
+
+        def by_fft(traj: np.ndarray) -> None:
+            for s in range(1, traj.shape[0]):
+                pi, out = traj[s - 1], traj[s]
+                low = weigh(pi, 0)
+                padded[:n + 1] = rho[::-1]
+                spectrum = rfft(padded)
+                spectrum *= q_hat
+                np.clip(irfft(spectrum, size)[n::-1], 0.0, None, out=out)
+                out[low] += pi[low]
+        return by_fft
 
 
 class TruncatedKernel(_BarrierFamily):

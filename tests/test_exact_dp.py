@@ -163,16 +163,19 @@ def test_marginal_moment_matches_simulation():
     assert m.within(exact, 4.0)
 
 
+def _from_top(n, steps):
+    # rows 1..steps for advance to fill, row 0 the start delta_n
+    traj = np.zeros((steps + 1, n + 1))
+    traj[0, n] = 1.0
+    return traj
+
+
 def test_marginal_distribution_is_one_pushforward_loop():
     kernel = K.truncated_kernel(K.power_tail(0.5))
     n, steps = 60, [7, 0, 3, 7, 12]
     got = DP.marginal_distribution(kernel, n, steps)
-    step = kernel.pushforward(n)
-    pi = np.zeros(n + 1)
-    pi[n] = 1.0
-    expect = [pi]
-    for _ in range(12):
-        expect.append(step(expect[-1]))
+    expect = _from_top(n, 12)
+    kernel.pushforward(n)(expect)
     assert got.shape == (len(steps), n + 1)
     for row, s in zip(got, steps):
         assert np.array_equal(row, expect[s])
@@ -202,12 +205,10 @@ def test_pushforward_matches_dense_rows(make, q):
     kernel = make(q)
     n = 300  # the power-tail barrier row has support > 256: the FFT branch
     ref = _dense_reference(kernel, n)
-    step = kernel.pushforward(n)
-    pi = np.zeros(n + 1)
-    pi[n] = 1.0
-    expect = pi.copy()
-    for _ in range(20):
-        pi = step(pi)
+    traj = _from_top(n, 20)
+    kernel.pushforward(n)(traj)
+    expect = traj[0]
+    for pi in traj[1:]:
         expect = expect @ ref
         assert np.max(np.abs(pi - expect)) <= 1e-12
 
@@ -215,7 +216,8 @@ def test_pushforward_matches_dense_rows(make, q):
 # runs in a fresh interpreter, since OpenBLAS reads its thread count at load:
 # argv[1] "check" compares every panel step with the dense product pi @ m of
 # _dense_reference's matrix at each size; the last line is the SHA-256 of the
-# panel steps at n = 1000
+# panel steps at every size.  The steps fill one trajectory array, whose rows
+# start 8 bytes off a 16-byte boundary in turn where n + 1 is odd
 PANEL_SCRIPT = """
 import hashlib, sys
 import numpy as np
@@ -232,22 +234,20 @@ makes = [lambda: K.truncated_kernel(K.power_tail(0.5)),
                                   name="ramp")]
 h = hashlib.sha256()
 for make in makes:
-    for n in ((0, 1, W - 1, W, W + 1, 1000) if sys.argv[1] == "check" else (1000,)):
+    for n in (0, 1, W - 1, W, W + 1, 1000):
         kernel = make()
-        step = kernel.pushforward(n)
-        m = np.zeros((n + 1, n + 1))
-        for j in range(n + 1):
-            m[j, :j + 1] = kernel.row(j)
-        pi = np.zeros(n + 1)
-        pi[n] = 1.0
-        dense = pi
-        for _ in range(20):
-            pi = step(pi)
-            if sys.argv[1] == "check":
+        traj = np.zeros((21, n + 1))
+        traj[0, n] = 1.0
+        kernel.pushforward(n)(traj)
+        h.update(traj.tobytes())
+        if sys.argv[1] == "check":
+            m = np.zeros((n + 1, n + 1))
+            for j in range(n + 1):
+                m[j, :j + 1] = kernel.row(j)
+            dense = traj[0]
+            for pi in traj[1:]:
                 dense = dense @ m
                 assert np.array_equal(pi, dense), (kernel.name, n)
-            if n == 1000:
-                h.update(pi.tobytes())
 print(h.hexdigest())
 """
 
@@ -394,21 +394,69 @@ def test_barrier_fft_step_is_fftconvolve_bit_for_bit():
     rng = np.random.default_rng(SEED)
     q = K.power_tail(0.5)
     for n in (300, 2000):
-        step = K.barrier_kernel(q).pushforward(n)
+        advance = K.barrier_kernel(q).pushforward(n)
         qn, live = q.pmf_upto(n), q.tail_upto(n) < 1.0
         norm = np.where(live, 1.0 - q.tail_upto(n), 1.0)
         for _ in range(10):
-            pi = rng.random(n + 1)
+            traj = np.empty((2, n + 1))
+            pi = traj[0] = rng.random(n + 1)
+            advance(traj)
             rho = np.where(live, pi / norm, 0.0)
             expect = np.clip(fftconvolve(rho[::-1], qn)[:n + 1][::-1], 0.0, None)
             expect[~live] += pi[~live]
-            assert np.array_equal(step(pi), expect), n
+            assert np.array_equal(traj[1], expect), n
+
+
+def _ramp(n):
+    return np.arange(1.0, n + 2) / ((n + 1) * (n + 2) / 2)
+
+
+# three panels at n = 300, whose odd n + 1 shifts every other trajectory row by 8 bytes
+@pytest.mark.parametrize("make", [
+    lambda: K.truncated_kernel(K.power_tail(0.5)),
+    lambda: K.ignored_jump_kernel(K.power_tail(0.5)),
+    lambda: K.collapse_absorbing(K.beta_coalescent_kernel(1.5, 1.0)),
+    lambda: K.ExplicitKernel(_ramp, name="ramp"),
+    # q_0 = 0, a gap and the dead state 0: the direct path's other branch
+    lambda: K.barrier_kernel(K.finite_step([0.0, 0.25, 0.0, 0.75])),
+    lambda: K.barrier_kernel(K.power_tail(0.5)),
+], ids=["truncated", "ignored", "collapsed-coalescent", "explicit", "barrier-direct",
+        "barrier-fft"])
+def test_evolution_in_blocks_is_one_evolution(make):
+    n, steps = 300, 70
+    kernel = make()
+    advance = kernel.pushforward(n)
+    runs = []
+    for block in (1, 3, DP.BLOCK_STEPS, steps):
+        rows = _from_top(n, steps)
+        for k in range(0, steps, block):
+            # rows left from an earlier block must not leak: advance writes every entry
+            traj = np.full((min(block, steps - k) + 1, n + 1), np.nan)
+            traj[0] = rows[k]
+            advance(traj)
+            rows[k + 1:k + traj.shape[0]] = traj[1:]
+        runs.append(rows.tobytes())
+    assert runs == [runs[0]] * 4
+    assert DP.marginal_distribution(kernel, n, range(steps + 1)).tobytes() == runs[0]
+
+
+@pytest.mark.parametrize("probs", [[0.2, 0.3, 0.5], [0.0, 0.25, 0.0, 0.75]],
+                         ids=["q0", "gap"])
+def test_direct_barrier_step_sets_exact_zeros_below_its_reach(probs):
+    n, s = 300, len(probs) - 1
+    traj = _from_top(n, 120)
+    K.barrier_kernel(K.finite_step(probs)).pushforward(n)(traj)
+    for k, pi in enumerate(traj):
+        low = max(n - k * s, 0)
+        assert pi[:low].tobytes() == bytes(8 * low), k
+        assert pi[low:].any()
 
 
 def test_inner_absorbing_state_is_refused_by_distribution():
     gap = K.barrier_kernel(K.finite_step([0.5, 0.0, 0.5]))
-    with pytest.raises(DP.DPError, match="state 1 is absorbing"):
+    with pytest.raises(DP.AbsorbingStateError, match="state 1 is absorbing") as err:
         DP.absorption_distribution(gap, 3, k_max=10)
+    assert err.value.state == 1
     # marginals evolve through absorbing states for every kernel
     for kernel in (gap, K.collapse_absorbing(gap), K.ignored_jump_kernel(gap.q),
                    K.beta_coalescent_kernel(1.5, 1.0)):
@@ -465,7 +513,10 @@ class _BrokenStep(K.ExplicitKernel):
         self.factor = factor
 
     def pushforward(self, n, budget_ops=math.inf):
-        return lambda pi: pi * self.factor
+        def advance(traj):
+            for s in range(1, traj.shape[0]):
+                traj[s] = traj[s - 1] * self.factor
+        return advance
 
 
 @pytest.mark.parametrize("factor, name, drift", [(1.0 - 1e-9, "leaky", r"-9\.9999\d*e-10"),
@@ -477,6 +528,32 @@ def test_distribution_refuses_a_pmf_whose_mass_drifts(factor, name, drift):
     # a drift inside 1e-12 per step passes
     pmf, tail = DP.absorption_distribution(_BrokenStep(1.0 - 1e-13, "tiny-leak"), 5, k_max=8)
     assert pmf.tolist() == [0.0] * 9 and tail == 1.0
+
+
+class _LeakOnLeaving(K.ExplicitKernel):
+    # the one-step-down walk, whose stepper halves the pmf on a step out of `state`
+    def __init__(self, state):
+        super().__init__(_one_step_down, scaling=lambda n: float(n), name="leak-late")
+        self.state = state
+
+    def pushforward(self, n, budget_ops=math.inf):
+        def advance(traj):
+            for s in range(1, traj.shape[0]):
+                traj[s, 1:] = traj[s - 1, 2:].tolist() + [0.0]
+                traj[s, 0] = traj[s - 1, 0] + traj[s - 1, 1]
+                if traj[s - 1, self.state]:
+                    traj[s] *= 0.5
+        return advance
+
+
+def test_distribution_names_the_drifting_step_past_a_block():
+    # from 45 the walk leaves state 5 on step 41, in the second block of steps
+    assert DP.BLOCK_STEPS < 41
+    with pytest.raises(DP.DPError, match=r"^leak-late: pmf mass drifted by -0\.5 at step 41$"):
+        DP.absorption_distribution(_LeakOnLeaving(5), 45, k_max=60)
+    # the 40 steps before it pass, across the first block's end
+    pmf, tail = DP.absorption_distribution(_LeakOnLeaving(5), 45, k_max=40)
+    assert pmf.tolist() == [0.0] * 41 and tail == 1.0
 
 
 def test_dense_distribution_builds_each_row_once_and_keeps_none():
