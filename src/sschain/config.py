@@ -135,7 +135,7 @@ def parse_measure(expr: str, path: str = "measure") -> _m.FiniteMeasure:
 
 
 def parse_levy_measure(expr: str, path: str = "omega") -> _m.LevyMeasure:
-    """Sum of atom(mass, y0) terms and at most one barrier_tail(gamma)."""
+    """Sum of atom(mass, y0) and barrier_tail(gamma) terms, in any number."""
     return _parse_sum(expr, path, _LEVY_TERMS)
 
 

@@ -886,9 +886,8 @@ class CompositionKernel(Kernel):
     Built from a jump measure omega on (0, inf): rows are binomial
     mixtures against the image of omega under x = e^-y, normalized by
     Z_n (which doubles as the scaling sequence, so normalization errors
-    cancel at first order).  The image is omega's atoms at e^-y and, for
-    a density part, its ``unit_beta_terms``.  The chain is strictly
-    decreasing: p_{n,n}=0.
+    cancel at first order).  The image is omega's atoms at e^-y and its
+    ``unit_beta_terms``.  The chain is strictly decreasing: p_{n,n}=0.
     """
 
     name = "composition"
@@ -897,9 +896,6 @@ class CompositionKernel(Kernel):
         super().__init__()
         if omega.is_zero:
             raise ValueError("composition kernel needs a non-zero jump measure")
-        if omega.density is not None and not omega.unit_beta_terms:
-            raise ValueError("composition kernel needs the density part of omega as "
-                             "unit_beta_terms, its image under x = e^-y")
         self.omega = omega
         self.gamma = omega.tail_index
         # unit-interval image of omega: beta terms and/or atoms at e^-y

@@ -344,76 +344,73 @@ def _beta_image_moment(t: BetaTerm, eps: float, p: int) -> float:
     return val + math.fsum(w * (beyond(lo) - beyond(eps)))
 
 
+def _barrier_tail_closures(t: BetaTerm):
+    """Closed tail k((1 - e**-y)**b - 1), k = c / -b, of the unit term (c, 1, b < 0)
+    and its inverse -log1p(-(1 + v/k)**(1/b)); k = 1 takes no scaling op."""
+    k, b = t.coef / -t.b, t.b
+
+    def tail(y):
+        return (-np.expm1(-y)) ** b - 1.0
+
+    def tail_inverse(v):
+        # solves tail(y) = v
+        return -np.log1p(-(1.0 + np.asarray(v, dtype=float)) ** (1.0 / b))
+
+    if k == 1.0:
+        return tail, tail_inverse
+    return (lambda y: k * tail(y)), (lambda v: tail_inverse(np.asarray(v) / k))
+
+
 class LevyMeasure:
-    """Measure on (0, inf) integrating y ^ 1, as (density, atoms).
+    """Measure on (0, inf) integrating y ^ 1: unit Beta terms plus atoms.
 
     ``unit_beta_terms`` are the image of the density part under x = e**-y,
     as Beta terms c x**(a-1) (1-x)**(b-1) with b > -1 (b <= 0 is allowed:
-    the image need not be finite).  The tail, the small-jump moments and
-    the exponent are closed forms in them, so a density part without them
-    is refused there.  ``tail`` and ``tail_inverse``, when supplied, are
-    the exact upper tail of the density part and its inverse: the tail then
-    replaces the series in the terms, and the path sampler uses the inverse
-    instead of inverting the tail itself.  ``density`` stays a callable:
-    that inversion's Newton steps read it.
+    the image need not be finite).  The rest is derived from them: the
+    ``density`` callable (Newton steps read it; None without terms), the
+    closed-form tail, small-jump moments and exponent, and ``tail_index``,
+    -min b when positive.  One term with a = 1 and b < 0 is a scaled
+    barrier, whose closed tail has the exact inverse ``tail_inverse`` that
+    the path sampler uses; any other density part has None there.
     """
 
-    def __init__(self, density: Callable | None = None,
-                 atoms: Sequence[tuple[float, float]] = (),
-                 tail: Callable | None = None,
-                 tail_inverse: Callable | None = None,
-                 unit_beta_terms: Sequence[BetaTerm] = (),
-                 tail_index: float | None = None):
+    def __init__(self, atoms: Sequence[tuple[float, float]] = (),
+                 unit_beta_terms: Sequence[BetaTerm] = ()):
         for y, m in atoms:
             if y <= 0.0 or m <= 0.0:
                 raise MeasureError("levy atoms need positive location and mass")
-        for t in unit_beta_terms:
+        terms = tuple(unit_beta_terms)
+        for t in terms:
             if not t.b > -1.0:  # density ~ y**(b-1) at 0 must integrate y ^ 1
                 raise MeasureError(f"unit Beta term {t} needs b > -1")
-        self.density = density
         self.atoms = tuple((float(y), float(m)) for y, m in atoms)
-        self._tail = tail
-        self.tail_inverse = tail_inverse
-        self.unit_beta_terms = tuple(unit_beta_terms)
-        # regular-variation index -tail_index of the tail at 0, when known
-        self.tail_index = tail_index
+        self.unit_beta_terms = terms
+        self.density = _image_density(terms) if terms else None
+        index = -min((t.b for t in terms), default=0.0)
+        self.tail_index = index if index > 0.0 else None
+        self._tail = self.tail_inverse = None
+        if len(terms) == 1 and terms[0].a == 1.0 and terms[0].b < 0.0:
+            self._tail, self.tail_inverse = _barrier_tail_closures(terms[0])
 
     @property
     def is_zero(self) -> bool:
         return self.density is None and not self.atoms
 
     def __repr__(self):
-        dens = "none" if self.density is None else (
-            f"unit_beta_terms={self.unit_beta_terms}" if self.unit_beta_terms
-            else "a callable without unit_beta_terms")
-        return f"LevyMeasure(density part: {dens}, atoms={self.atoms})"
+        return f"LevyMeasure(unit_beta_terms={self.unit_beta_terms}, atoms={self.atoms})"
 
     def __add__(self, other: "LevyMeasure") -> "LevyMeasure":
-        """Sum of two jump measures, at most one of them with a density part.
-
-        The closed forms describe the density part only, so the sum keeps
-        them from that part; atoms concatenate in order.
-        """
+        """Sum of two jump measures: atoms and terms concatenate in order."""
         if not isinstance(other, LevyMeasure):
             return NotImplemented
-        if self.density is not None and other.density is not None:
-            raise MeasureError("a sum of jump measures takes at most one density part")
-        part = self if self.density is not None else other
-        return LevyMeasure(density=part.density, atoms=self.atoms + other.atoms,
-                           tail=part._tail, tail_inverse=part.tail_inverse,
-                           unit_beta_terms=part.unit_beta_terms, tail_index=part.tail_index)
-
-    def _density_terms(self, what: str) -> tuple[BetaTerm, ...]:
-        if self.density is not None and not self.unit_beta_terms:
-            raise MeasureError(f"the {what} of {self!r} need its density part as "
-                               "unit_beta_terms, its image under x = e^-y")
-        return self.unit_beta_terms if self.density is not None else ()
+        return LevyMeasure(atoms=self.atoms + other.atoms,
+                           unit_beta_terms=self.unit_beta_terms + other.unit_beta_terms)
 
     def _density_tail(self, y):
         """Mass of the density part above each level y > 0; vectorized in ``y``."""
         if self._tail is not None:
             return self._tail(y)
-        return sum(_beta_image_tail(t, y) for t in self._density_terms("tail"))
+        return sum(_beta_image_tail(t, y) for t in self.unit_beta_terms)
 
     def tail(self, y: float) -> float:
         """Mass above level y > 0."""
@@ -429,7 +426,7 @@ class LevyMeasure:
         val = sum(loc ** power * m for loc, m in self.atoms if loc <= eps)
         if eps <= 0.0:
             return val
-        for t in self._density_terms("small-jump moments"):
+        for t in self.unit_beta_terms:
             val += _beta_image_moment(t, eps, power)
         return val
 
@@ -446,7 +443,7 @@ class LevyMeasure:
         (1 - x**lam) x**(a-1) (1-x)**(b-1), a bracket Beta integral.
         """
         val = sum(m * -math.expm1(-lam * y) for y, m in self.atoms)
-        for t in self._density_terms("exponent"):
+        for t in self.unit_beta_terms:
             val += t.coef * bracket_beta_integral(lam, t.a, t.b + 1.0)
         return val
 
@@ -460,17 +457,7 @@ def barrier_levy_measure(gamma: float) -> LevyMeasure:
     """Jump density gamma * e**-y * (1 - e**-y)**-(gamma+1) with closed-form tail."""
     if not 0.0 < gamma < 1.0:
         raise MeasureError("requires gamma in (0, 1)")
-    terms = (BetaTerm(gamma, 1.0, -gamma),)
-
-    def tail(y):
-        return (-np.expm1(-y)) ** -gamma - 1.0
-
-    def tail_inverse(v):
-        # solves tail(y) = v
-        return -np.log1p(-(1.0 + np.asarray(v, dtype=float)) ** (-1.0 / gamma))
-
-    return LevyMeasure(density=_image_density(terms), tail=tail, tail_inverse=tail_inverse,
-                       unit_beta_terms=terms, tail_index=gamma)
+    return LevyMeasure(unit_beta_terms=(BetaTerm(gamma, 1.0, -gamma),))
 
 
 @dataclass(frozen=True)
@@ -501,30 +488,13 @@ def levy_triple(mu: FiniteMeasure) -> LevyTriple:
     """Decompose mu into (killing, drift, jump measure).
 
     killing = mu({0}), drift = mu({1}); the jump measure is the image of
-    (1-x)**-1 mu(dx) restricted to (0,1) under y = -log x, built as its
-    density part plus one atom per interior atom of mu.  The density
-    part's ``unit_beta_terms`` are the image of (1-x)**-1 times each term
-    c x**(a-1) (1-x)**(b-1), that is BetaTerm(c, a, b - 1), and its density
-    is evaluated from them.  A density that is a single beta term with
-    a = 1 is a scaled barrier and keeps the barrier's closed-form tail, its
-    inverse and its tail index, interior atoms or not; any other density
-    part takes its tail from the unit terms (``LevyMeasure.tail``).
+    (1-x)**-1 mu(dx) restricted to (0,1) under y = -log x.  Its
+    ``unit_beta_terms`` are the image of (1-x)**-1 times each term
+    c x**(a-1) (1-x)**(b-1), that is BetaTerm(c, a, b - 1), and it has one
+    atom per interior atom of mu; ``LevyMeasure`` derives the density,
+    the tail (closed with its inverse for a scaled barrier) and the tail
+    index from them.
     """
     terms = tuple(BetaTerm(t.coef, t.a, t.b - 1.0) for t in mu.beta_terms)
-    t = mu.beta_terms[0] if len(mu.beta_terms) == 1 else None
-    if not mu.beta_terms:
-        part = LevyMeasure()
-    elif t is not None and t.a == 1.0 and t.b < 1.0:
-        g = 1.0 - t.b
-        part = base = barrier_levy_measure(g)
-        if t.coef != g:  # the unscaled barrier keeps its closures: no wrapper per tail call
-            c = t.coef / g
-            part = LevyMeasure(density=_image_density(terms),
-                               tail=lambda y: c * base._tail(y),
-                               tail_inverse=lambda v: base.tail_inverse(np.asarray(v) / c),
-                               unit_beta_terms=terms, tail_index=g)
-    else:
-        part = LevyMeasure(density=_image_density(terms), unit_beta_terms=terms)
-    jumps = LevyMeasure(atoms=tuple((-math.log(loc), mass / (1.0 - loc))
-                                    for loc, mass in mu.interior_atoms))
-    return LevyTriple(mu.atom0, mu.atom1, part + jumps)
+    atoms = tuple((-math.log(loc), mass / (1.0 - loc)) for loc, mass in mu.interior_atoms)
+    return LevyTriple(mu.atom0, mu.atom1, LevyMeasure(atoms=atoms, unit_beta_terms=terms))

@@ -14,14 +14,16 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from scipy.fft import rfft
 from scipy.signal import fftconvolve
 
 from sschain import chain_engine as CE
 from sschain import exact_dp as DP
 from sschain import kernels as K
+from sschain import limit_process as LP
 from sschain import measures as M
 from sschain import suites
-from sschain.stats import empirical_moment
+from sschain.stats import empirical_moment, trend_verdict
 
 SEED = 4321
 
@@ -823,16 +825,37 @@ MP_BOUNDS = {"barrier": (7.3e-16, 6.6e-16), "collapsed-coalescent": (3.6e-15, 7.
              "composition": (2.9e-15, 2.3e-15)}
 
 
-@pytest.mark.parametrize("family", list(MP_BOUNDS))
-def test_moments_match_a_30_digit_first_step_recursion(family):
+def _check_mp_moments(family, n_max, bounds):
+    # both paths, correlation then row loop, against the 30-digit recursion
     make = dict(FIRST_STEP_KERNELS)[family]
     with mpmath.workdps(30):
-        ref = _mp_moments(_mp_rows(family, 200), 2)
-        for kernel, bound in zip((make(), rows_only(make())), MP_BOUNDS[family]):
-            got = DP.absorption_moments(kernel, 200, 2).values
+        ref = _mp_moments(_mp_rows(family, n_max), 2)
+        for kernel, bound in zip((make(), rows_only(make())), bounds):
+            got = DP.absorption_moments(kernel, n_max, 2).values
             worst = max(float(abs(got[n, p] - ref[n][p]) / ref[n][p])
-                        for n in range(1, 201) for p in (1, 2))
+                        for n in range(1, n_max + 1) for p in (1, 2))
             assert worst <= bound, (kernel.name, worst)
+
+
+@pytest.mark.parametrize("family", list(MP_BOUNDS))
+def test_moments_match_a_30_digit_first_step_recursion(family):
+    _check_mp_moments(family, 200, MP_BOUNDS[family])
+
+
+# the same past DIRECT_SUPPORT, n <= 320, where the correlation runs by
+# relaxed FFT; twice the worst measured (correlation, row loop): barrier
+# 1.29e-15, 3.26e-16; collapsed coalescent 4.76e-15, 5.94e-16; composition
+# 5.59e-15, 1.20e-15
+MP_FFT_BOUNDS = {"barrier": (2.6e-15, 6.6e-16), "collapsed-coalescent": (9.6e-15, 1.2e-15),
+                 "composition": (1.2e-14, 2.5e-15)}
+
+
+@pytest.mark.parametrize("family", list(MP_FFT_BOUNDS))
+def test_moments_past_direct_support_match_a_30_digit_recursion(monkeypatch, family):
+    transforms = []
+    monkeypatch.setattr(DP, "rfft", lambda *args, **kw: transforms.append(1) or rfft(*args, **kw))
+    _check_mp_moments(family, 320, MP_FFT_BOUNDS[family])
+    assert transforms  # the correlation path ran the relaxed FFT branch
 
 
 def test_only_the_first_step_engine_forms_row_sums():
@@ -843,6 +866,27 @@ def test_only_the_first_step_engine_forms_row_sums():
                and (getattr(node.func, "id", None) == "_online_correlation"
                     or getattr(node.func, "attr", None) in ("toeplitz", "_checked_row"))}
     assert callers == {"_first_step"}
+
+
+# ---------------------------------------------------------------------------
+# Aldous' beta-splitting trees: the tagged-leaf chain is a composition chain
+# ---------------------------------------------------------------------------
+
+def test_beta_splitting_height_moments_approach_the_limit():
+    # at beta = -1.5 omega(dy) = e^(-(beta+2) y) (1 - e^-y)^beta dy, the unit
+    # term (1, beta+2, beta+1): gamma = -beta - 1 = 1/2 and psi(1/2) = 2.
+    # Measured relative errors of E[A_n^p] / Z_n^p at n = 2^10 ... 2^16:
+    # p = 1 -1.74e-2 ... -2.20e-3, p = 2 -4.06e-2 ... -5.18e-3, halving per step
+    beta = -1.5
+    omega = M.LevyMeasure(unit_beta_terms=(M.BetaTerm(1.0, beta + 2, beta + 1),))
+    kernel = K.composition_kernel(omega)
+    assert kernel.gamma == 0.5 and kernel.psi(0.5) == pytest.approx(2.0, rel=1e-14)
+    grid = (2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16)
+    moments = DP.absorption_moments(kernel, grid[-1], 2).values
+    limit = LP.analytic_moments(kernel.psi, 0.5, 2)
+    for p in (1, 2):
+        errors = [abs(moments[n, p] / kernel.scaling(n) ** p / limit[p] - 1.0) for n in grid]
+        assert trend_verdict(errors, 1e-2).passed, (p, errors)
 
 
 # ---------------------------------------------------------------------------

@@ -449,10 +449,6 @@ def test_composition_barrier_tail_matches_heavy_walk_target():
     # scaling: Z_n equals the exponent evaluated at integer arguments
     for n in (1, 2, 17):
         assert comp.scaling(n) == pytest.approx(bk.psi(float(n)), rel=1e-10)
-    # the same jump measure by its density alone has no closed-form rows
-    with pytest.raises(ValueError, match="unit_beta_terms"):
-        K.composition_kernel(M.LevyMeasure(density=omega.density,
-                                           tail_index=omega.tail_index))
 
 
 @pytest.mark.parametrize("mu", [M.lebesgue(), M.beta_density(0.7, 1.9)],

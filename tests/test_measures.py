@@ -1,6 +1,8 @@
 """Measures on [0,1], the bracket transform, Laplace exponents, Levy triples."""
 
 import functools
+import hashlib
+import inspect
 import math
 import os
 import re
@@ -314,13 +316,15 @@ def test_levy_measure_sum_keeps_the_density_part_closed_forms():
     bar = M.barrier_levy_measure(GAMMA)
     total = M.levy_atom(0.3, 2.0) + bar + M.levy_atom(0.1, 0.5)
     assert total.atoms == ((2.0, 0.3), (0.5, 0.1))
-    assert total.density is bar.density and total.tail_inverse is bar.tail_inverse
     assert (total.unit_beta_terms, total.tail_index) == (bar.unit_beta_terms, bar.tail_index)
+    # the sum derives the same closed forms from the same terms, byte for byte
+    y, v = np.geomspace(1e-9, 40.0, 101), np.geomspace(1e-9, 1e9, 101)
+    assert np.array_equal(total.density(y), bar.density(y))
+    assert np.array_equal(total._density_tail(y), bar._density_tail(y))
+    assert np.array_equal(total.tail_inverse(v), bar.tail_inverse(v))
     # the closed-form tail covers the density part; atoms above the level add to it
     assert total.tail(1.0) == bar.tail(1.0) + 0.3
     assert (M.levy_atom(1.0, 1.0) + M.levy_atom(2.0, 3.0)).atoms == ((1.0, 1.0), (3.0, 2.0))
-    with pytest.raises(M.MeasureError, match="at most one density part"):
-        bar + M.barrier_levy_measure(0.3)
 
 
 @pytest.mark.parametrize("mu", [
@@ -433,15 +437,48 @@ def test_levy_tail_of_a_beta_density_is_the_unit_term_tail():
             assert abs(lm.tail(y) - ref) <= 5e-16 * ref, (y, lm.tail(y), ref)
 
 
-def test_small_jump_closed_forms_refuse_a_density_without_beta_terms():
-    bare = M.LevyMeasure(density=M.barrier_levy_measure(GAMMA).density, atoms=((1.0, 0.5),))
-    for call in (bare.tail, bare.mean_below, bare.variance_below, bare.exponent_integral):
-        with pytest.raises(M.MeasureError, match=r"LevyMeasure\(density part: a callable"):
-            call(0.5)
+def test_small_jump_closed_forms_of_atoms_alone_and_the_b_bound():
     # atoms alone need no terms
     assert M.levy_atom(0.5, 1.0).mean_below(2.0) == 0.5
     with pytest.raises(M.MeasureError, match="b > -1"):
-        M.LevyMeasure(density=bare.density, unit_beta_terms=(M.BetaTerm(1.0, 1.0, -1.0),))
+        M.LevyMeasure(atoms=((1.0, 0.5),), unit_beta_terms=(M.BetaTerm(1.0, 1.0, -1.0),))
+
+
+def test_levy_measure_derives_everything_from_atoms_and_unit_terms():
+    assert list(inspect.signature(M.LevyMeasure).parameters) == ["atoms", "unit_beta_terms"]
+    assert M.LevyMeasure().is_zero and M.LevyMeasure().tail_index is None
+    # b = 0 is a log tail, regularly varying with index 0; two terms, no closed inverse
+    lm = M.levy_triple(M.lebesgue() + M.beta_density(1.5, 0.5)).levy
+    assert (lm.tail_index, lm.tail_inverse) == (0.5, None)
+    assert M.levy_triple(M.lebesgue()).levy.tail_index is None
+    # a = 1.5: not a barrier, so no closed inverse, but its b = -0.5 fixes the index
+    lm = M.levy_triple(M.beta_density(1.5, 0.5)).levy
+    assert (lm.tail_index, lm.tail_inverse) == (0.5, None)
+
+
+# SHA-256 of tail, tail_inverse and density on PIN_Y and PIN_V: the closed
+# forms of the barrier, a scaled barrier and a barrier beside an atom, byte for byte
+PIN_Y = np.geomspace(1e-9, 40.0, 301)
+PIN_V = np.geomspace(1e-9, 1e9, 301)
+CLOSED_FORM_DIGESTS = {
+    "barrier(0.5)": ("1f351868ec34f048003e5943f2cca44835097049659ae4674817da26dfa52524",
+                     lambda: M.barrier_levy_measure(0.5)),
+    "beta(1,0.5,3)": ("e5bcde8ef4471f311b5071c36f020086aee3bc7b4ef0c107e2d26ffda5a6a5e9",
+                      lambda: M.levy_triple(M.beta_density(1.0, 0.5, 3.0)).levy),
+    "barrier(0.3)+atom": ("acd7176223f06c41cd28c20c7f72fd23bb1360b6342c2b9888d4d62482f5a583",
+                          lambda: M.levy_triple(M.barrier_measure(0.3) + M.atom(0.2, 0.5)).levy),
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORM_DIGESTS))
+def test_barrier_closed_forms_keep_their_bytes(name):
+    digest, make = CLOSED_FORM_DIGESTS[name]
+    lm = make()
+    h = hashlib.sha256()
+    h.update(np.array([lm.tail(float(y)) for y in PIN_Y]).tobytes())
+    h.update(np.asarray(lm.tail_inverse(PIN_V), dtype=float).tobytes())
+    h.update(np.asarray(lm.density(PIN_Y), dtype=float).tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_tail_inverse_consistency():
