@@ -41,8 +41,8 @@ _NEG_CLIP = -1e-13
 # a correlation with a step law whose last support point is at most this runs
 # term by term over the support; a longer one runs by FFT
 DIRECT_SUPPORT = 256
-# the generic pushforward keeps its lower triangle in panels of this many
-# columns: a multiple of 64, so each panel starts on a 64-aligned column
+# the pushforward steps the lower triangle in panels of this many columns: a
+# multiple of 64, so each panel starts on a 64-aligned column
 PANEL_COLUMNS = 128
 # relative errors below this count as noise in the convergence diagnostic
 DIAGNOSTIC_FLOOR = 1e-9
@@ -342,18 +342,15 @@ class Kernel:
         before the next (time skewing): a panel streams from memory once
         per call, not once per step, and each product is the same call.
         ``_panels`` fills them, every row checked as ``_checked_row`` checks
-        it, and refuses a row that is not finite.
+        it, and refuses a row that is not finite.  The truncated and ignored
+        walks, whose panels are windows of one step law, override it with
+        the same products on one shared buffer.
         """
         if (n + 1) ** 2 > budget_ops:
             raise CostGuardError(
                 f"dense pushforward at n={n} exceeds the operation budget")
-        panels = self._panels(n)
-
-        def advance(traj: np.ndarray) -> None:
-            for c0, panel in reversed(panels):
-                for s in range(1, traj.shape[0]):
-                    np.dot(traj[s - 1, c0:], panel, out=traj[s, c0:c0 + panel.shape[1]])
-        return advance
+        panels = self._panels(n)[::-1]
+        return lambda traj: _wavefront(traj, panels)
 
     def _panels(self, n: int) -> list[tuple[int, np.ndarray]]:
         """``pushforward``'s column panels of rows 0..n, each row built once and checked."""
@@ -410,6 +407,13 @@ class Kernel:
         return f"<{type(self).__name__} {self.name}>"
 
 
+def _wavefront(traj: np.ndarray, panels) -> None:
+    """Rows 1.. of traj from its row 0, every step on one (c0, panel) before the next."""
+    for c0, panel in panels:
+        for s in range(1, traj.shape[0]):
+            np.dot(traj[s - 1, c0:], panel, out=traj[s, c0:c0 + panel.shape[1]])
+
+
 # ---------------------------------------------------------------------------
 # barrier walk and its truncated / ignored-jump variants
 # ---------------------------------------------------------------------------
@@ -427,11 +431,12 @@ class _BarrierFamily(Kernel):
     and ``toeplitz`` hands it to the DP oracle.  A ``killed`` walk's
     sampled overflow lands on 0 and its limit measure has the killing atom;
     any other overflow waits in place (the barrier's ``step`` makes none).
-    The truncated and ignored walks keep the generic ``pushforward``, the
-    lower triangle in column panels stepped as a wavefront: a correlation
-    moves their tails at n = 3000 by 4e-14, past the oracle values pinned
-    in ``bench/pinned.json``.  Their ``_panels`` fills those panels from q
-    and the triple, with no row built and the same bits.
+    The truncated and ignored walks step the generic panels' wavefront,
+    bit for bit, but every panel is a view of one (n + 1) x PANEL_COLUMNS
+    buffer of q reversed, and no row is built: a correlation moves their
+    tails at n = 3000 by 4e-14, past the oracle values pinned in
+    ``bench/pinned.json``.  The barrier overrides ``pushforward`` with a
+    correlation.
     """
 
     walk = "walk"
@@ -465,66 +470,74 @@ class _BarrierFamily(Kernel):
         return self._table
 
     def build_row(self, n: int) -> np.ndarray:
+        return self._row_of(n, self.q.pmf_upto(n), *self._boundary_table(n))
+
+    @staticmethod
+    def _row_of(n: int, q: np.ndarray, norm, zero, diag) -> np.ndarray:
+        """Row n from q_0..q_n and the boundary triple: ``build_row``'s operations."""
         if n == 0:
             return np.ones(1)
-        norm, zero, diag = self._boundary_table(n)
-        row = self.q.pmf_upto(n)[::-1].copy()
+        row = q[n::-1].copy()
         if norm[n] != 1.0:  # x / 1.0 is x, and the division costs more than the copy
             row /= norm[n]
         row[0] += zero[n]
         row[n] = diag[n]
         return row
 
-    def _panels(self, n: int) -> list[tuple[int, np.ndarray]]:
-        """``Kernel._panels`` filled from q, with no row built.
+    def pushforward(self, n: int, budget_ops: float = math.inf):
+        """``Kernel.pushforward``'s products, every panel a view of one buffer.
 
-        Entry (i, c) of panel c0 is q_{i-c} (zero for c > i) before the
-        boundary, so the panel is one copy of the first n + 1 - c0 windows
-        of q reversed.  Then ``build_row``'s operations run on whole panels
-        in its order: each row over its norm, zero_m added to column 0,
-        diag_m on the diagonal, row 0 set to (1).  A row whose panel
-        minimum and panel-order sum leave no doubt passes ``_checked_row``'s
-        tests; any other row is read back from its panels and tested by it.
+        With norm 1, the panel at c0 is the first n + 1 - c0 rows and width
+        columns of the windows of q reversed, but on its diagonal (diag from
+        c0 on) and, at c0 = 0, in column 0 (q + zero, with row 0's 1).  One
+        C-order (n + 1) x PANEL_COLUMNS buffer holds the windows, and each
+        panel's diagonal and column are assigned before its steps.  The rows
+        are checked in O(n) from q and the triple; a row left in doubt is
+        rebuilt as ``build_row`` builds it and checked by ``_checked_row``.
         """
+        if (n + 1) ** 2 > budget_ops:
+            raise CostGuardError(
+                f"dense pushforward at n={n} exceeds the operation budget")
+        q = self.q.pmf_upto(n)
         norm, zero, diag = (part[:n + 1] for part in self._boundary_table(n))
-        padded = np.zeros(n + PANEL_COLUMNS)
-        padded[PANEL_COLUMNS - 1:] = self.q.pmf_upto(n)
-        windows = sliding_window_view(padded, PANEL_COLUMNS)[:, ::-1]
-        scaled = bool(np.any(norm != 1.0))  # x / 1.0 is x: dividing every row is exact
-        low, total = np.full(n + 1, np.inf), np.zeros(n + 1)
-        panels = []
-        for c0 in range(0, n + 1, PANEL_COLUMNS):
-            width = min(PANEL_COLUMNS, n + 1 - c0)
-            panel = windows[:n + 1 - c0, :width].copy()  # C order
-            if scaled:
-                panel /= norm[c0:, None]
-            d = np.arange(width)
-            if c0 == 0:
-                panel[:, 0] += zero
-                panel[d, d] = diag[:width]
-                panel[0] = 0.0
-                panel[0, 0] = 1.0
-            else:
-                panel[d, d] = diag[c0:c0 + width]
-            np.minimum(low[c0:], panel.min(axis=1), out=low[c0:])
-            total[c0:] += panel.sum(axis=1)
-            panels.append((c0, panel))
+        # row m >= 1 is column_m, q_{m-1}, ..., q_1 and diag_m; row 0 is (1),
+        # the one entry that its windows row (q_0, 0, ..., 0) does not hold
+        column = q + zero
+        column[0] = 1.0
+        inner = np.concatenate([[np.inf, np.inf], np.minimum.accumulate(q[1:n])])
+        low = np.minimum(np.minimum(column, diag), inner[:n + 1])
+        inner = np.concatenate([[0.0, 0.0], np.cumsum(q[1:n])])
+        total = column + inner[:n + 1] + diag
         # a summation order moves a sum near 1 by about m * 1e-16, far inside
         # half the tolerance; NaN lands in doubt
         tol = ROW_SUM_TOL * np.maximum(1, np.arange(n + 1))
         doubt = ~(low >= _NEG_CLIP) | ~(np.abs(total - 1.0) <= 0.5 * tol)
+        doubt[0] = False  # row 0 is (1)
         flags = (diag >= 1.0 - ABSORB_TOL).tolist()
         flags[0] = True
         done = 0
         for j in np.flatnonzero(doubt).tolist():
             self._absorbing_cache.update(zip(range(done, j), flags[done:j]))
-            row = np.concatenate([panel[j - c0, :j + 1 - c0]
-                                  for c0, panel in panels[:j // PANEL_COLUMNS + 1]])
-            if not np.isfinite(self._checked_row(j, row)).all():
+            row = self._checked_row(j, self._row_of(j, q, norm, zero, diag))
+            if not np.isfinite(row).all():
                 raise DPError(f"{self.name}: row {j} is not finite")
             done = j + 1
         self._absorbing_cache.update(zip(range(done, n + 1), flags[done:]))
-        return panels
+
+        padded = np.zeros(n + PANEL_COLUMNS)
+        padded[PANEL_COLUMNS - 1:] = q
+        shared = sliding_window_view(padded, PANEL_COLUMNS)[:, ::-1].copy()  # C order
+
+        def panels():
+            shared[:, 0] = q  # the panel at 0 leaves its column there
+            for c0 in reversed(range(0, n + 1, PANEL_COLUMNS)):
+                width = min(PANEL_COLUMNS, n + 1 - c0)
+                panel = shared[:n + 1 - c0, :width]
+                np.fill_diagonal(panel, diag[c0:c0 + width])
+                if c0 == 0:
+                    panel[:, 0] = column
+                yield c0, panel
+        return lambda traj: _wavefront(traj, panels())
 
     def scaling(self, n: int) -> float:
         if n == 0:

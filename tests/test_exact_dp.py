@@ -289,9 +289,9 @@ def test_criterion_2_marginals_do_not_depend_on_blas_threads():
 
 def test_panel_pushforward_stores_about_half_the_matrix():
     # the dense (n + 1)^2 matrix is 32.0 MB here; 128-column panels hold
-    # 0.532 of it, and the traced peak measured 0.541 with the kept tables
+    # 0.532 of it, and the traced peak measured 0.542 with the kept tables
     n = 2000
-    kernel = K.truncated_kernel(K.power_tail(0.5))
+    kernel = K.collapse_absorbing(K.beta_coalescent_kernel(1.5, 1.0))
     tracemalloc.start()
     try:
         kernel.pushforward(n)
@@ -301,26 +301,45 @@ def test_panel_pushforward_stores_about_half_the_matrix():
     assert peak <= 0.55 * (n + 1) ** 2 * 8, peak / ((n + 1) ** 2 * 8)
 
 
-@pytest.mark.parametrize("make", [K.barrier_kernel, K.truncated_kernel,
-                                  K.ignored_jump_kernel],
-                         ids=["barrier", "truncated", "ignored"])
+@pytest.mark.parametrize("make", [K.truncated_kernel, K.ignored_jump_kernel],
+                         ids=["truncated", "ignored"])
+def test_shared_buffer_pushforward_holds_one_panel(make):
+    # one (n + 1) x 128 buffer is 2.05 MB here; set-up plus one block of
+    # BLOCK_STEPS steps peaked at 1.20 (truncated) and 1.21 (ignored) of it,
+    # where the panels had peaked at 8.56 and 8.57
+    n = 2000
+    kernel = make(K.power_tail(0.5))
+    traj = _from_top(n, DP.BLOCK_STEPS)
+    tracemalloc.start()
+    try:
+        kernel.pushforward(n)(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (n + 1) * K.PANEL_COLUMNS * 8, peak / ((n + 1) * K.PANEL_COLUMNS * 8)
+
+
+@pytest.mark.parametrize("make", [K.truncated_kernel, K.ignored_jump_kernel],
+                         ids=["truncated", "ignored"])
 @pytest.mark.parametrize("q", [K.power_tail(0.5), K.finite_step([0.2, 0.5, 0.3]),
                                K.finite_step([0.0, 0.0, 1.0])], ids=["power", "finite", "gap"])
 def test_barrier_family_panels_are_the_row_fill_bytes(monkeypatch, make, q):
-    # the barrier's own pushforward never asks for panels, but its fill
-    # divides by norm != 1, so it is checked here too; the gap law's
+    # two blocks from delta_n, the second from the first's last row: the
+    # panel at 0 must not leave its column 0 behind.  The gap law's
     # ignored walk has the absorbing state 1
     for n in (0, 1, K.PANEL_COLUMNS - 1, K.PANEL_COLUMNS, K.PANEL_COLUMNS + 1, 777):
-        rows, fill = make(q), make(q)
-        expect = K.Kernel._panels(rows, n)
-        monkeypatch.setattr(fill, "build_row", _refuse_row)
-        got = fill._panels(n)
-        assert [c0 for c0, _ in got] == [c0 for c0, _ in expect]
-        for (_, a), (_, b) in zip(got, expect):
-            assert a.flags.c_contiguous and a.flags.writeable
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (fill.name, n)
-        assert fill._absorbing_cache == rows._absorbing_cache
-        assert [fill.absorbing(m) for m in range(n + 1)] == \
+        rows, shared = make(q), make(q)
+        monkeypatch.setattr(shared, "build_row", _refuse_row)
+        trajs = []
+        for advance in (K.Kernel.pushforward(rows, n), shared.pushforward(n)):
+            first, second = _from_top(n, 20), np.full((21, n + 1), np.nan)
+            advance(first)
+            second[0] = first[-1]
+            advance(second)
+            trajs.append(first.tobytes() + second.tobytes())
+        assert trajs[1] == trajs[0], (shared.name, n)
+        assert shared._absorbing_cache == rows._absorbing_cache
+        assert [shared.absorbing(m) for m in range(n + 1)] == \
             [bool(r[m] >= 1.0 - K.ABSORB_TOL) for m, r in enumerate(map(rows.row, range(n + 1)))]
 
 
@@ -856,6 +875,44 @@ def test_moments_past_direct_support_match_a_30_digit_recursion(monkeypatch, fam
     monkeypatch.setattr(DP, "rfft", lambda *args, **kw: transforms.append(1) or rfft(*args, **kw))
     _check_mp_moments(family, 320, MP_FFT_BOUNDS[family])
     assert transforms  # the correlation path ran the relaxed FFT branch
+
+
+def _mp_pushforward(walk, n, steps):
+    """From delta_n, the pmfs of the power_tail(0.5) walk after 0..steps steps, in mpmath."""
+    qbar = [1 / mpmath.sqrt(m + 1) for m in range(n + 1)]
+    q = [1 - qbar[0]] + [qbar[m - 1] - qbar[m] for m in range(1, n + 1)]
+    # row m: q_{m-k} on 0 < k < m; the truncated walk's overflow lands on 0,
+    # the ignored walk's stays on m
+    to_zero = [q[m] + (qbar[m] if walk == "truncated" else 0) for m in range(n + 1)]
+    stay = [q[0] + (qbar[m] if walk == "ignored" else 0) for m in range(n + 1)]
+    pi = [mpmath.mpf(0)] * n + [mpmath.mpf(1)]
+    out = [pi]
+    for _ in range(steps):
+        pi = [pi[0] + mpmath.fdot(pi[1:], to_zero[1:])] + \
+            [pi[k] * stay[k] + mpmath.fdot(pi[k + 1:], q[1:n + 1 - k]) for k in range(1, n + 1)]
+        out.append(pi)
+    return out
+
+
+# twice the worst absolute error over 30 steps from n = 160, across the panel
+# at 128 and into the narrow one, measured: truncated 3.87e-16, ignored
+# 2.08e-16 (relative 3.7e-14 on both, on the entries above 1e-8)
+MP_PUSHFORWARD_BOUNDS = {"truncated": 7.8e-16, "ignored": 4.2e-16}
+
+
+@pytest.mark.parametrize("walk", list(MP_PUSHFORWARD_BOUNDS))
+def test_pushforward_matches_a_30_digit_evolution(walk):
+    n, steps = 160, 30
+    kernel = {"truncated": K.truncated_kernel, "ignored": K.ignored_jump_kernel}[walk](
+        K.power_tail(0.5))
+    traj = _from_top(n, steps)
+    kernel.pushforward(n)(traj)
+    with mpmath.workdps(30):
+        ref = _mp_pushforward(walk, n, steps)
+        assert all(abs(mpmath.fsum(pi) - 1) < 1e-25 for pi in ref)
+        worst = max(abs(float(traj[s, k] - ref[s][k]))
+                    for s in range(steps + 1) for k in range(n + 1))
+    assert worst <= MP_PUSHFORWARD_BOUNDS[walk], worst
 
 
 def test_only_the_first_step_engine_forms_row_sums():
