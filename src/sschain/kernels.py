@@ -106,10 +106,12 @@ class StepDistribution:
             qb0 = float(tail(np.asarray([0]))[0])
             if not 0.0 < qb0 <= 1.0:
                 raise ValueError("tail(0) = 1 - q_0 must lie in (0, 1]")
-            probe = tail(np.asarray([1, 10, 100, 10_000, 2 ** 40], dtype=float))
+            x = np.asarray([1, 10, 100, 10_000, 2 ** 40], dtype=float)
+            probe = tail(x)
             if np.any(np.diff(np.concatenate([[qb0], probe])) > 1e-15):
                 raise ValueError("tail must be non-increasing")
-            if probe[-1] > 1e-3:
+            # a declared index gamma promises tail(x) (x + 1)^gamma bounded: by 10 qbar_0
+            if probe[-1] > 1e-3 if gamma is None else (probe * (x + 1) ** gamma).max() > 10 * qb0:
                 raise ValueError("tail does not appear to vanish at infinity")
             self.mean = math.inf if mean is None else float(mean)
             self.max_step = None
@@ -375,6 +377,8 @@ class Kernel:
         correlation with q and builds none of them.  ``norm`` None is each
         row's own Toeplitz mass, the sum over k < m of q_{m-k} weight_k; a
         row whose Toeplitz part is empty is then its boundary terms alone.
+        The parts may be views of kept tables: callers never write them.
+        The barrier family checks its rows here, and its pmf steppers read them.
         """
         return None
 
@@ -427,16 +431,16 @@ class _BarrierFamily(Kernel):
     norm_n, plus zero_n on k = 0, with p_{n,n} = diag_n.  The barrier
     divides by 1 - qbar_n, the truncated walk sends qbar_n to 0 and the
     ignored walk adds qbar_n to its diagonal.  ``build_row`` and
-    ``absorbing_mask`` read a kept table of that triple, grown by doubling,
-    and ``toeplitz`` hands it to the DP oracle.  A ``killed`` walk's
-    sampled overflow lands on 0 and its limit measure has the killing atom;
-    any other overflow waits in place (the barrier's ``step`` makes none).
-    The truncated and ignored walks step the generic panels' wavefront,
-    bit for bit, but every panel is a view of one (n + 1) x PANEL_COLUMNS
-    buffer of q reversed, and no row is built: a correlation moves their
-    tails at n = 3000 by 4e-14, past the oracle values pinned in
-    ``bench/pinned.json``.  The barrier overrides ``pushforward`` with a
-    correlation.
+    ``absorbing_mask`` read a kept table of that triple, grown by doubling;
+    ``toeplitz`` checks its rows 0..n once, and the DP and both pmf
+    steppers read them there.  A ``killed`` walk's sampled overflow lands
+    on 0 and its limit measure has the killing atom; any other overflow
+    waits in place (the barrier's ``step`` makes none).  The truncated and
+    ignored walks step the generic panels' wavefront, bit for bit, but
+    every panel is a view of one (n + 1) x PANEL_COLUMNS buffer of q
+    reversed: a correlation moves their tails at n = 3000 by 4e-14, past
+    the oracle values pinned in ``bench/pinned.json``.  The barrier
+    overrides ``pushforward`` with a correlation.
     """
 
     walk = "walk"
@@ -491,39 +495,17 @@ class _BarrierFamily(Kernel):
         columns of the windows of q reversed, but on its diagonal (diag from
         c0 on) and, at c0 = 0, in column 0 (q + zero, with row 0's 1).  One
         C-order (n + 1) x PANEL_COLUMNS buffer holds the windows, and each
-        panel's diagonal and column are assigned before its steps.  The rows
-        are checked in O(n) from q and the triple; a row left in doubt is
-        rebuilt as ``build_row`` builds it and checked by ``_checked_row``.
+        panel's diagonal and column are assigned before its steps.  q and
+        the triple are ``toeplitz(n)``'s checked parts, only read.
         """
         if (n + 1) ** 2 > budget_ops:
             raise CostGuardError(
                 f"dense pushforward at n={n} exceeds the operation budget")
-        q = self.q.pmf_upto(n)
-        norm, zero, diag = (part[:n + 1] for part in self._boundary_table(n))
+        q, _, _, zero, diag = self.toeplitz(n)
         # row m >= 1 is column_m, q_{m-1}, ..., q_1 and diag_m; row 0 is (1),
         # the one entry that its windows row (q_0, 0, ..., 0) does not hold
         column = q + zero
         column[0] = 1.0
-        inner = np.concatenate([[np.inf, np.inf], np.minimum.accumulate(q[1:n])])
-        low = np.minimum(np.minimum(column, diag), inner[:n + 1])
-        inner = np.concatenate([[0.0, 0.0], np.cumsum(q[1:n])])
-        total = column + inner[:n + 1] + diag
-        # a summation order moves a sum near 1 by about m * 1e-16, far inside
-        # half the tolerance; NaN lands in doubt
-        tol = ROW_SUM_TOL * np.maximum(1, np.arange(n + 1))
-        doubt = ~(low >= _NEG_CLIP) | ~(np.abs(total - 1.0) <= 0.5 * tol)
-        doubt[0] = False  # row 0 is (1)
-        flags = (diag >= 1.0 - ABSORB_TOL).tolist()
-        flags[0] = True
-        done = 0
-        for j in np.flatnonzero(doubt).tolist():
-            self._absorbing_cache.update(zip(range(done, j), flags[done:j]))
-            row = self._checked_row(j, self._row_of(j, q, norm, zero, diag))
-            if not np.isfinite(row).all():
-                raise DPError(f"{self.name}: row {j} is not finite")
-            done = j + 1
-        self._absorbing_cache.update(zip(range(done, n + 1), flags[done:]))
-
         padded = np.zeros(n + PANEL_COLUMNS)
         padded[PANEL_COLUMNS - 1:] = q
         shared = sliding_window_view(padded, PANEL_COLUMNS)[:, ::-1].copy()  # C order
@@ -556,7 +538,36 @@ class _BarrierFamily(Kernel):
         return np.where(landing < 0, 0 if self.killed else states, landing)
 
     def toeplitz(self, n: int):
-        return (self.q.pmf_upto(n), np.ones(n + 1), *self._boundary(self.q.tail_upto(n)))
+        """q and views of the kept triple over 0..n, rows checked; records ``absorbing``.
+
+        Row m >= 1 is q_m / norm_m + zero_m, (q_{m-1}, ..., q_1) / norm_m and
+        diag_m: running minima and sums of q over norm_m bound it in O(n).  A
+        row in doubt is rebuilt by ``_row_of`` and checked by ``_checked_row``.
+        """
+        q = self.q.pmf_upto(n)
+        norm, zero, diag = (part[:n + 1] for part in self._boundary_table(n))
+        column = q / norm + zero
+        column[0] = 1.0  # row 0 is (1)
+        inner = np.concatenate([[np.inf, np.inf], np.minimum.accumulate(q[1:n])])
+        low = np.minimum(np.minimum(column, diag), inner[:n + 1] / norm)
+        inner = np.concatenate([[0.0, 0.0], np.cumsum(q[1:n])])
+        total = column + inner[:n + 1] / norm + diag
+        # a summation order moves a sum near 1 by about m * 1e-16, far inside
+        # half the tolerance; NaN lands in doubt
+        tol = ROW_SUM_TOL * np.maximum(1, np.arange(n + 1))
+        doubt = ~(low >= _NEG_CLIP) | ~(np.abs(total - 1.0) <= 0.5 * tol)
+        doubt[0] = False
+        flags = (diag >= 1.0 - ABSORB_TOL).tolist()
+        flags[0] = True
+        done = 0
+        for j in np.flatnonzero(doubt).tolist():
+            self._absorbing_cache.update(zip(range(done, j), flags[done:j]))
+            row = self._checked_row(j, self._row_of(j, q, norm, zero, diag))
+            if not np.isfinite(row).all():
+                raise DPError(f"{self.name}: row {j} is not finite")
+            done = j + 1
+        self._absorbing_cache.update(zip(range(done, n + 1), flags[done:]))
+        return q, np.ones(n + 1), norm, zero, diag
 
 
 class BarrierKernel(_BarrierFamily):
@@ -589,11 +600,10 @@ class BarrierKernel(_BarrierFamily):
         to 0.0.  The FFT path is scipy's ``fftconvolve(rho[::-1], q)``, with
         q transformed once and rho[::-1] written into one kept zero-padded
         buffer whose spectrum is multiplied in place: the same numbers.
+        q and norm are ``toeplitz(n)``'s checked parts, only read.
         """
-        q = self.q.pmf_upto(n)
-        qbar = self.q.tail_upto(n)
-        norm = self._boundary(qbar)[0]
-        dead = np.flatnonzero(qbar >= 1.0)
+        q, _, norm, _, _ = self.toeplitz(n)
+        dead = np.flatnonzero(self.q.tail_upto(n) >= 1.0)
         scaled = np.flatnonzero(norm != 1.0)
         top = int(scaled[-1]) + 1 if scaled.size else 0
         nz = np.flatnonzero(q).tolist()

@@ -363,8 +363,8 @@ def _rising_tail(k):
     return np.where(k <= 50, 1.0, 2.0) * (k + 1.0) ** -0.5
 
 
-@pytest.mark.parametrize("make", [K.truncated_kernel, K.ignored_jump_kernel],
-                         ids=["truncated", "ignored"])
+@pytest.mark.parametrize("make", [K.truncated_kernel, K.ignored_jump_kernel, K.barrier_kernel],
+                         ids=["truncated", "ignored", "barrier"])
 @pytest.mark.parametrize("tail, error, message", [
     (_nan_tail, K.DPError, "row 51 is not finite"),
     (_rising_tail, K.KernelConstructionError, "row 51 sums to 1.1"),
@@ -765,6 +765,32 @@ def test_toeplitz_moments_refuse_an_absorbing_state_as_the_row_loop_does():
     gap = K.barrier_kernel(K.finite_step([0.0, 0.0, 1.0]))
     with pytest.raises(DP.DPError, match="state 1 is absorbing"):
         DP.absorption_moments(gap, 5, 1)
+
+
+BAD_TAIL_RUNS = [pytest.param(run, id=name) for name, run in [
+    ("moments", lambda k: DP.absorption_moments(k, 80, 1)),
+    ("marginal", lambda k: DP.marginal_distribution(k, 80, [5])),
+    ("distribution", lambda k: DP.absorption_distribution(k, 80, k_max=200))]]
+
+
+@pytest.mark.parametrize("run", BAD_TAIL_RUNS)
+@pytest.mark.parametrize("make", WALKS, ids=WALK_IDS)
+@pytest.mark.parametrize("tail", [_rising_tail, _nan_tail], ids=["rising", "nan"])
+def test_every_dp_entry_point_refuses_a_bad_row(make, tail, run):
+    # toeplitz checks rows 1..n before the first state is solved or stepped
+    kernel = _tail_walk(make, tail)
+    with pytest.raises(K.DPError if tail is _nan_tail else K.KernelConstructionError) as fast:
+        run(kernel)
+    if tail is _nan_tail:
+        assert str(fast.value) == f"{kernel.name}: row 51 is not finite"
+        return
+    rows = rows_only(kernel)
+    with pytest.raises(K.KernelConstructionError) as generic:
+        run(rows)
+    assert type(fast.value) is type(generic.value)
+    message = str(fast.value).removeprefix(f"{kernel.name}: ")
+    assert message == str(generic.value).removeprefix(f"{rows.name}: ")
+    assert message.startswith("row 51 sums to ")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The transition-law zoo: rows, scalings, targets, diagnostics."""
 
+import ast
 import hashlib
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -74,6 +76,22 @@ def test_power_tail_values(pt):
 def test_power_tail_mean_is_zeta(gamma):
     # E[step] = sum of qbar_n = (n+1)^-gamma over n >= 0
     assert K.power_tail(gamma).mean == pytest.approx(float(zeta(gamma)), rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.1, 0.2])
+def test_slow_power_tails_build(gamma):
+    # tail(2^40) = 2^(-40 gamma) is above 1e-3 here: the declared decay is tested instead
+    q = K.power_tail(gamma)
+    assert q.tail_at(4095) == pytest.approx(4096.0 ** -gamma, rel=1e-14)
+    assert K.barrier_kernel(q).row(300).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [None, 0.5, 0.0831])
+def test_a_constant_tail_is_refused(gamma):
+    # with a declared gamma the rule reads tail(x) (x + 1)^gamma <= 10 tail(0) at the
+    # probes: a constant tail breaks it for every gamma > ln 10 / ln(2^40 + 1) = 0.08305
+    with pytest.raises(ValueError, match="^tail does not appear to vanish at infinity$"):
+        K.StepDistribution(tail=lambda k: np.full(np.shape(k), 0.5), gamma=gamma)
 
 
 def test_finite_step_validation():
@@ -673,3 +691,15 @@ def test_row_bytes_are_pinned():
             h.update(k.validated_row(n).tobytes())
         got[name] = h.hexdigest()
     assert got == PINNED_ROW_DIGESTS
+
+
+def test_pushforwards_read_their_rows_through_toeplitz():
+    # a pmf stepper takes q and the boundary triple from toeplitz, where they are checked
+    tree = ast.parse(Path(K.__file__).read_text(encoding="utf-8"))
+    calls = {(cls.name, getattr(node.func, "attr", None))
+             for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for fn in cls.body if getattr(fn, "name", None) == "pushforward"
+             for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert not {attr for _, attr in calls} & {"_boundary", "_boundary_table", "pmf_upto"}
+    assert {cls for cls, attr in calls if attr == "toeplitz"} == {"_BarrierFamily",
+                                                                  "BarrierKernel"}
